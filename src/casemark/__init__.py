@@ -23,7 +23,7 @@ from .projection import (
     project_span,
 )
 from .silver import SilverStandard, build_silver
-from .stats import ContingencyTable, fisher_exact_two_sided, log_choose, odds_ratio
+from .stats import ContingencyTable, fisher_exact_two_sided, odds_ratio
 
 __version__ = "0.1.0"
 
@@ -54,7 +54,6 @@ __all__ = [
     "load_alignment",
     "load_corpus",
     "load_np_annotation",
-    "log_choose",
     "macro_average",
     "odds_ratio",
     "partition_word_types",

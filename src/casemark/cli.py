@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,9 +20,9 @@ from typing import Optional
 import yaml
 
 from . import analysis, evaluation, extraction, projection, silver
-from .corpus import load_alignment, load_corpus, load_np_annotation, corpus_fingerprint
+from .corpus import load_alignment, load_corpus, load_np_annotation
 from .errors import CasemarkError, ConfigurationError
-from .extraction import ABLATION_VARIANTS, PipelineConfig
+from .extraction import ABLATION_VARIANTS, POSITIONS, PipelineConfig
 
 DEFAULT_SAMPLES_PER_GROUP = 5
 
@@ -37,14 +36,10 @@ class RunConfig:
     verse_allowlist: Optional[frozenset[str]] = None
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     output_dir: Path = Path("out")
-    jobs: int = 0  # 0 means "number of processors"
     markers_dir: Optional[Path] = None
     silver_dir: Optional[Path] = None
     analysis_languages: Optional[list[str]] = None
     samples_per_group: int = DEFAULT_SAMPLES_PER_GROUP
-
-    def effective_jobs(self) -> int:
-        return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
 
     def resolved_markers_dir(self) -> Path:
         return self.markers_dir if self.markers_dir else self.output_dir / "markers"
@@ -69,6 +64,11 @@ def _expand_paths(entries, base: Path) -> list[Path]:
     return paths
 
 
+def _positions(suffix_only) -> frozenset[str]:
+    """`suffix_only`, the user-facing spelling of PipelineConfig.positions."""
+    return frozenset({"final"}) if suffix_only else POSITIONS
+
+
 def _require_existing(paths, what: str) -> None:
     missing = [str(p) for p in paths if not Path(p).exists()]
     if missing:
@@ -86,6 +86,8 @@ def load_run_config(path) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigurationError(f"config file {path} must hold a mapping at top level")
     base = path.parent
+    # `jobs` is accepted and ignored: runs are single-threaded, and existing
+    # configs still set it.
     known = {
         "verse_files", "alignment_files", "annotation_files", "paradigm_files",
         "verse_allowlist", "verse_allowlist_file", "pipeline", "output_dir",
@@ -110,8 +112,9 @@ def load_run_config(path) -> RunConfig:
         pipeline_raw["languages"] = tuple(pipeline_raw["languages"])
     if "exclude_languages" in pipeline_raw:
         pipeline_raw["exclude_languages"] = tuple(pipeline_raw["exclude_languages"] or ())
+    positions = _positions(pipeline_raw.pop("suffix_only", True))
     try:
-        pipeline = PipelineConfig(**pipeline_raw)
+        pipeline = PipelineConfig(**pipeline_raw, positions=positions)
     except TypeError as exc:
         raise ConfigurationError(f"bad pipeline config: {exc}") from None
 
@@ -136,7 +139,6 @@ def load_run_config(path) -> RunConfig:
         verse_allowlist=allowlist,
         pipeline=pipeline,
         output_dir=out_dir,
-        jobs=int(raw.get("jobs", 0)),
         markers_dir=_resolve(raw.get("markers_dir")),
         silver_dir=_resolve(raw.get("silver_dir")),
         analysis_languages=list(analysis_raw["languages"]) if analysis_raw.get("languages") else None,
@@ -154,7 +156,7 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
     if args.chi is not None:
         updates["chi"] = args.chi
     if args.suffix_only is not None:
-        updates["suffix_only"] = args.suffix_only
+        updates["positions"] = _positions(args.suffix_only)
     if args.languages is not None:
         updates["languages"] = tuple(lang for lang in args.languages.split(",") if lang)
     if updates:
@@ -164,8 +166,6 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
     config.pipeline = pipeline
     if args.out is not None:
         config.output_dir = Path(args.out)
-    if args.jobs is not None:
-        config.jobs = args.jobs
     return config
 
 
@@ -196,19 +196,18 @@ def _write_manifest(config: RunConfig, corpus_hash: str, languages) -> None:
         "inputs": inputs,
         "corpus_fingerprint": corpus_hash,
         "languages": sorted(languages),
-        "jobs": config.effective_jobs(),
     }
     config.output_dir.mkdir(parents=True, exist_ok=True)
     with open(config.output_dir / "manifest.json", "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, sort_keys=True, indent=2)
+        # default=sorted writes the positions set as a sorted list.
+        json.dump(manifest, handle, sort_keys=True, indent=2, default=sorted)
         handle.write("\n")
 
 
 def cmd_extract(config: RunConfig) -> int:
     corpus, annotations, alignments = _load_corpus_inputs(config)
-    marker_sets = extraction.run_pipeline(
-        corpus, annotations, alignments, config.pipeline, jobs=config.effective_jobs()
-    )
+    fingerprint, counts = extraction.count_grams(corpus, annotations, alignments, config.pipeline)
+    marker_sets = extraction.select_markers(fingerprint, counts, config.pipeline)
     markers_dir = config.resolved_markers_dir()
     markers_dir.mkdir(parents=True, exist_ok=True)
     failures = []
@@ -217,7 +216,7 @@ def cmd_extract(config: RunConfig) -> int:
             extraction.write_marker_file(marker_sets[language], markers_dir / f"{language}.tsv")
         except OSError as exc:
             failures.append(f"{language}: {exc}")
-    _write_manifest(config, corpus_fingerprint(corpus), marker_sets)
+    _write_manifest(config, fingerprint, marker_sets)
     for failure in failures:
         print(f"extract: {failure}", file=sys.stderr)
     return 1 if failures else 0
@@ -268,7 +267,6 @@ def _load_scorable(config: RunConfig):
     gold = {
         p.stem: silver.read_silver_file(p)
         for p in sorted(silver_dir.glob("*.txt"))
-        if p.name != "diagnostics.tsv"
     }
     shared = sorted(
         lang for lang in set(predicted) & set(gold) if config.pipeline.wants_language(lang)
@@ -305,9 +303,7 @@ def cmd_ablate(config: RunConfig) -> int:
         for p in sorted(silver_dir.glob("*.txt"))
         if config.pipeline.wants_language(p.stem)
     }
-    rows = evaluation.run_ablation(
-        corpus, annotations, alignments, config.pipeline, gold, jobs=config.effective_jobs()
-    )
+    rows = evaluation.run_ablation(corpus, annotations, alignments, config.pipeline, gold)
     ablation_dir = config.output_dir / "ablation"
     ablation_dir.mkdir(parents=True, exist_ok=True)
     with open(ablation_dir / "ablation.tsv", "w", encoding="utf-8") as handle:
@@ -379,7 +375,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to the YAML run configuration")
         cmd.add_argument("--out", default=None, help="output directory (overrides config)")
         cmd.add_argument("--languages", default=None, help="comma-separated language allowlist")
-        cmd.add_argument("--jobs", type=int, default=None, help="worker pool size")
         cmd.add_argument("--theta", type=int, default=None, help="frequency threshold override")
         cmd.add_argument("--phi", type=float, default=None, help="p-value threshold override")
         cmd.add_argument("--chi", type=float, default=None, help="odds-ratio threshold override")

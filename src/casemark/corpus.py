@@ -171,6 +171,11 @@ def write_verse_file(corpus: ParallelCorpus, version: VersionId, path) -> None:
             handle.write(f"{verse_id}\t{' '.join(verses[verse_id])}\n")
 
 
+def _is_index(text: str) -> bool:
+    # ASCII only: str.isdigit also accepts digits such as "²" that int() rejects.
+    return text.isascii() and text.isdigit()
+
+
 def load_alignment(path, corpus: ParallelCorpus) -> Alignment:
     """Load a word alignment between two corpus versions.
 
@@ -210,7 +215,7 @@ def load_alignment(path, corpus: ParallelCorpus) -> Alignment:
         pairs = set()
         for chunk in pair_text.split():
             left, sep, right = chunk.partition("-")
-            if not sep or not left.isdigit() or not right.isdigit():
+            if not sep or not _is_index(left) or not _is_index(right):
                 raise ParseError(path, line_no, f"bad link {chunk!r} (expected <i>-<j>)")
             i, j = int(left), int(right)
             if i >= src_len:
@@ -256,7 +261,7 @@ def load_np_annotation(path, corpus: ParallelCorpus) -> NpAnnotation:
             span_text = parts[1] if len(parts) == 2 else ""
             for chunk in span_text.split():
                 left, sep, right = chunk.partition(":")
-                if not sep or not left.isdigit() or not right.isdigit():
+                if not sep or not _is_index(left) or not _is_index(right):
                     raise ParseError(path, line_no, f"bad span {chunk!r} (expected <start>:<end>)")
                 start, end = int(left), int(right)
                 if start >= end:

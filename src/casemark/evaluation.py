@@ -5,12 +5,13 @@ All comparisons are exact string matches on boundary-terminated grams.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Alignment, ParallelCorpus
 from .errors import ConfigurationError
-from .extraction import ABLATION_VARIANTS, PipelineConfig, run_pipeline
+from .extraction import ABLATION_VARIANTS, PipelineConfig, count_grams, extract_markers_for_language
 from .projection import NpAnnotation
 
 
@@ -68,12 +69,6 @@ def diff_report(predicted: Iterable[str], gold: Iterable[str]) -> tuple[set[str]
     return predicted & gold, predicted - gold, gold - predicted
 
 
-def projection_self_eval(direct: Iterable[str], projected: Iterable[str]) -> PRF:
-    """Quality of a projected NP-relevant type set against one computed from
-    a native chunker's annotations (the latter is treated as gold)."""
-    return score(projected, direct)
-
-
 def run_ablation(
     corpus: ParallelCorpus,
     annotations: Sequence[NpAnnotation],
@@ -81,23 +76,29 @@ def run_ablation(
     config: PipelineConfig,
     gold_by_language: Mapping[str, Iterable[str]],
     variants: Sequence[str] = ABLATION_VARIANTS,
-    jobs: int = 1,
 ) -> list[AblationRow]:
-    """Run the pipeline once per variant and macro-average each against the
-    same silver standards."""
+    """Count grams once, select markers per variant from those counts, and
+    macro-average each variant against the same silver standards."""
     scorable = sorted(gold_by_language)
     if not scorable:
         raise ConfigurationError("nothing to evaluate: no silver standards given")
-    rows = []
-    for variant in variants:
-        marker_sets = run_pipeline(corpus, annotations, alignments, config.with_variant(variant), jobs=jobs)
-        per_language = []
-        for language in scorable:
-            if language not in marker_sets:
-                raise ConfigurationError(f"no extraction output for silver language {language!r}")
-            per_language.append(score(marker_sets[language].grams(), set(gold_by_language[language])))
-        rows.append(AblationRow(variant=variant, macro=macro_average(per_language)))
-    return rows
+    # Only the scored languages are counted; the others would be discarded.
+    wanted = dataclasses.replace(config, languages=tuple(lang for lang in scorable if config.wants_language(lang)))
+    _fingerprint, counts = count_grams(corpus, annotations, alignments, wanted)
+    per_language: dict[str, dict[str, PRF]] = {}
+    for language_counts in counts:
+        gold = set(gold_by_language[language_counts.language])
+        per_variant = per_language[language_counts.language] = {}
+        for variant in variants:
+            markers = extract_markers_for_language(language_counts.grams, config.with_variant(variant))
+            per_variant[variant] = score({m.gram for m in markers}, gold)
+    for language in scorable:
+        if language not in per_language:
+            raise ConfigurationError(f"no extraction output for silver language {language!r}")
+    return [
+        AblationRow(variant=variant, macro=macro_average([per_language[lang][variant] for lang in scorable]))
+        for variant in variants
+    ]
 
 
 def render_results_table(per_language: Mapping[str, PRF], average_row: bool = True) -> str:

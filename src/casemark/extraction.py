@@ -5,16 +5,20 @@ character n-gram is a candidate. Candidates are filtered in three stages:
 a frequency threshold on the number of NP-relevant types containing the
 gram, an exact-test filter comparing inside/outside containment counts
 against all other candidates, and a restriction to word-final grams.
+
+The work splits at the config boundary: `count_grams` projects the corpus
+and counts every language's grams, which no threshold or positional setting
+affects, and `extract_markers_for_language` selects markers from those
+counts for one config.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .corpus import BOUNDARY, Alignment, ParallelCorpus, corpus_fingerprint
 from .errors import ConfigurationError, ParseError, UndefinedOddsError
@@ -27,23 +31,22 @@ from .projection import (
 from .stats import ContingencyTable, fisher_exact_two_sided, odds_ratio
 
 ABLATION_VARIANTS = ("baseline", "no_theta", "no_phi", "no_chi", "middle", "beginning")
+POSITIONS = frozenset({"final", "initial", "internal"})
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     """Thresholds and stage toggles for one extraction run.
 
-    middle/beginning ablations admit word-internal / word-initial grams in
-    addition to word-final ones; switching suffix_only off with neither admit
-    flag set disables the positional restriction entirely.
+    `positions` is the set of gram positions the positional filter keeps:
+    word-final only by default; the middle/beginning ablations add
+    word-internal / word-initial grams, and all three disable the filter.
     """
 
     theta: int = 97
     phi: float = 0.08
     chi: float = 0.34
-    suffix_only: bool = True
-    admit_word_initial: bool = False
-    admit_word_internal: bool = False
+    positions: frozenset[str] = frozenset({"final"})
     use_p_filter: bool = True
     use_ratio_filter: bool = True
     max_gram_length: Optional[int] = None
@@ -59,6 +62,8 @@ class PipelineConfig:
             raise ConfigurationError(f"chi must be >= 0, got {self.chi}")
         if self.max_gram_length is not None and self.max_gram_length < 1:
             raise ConfigurationError("max_gram_length must be >= 1 when set")
+        if not self.positions or not self.positions <= POSITIONS:
+            raise ConfigurationError(f"positions must be a non-empty subset of {sorted(POSITIONS)}")
 
     def with_variant(self, variant: str) -> "PipelineConfig":
         """Config for one ablation variant of this baseline."""
@@ -71,9 +76,9 @@ class PipelineConfig:
         if variant == "no_chi":
             return dataclasses.replace(self, use_ratio_filter=False)
         if variant == "middle":
-            return dataclasses.replace(self, suffix_only=False, admit_word_internal=True)
+            return dataclasses.replace(self, positions=frozenset({"final", "internal"}))
         if variant == "beginning":
-            return dataclasses.replace(self, suffix_only=False, admit_word_initial=True)
+            return dataclasses.replace(self, positions=frozenset({"final", "initial"}))
         raise ConfigurationError(f"unknown ablation variant {variant!r} (expected one of {ABLATION_VARIANTS})")
 
     def wants_language(self, language: str) -> bool:
@@ -110,6 +115,16 @@ class MarkerSet:
 class ExactTestResult(NamedTuple):
     p_value: float
     odds_ratio: Optional[float]
+
+
+class LanguageCounts(NamedTuple):
+    """One language's gram -> (inside, outside) type-containment counts and
+    the sizes of the NP-relevant / NP-irrelevant type sets behind them."""
+
+    language: str
+    grams: dict[str, tuple[int, int]]
+    np_relevant_types: int
+    np_irrelevant_types: int
 
 
 def candidates_of_word(word: str, max_len: Optional[int] = None) -> set[str]:
@@ -154,28 +169,6 @@ def frequency_filter(counts: Mapping[str, tuple[int, int]], theta: int) -> set[s
     if theta < 1:
         raise ConfigurationError(f"theta must be >= 1, got {theta}")
     return {gram for gram, (inside, _outside) in counts.items() if inside >= theta}
-
-
-def contingency_for(
-    gram: str,
-    candidates: Iterable[str],
-    counts: Mapping[str, tuple[int, int]],
-) -> ContingencyTable:
-    """2x2 table for one candidate against the other surviving candidates:
-    [inside(c), inside(rest); outside(c), outside(rest)]."""
-    inside_total = 0
-    outside_total = 0
-    for other in candidates:
-        i, o = counts[other]
-        inside_total += i
-        outside_total += o
-    inside_c, outside_c = counts[gram]
-    return ContingencyTable(
-        a=inside_c,
-        b=inside_total - inside_c,
-        c=outside_c,
-        d=outside_total - outside_c,
-    )
 
 
 def inside_outside_filter(
@@ -223,31 +216,18 @@ def suffix_restrict(grams: Iterable[str]) -> set[str]:
     return {gram for gram in grams if gram.endswith(BOUNDARY)}
 
 
-def _positional_restrict(grams: Iterable[str], config: PipelineConfig) -> set[str]:
-    if config.suffix_only:
-        return suffix_restrict(grams)
-    if not (config.admit_word_initial or config.admit_word_internal):
-        # suffix_only switched off with no admit flags: stage disabled.
-        return set(grams)
-    kept = set()
-    for gram in grams:
-        if gram.endswith(BOUNDARY):
-            kept.add(gram)
-        elif gram.startswith(BOUNDARY):
-            if config.admit_word_initial:
-                kept.add(gram)
-        elif config.admit_word_internal:
-            kept.add(gram)
-    return kept
+def _position(gram: str) -> str:
+    if gram.endswith(BOUNDARY):
+        return "final"
+    return "initial" if gram.startswith(BOUNDARY) else "internal"
 
 
 def extract_markers_for_language(
-    np_relevant: Iterable[str],
-    np_irrelevant: Iterable[str],
+    counts: Mapping[str, tuple[int, int]],
     config: PipelineConfig,
 ) -> list[CandidateMarker]:
-    """Run candidate generation and all filter stages for one language."""
-    counts = build_candidate_counts(np_relevant, np_irrelevant, config.max_gram_length)
+    """Select one language's markers from its gram counts: the frequency
+    threshold, then the exact test, then the positional filter."""
     surviving = frequency_filter(counts, config.theta)
     if config.use_p_filter or config.use_ratio_filter:
         tested = inside_outside_filter(
@@ -260,7 +240,7 @@ def extract_markers_for_language(
         )
     else:
         tested = {gram: None for gram in surviving}
-    final = _positional_restrict(tested, config)
+    final = {gram for gram in tested if _position(gram) in config.positions}
     markers = []
     for gram in sorted(final):
         result = tested[gram]
@@ -277,40 +257,66 @@ def extract_markers_for_language(
     return markers
 
 
+def count_grams(
+    corpus: ParallelCorpus,
+    annotations: Sequence[NpAnnotation],
+    alignments: Sequence[Alignment],
+    config: PipelineConfig,
+) -> tuple[str, Iterator[LanguageCounts]]:
+    """Steps 1-3 of the pipeline, which no threshold or positional setting
+    affects: the corpus fingerprint and the gram counts of every language the
+    config wants. Projection and fingerprint run at once; each language is
+    counted only when the returned iterator reaches it, so a caller that
+    finishes one language before the next holds one language's counts.
+    """
+    parallel_nps = build_parallel_np_set(corpus, annotations, alignments)
+    sources = [annotation.version for annotation in annotations]
+    languages = [lang for lang in corpus.languages() if config.wants_language(lang)]
+
+    def per_language() -> Iterator[LanguageCounts]:
+        for language in languages:
+            counts = build_inside_outside(corpus, parallel_nps, language, source_versions=sources)
+            partition = partition_word_types(counts)
+            yield LanguageCounts(
+                language=language,
+                grams=build_candidate_counts(partition.np_relevant, partition.np_irrelevant, config.max_gram_length),
+                np_relevant_types=len(partition.np_relevant),
+                np_irrelevant_types=len(partition.np_irrelevant),
+            )
+
+    return corpus_fingerprint(corpus), per_language()
+
+
+def select_markers(
+    fingerprint: str,
+    counts: Iterable[LanguageCounts],
+    config: PipelineConfig,
+) -> dict[str, MarkerSet]:
+    """Each language's marker set under one config, from `count_grams`
+    output counted with the same max_gram_length."""
+    marker_sets = {}
+    for language_counts in counts:
+        provenance = {
+            "config": dataclasses.asdict(config),
+            "corpus_fingerprint": fingerprint,
+            "np_relevant_types": language_counts.np_relevant_types,
+            "np_irrelevant_types": language_counts.np_irrelevant_types,
+        }
+        markers = extract_markers_for_language(language_counts.grams, config)
+        language = language_counts.language
+        marker_sets[language] = MarkerSet(language=language, markers=frozenset(markers), provenance=provenance)
+    return marker_sets
+
+
 def run_pipeline(
     corpus: ParallelCorpus,
     annotations: Sequence[NpAnnotation],
     alignments: Sequence[Alignment],
     config: PipelineConfig,
-    jobs: int = 1,
 ) -> dict[str, MarkerSet]:
     """Full extraction: projection, partition, candidates, filters, per
-    language. Languages may be restricted through the config; per-language
-    work is independent and fans out over a thread pool when jobs > 1.
-    """
-    parallel_nps = build_parallel_np_set(corpus, annotations, alignments)
-    sources = [annotation.version for annotation in annotations]
-    fingerprint = corpus_fingerprint(corpus)
-    languages = [lang for lang in corpus.languages() if config.wants_language(lang)]
-
-    def one_language(language: str) -> tuple[str, MarkerSet]:
-        counts = build_inside_outside(corpus, parallel_nps, language, source_versions=sources)
-        partition = partition_word_types(counts)
-        markers = extract_markers_for_language(partition.np_relevant, partition.np_irrelevant, config)
-        provenance = {
-            "config": dataclasses.asdict(config),
-            "corpus_fingerprint": fingerprint,
-            "np_relevant_types": len(partition.np_relevant),
-            "np_irrelevant_types": len(partition.np_irrelevant),
-        }
-        return language, MarkerSet(language=language, markers=frozenset(markers), provenance=provenance)
-
-    if jobs > 1 and len(languages) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one_language, languages))
-    else:
-        results = [one_language(language) for language in languages]
-    return dict(sorted(results))
+    language. Languages may be restricted through the config."""
+    return select_markers(*count_grams(corpus, annotations, alignments, config), config)
 
 
 def _format_stat(value: Optional[float]) -> str:

@@ -12,14 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
-
 from .errors import UndefinedOddsError
-
-# Above this n, the three double-precision lgamma terms carry enough absolute
-# rounding error (their magnitudes exceed ~1e6) to break the 1e-9 contract on
-# log_choose, so the slow arbitrary-precision path takes over.
-_LGAMMA_SAFE_N = 50_000
 
 # Relative slack when comparing a point probability against the observed one,
 # so exact ties are not lost to float rounding.
@@ -47,27 +40,6 @@ class ContingencyTable:
     @property
     def total(self) -> int:
         return self.a + self.b + self.c + self.d
-
-
-def log_choose(n: int, k: int) -> float:
-    """ln(n choose k) via log-gamma, absolute error <= 1e-9 for n <= 1e7."""
-    if not isinstance(n, int) or not isinstance(k, int):
-        raise ValueError(f"log_choose expects integers, got ({n!r}, {k!r})")
-    if n < 0 or k < 0:
-        raise ValueError(f"log_choose arguments must be nonnegative, got ({n}, {k})")
-    if k > n:
-        raise ValueError(f"log_choose requires k <= n, got ({n}, {k})")
-    if k == 0 or k == n:
-        return 0.0
-    if n <= _LGAMMA_SAFE_N:
-        return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-    with mpmath.workdps(30):
-        value = (
-            mpmath.loggamma(n + 1)
-            - mpmath.loggamma(k + 1)
-            - mpmath.loggamma(n - k + 1)
-        )
-        return float(value)
 
 
 def _log_pmf(k: int, row1: int, row2: int, col1: int) -> float:

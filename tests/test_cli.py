@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from helpers import write_lines
+from helpers import tiny_corpus_files, write_lines
 
 from casemark.cli import load_run_config, main
 from casemark.errors import ConfigurationError
@@ -104,6 +104,34 @@ class TestExtract:
         assert main(["extract", "--config", str(config)]) == 2
 
 
+class TestNonAsciiIndices:
+    """Indices that pass str.isdigit but not int() are parse errors (exit 2)."""
+
+    def run_project(self, tmp_path, link, span):
+        verse_files = tiny_corpus_files(tmp_path, {"alpha-a1.txt": {"v1": "a b"}, "beta-b1.txt": {"v1": "x y"}})
+        alignment = write_lines(tmp_path / "align.tsv", ["#\talpha-a1\tbeta-b1", f"v1\t{link}"])
+        annotation = write_lines(tmp_path / "alpha-a1.np", [f"v1\t{span}"])
+        config = write_lines(
+            tmp_path / "run.yaml",
+            [
+                "verse_files:",
+                *[f'  - "{p}"' for p in verse_files],
+                f'alignment_files: ["{alignment}"]',
+                f'annotation_files: ["{annotation}"]',
+                f'output_dir: "{tmp_path / "out"}"',
+            ],
+        )
+        return main(["project", "--config", str(config)])
+
+    def test_superscript_link_index(self, tmp_path, capsys):
+        assert self.run_project(tmp_path, "0-\u00b2", "0:1") == 2
+        assert "bad link" in capsys.readouterr().err
+
+    def test_superscript_span_end(self, tmp_path, capsys):
+        assert self.run_project(tmp_path, "0-0", "0:\u00b9") == 2
+        assert "bad span" in capsys.readouterr().err
+
+
 class TestSilverCommand:
     def test_builds_silver_files(self, workdir):
         config, out = workdir
@@ -201,3 +229,12 @@ class TestRunConfigLoading:
             ['verse_allowlist: ["v3"]', 'verse_allowlist_file: "allow.txt"'],
         )
         assert load_run_config(config).verse_allowlist == {"v1", "v2", "v3"}
+
+    def test_suffix_only_is_the_spelling_of_positions(self, tmp_path):
+        default = write_lines(tmp_path / "a.yaml", ["pipeline:", "  theta: 5"])
+        assert load_run_config(default).pipeline.positions == {"final"}
+        off = write_lines(tmp_path / "b.yaml", ["pipeline:", "  suffix_only: false"])
+        assert load_run_config(off).pipeline.positions == {"final", "initial", "internal"}
+        direct = write_lines(tmp_path / "c.yaml", ["pipeline:", "  positions: [final]"])
+        with pytest.raises(ConfigurationError, match="bad pipeline config"):
+            load_run_config(direct)

@@ -7,16 +7,17 @@ from hypothesis import strategies as st
 from casemark.errors import ConfigurationError
 from casemark.evaluation import (
     PRF,
+    AblationRow,
     diff_report,
     macro_average,
-    projection_self_eval,
     render_ablation_table,
     render_diff_table,
     render_results_table,
     run_ablation,
     score,
 )
-from casemark.extraction import ABLATION_VARIANTS, PipelineConfig
+from casemark import extraction
+from casemark.extraction import ABLATION_VARIANTS, PipelineConfig, run_pipeline
 
 gram_sets = st.sets(st.sampled_from(["a$", "b$", "c$", "d$", "e$"]), max_size=5)
 
@@ -94,19 +95,6 @@ class TestDiffReport:
         assert not both & pred_only and not both & gold_only and not pred_only & gold_only
 
 
-class TestProjectionSelfEval:
-    def test_identical_sets(self):
-        assert projection_self_eval({"a", "b"}, {"a", "b"}) == PRF(1.0, 1.0, 1.0)
-
-    def test_disjoint_sets(self):
-        assert projection_self_eval({"a"}, {"b"}) == PRF(0.0, 0.0, 0.0)
-
-    def test_direct_set_is_the_gold(self):
-        result = projection_self_eval({"a", "b", "c", "d"}, {"a", "b"})
-        assert result.precision == 1.0
-        assert result.recall == 0.5
-
-
 class TestRunAblation:
     def test_grid_on_synthetic_corpus(self, synth):
         config = PipelineConfig(theta=synth.fixture.theta, languages=("lingua",))
@@ -122,6 +110,33 @@ class TestRunAblation:
         assert by_variant["baseline"] == PRF(1.0, 1.0, 1.0)
         assert by_variant["no_phi"].precision < by_variant["baseline"].precision
         assert by_variant["middle"].precision < by_variant["baseline"].precision
+
+    def test_counts_once_and_matches_pipeline_per_variant(self, synth, monkeypatch):
+        calls = {"build_parallel_np_set": 0, "build_candidate_counts": 0}
+
+        def counted(name):
+            original = getattr(extraction, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(extraction, name, wrapper)
+
+        counted("build_parallel_np_set")
+        counted("build_candidate_counts")
+        config = PipelineConfig(theta=synth.fixture.theta)
+        gold = {"lingua": synth.fixture.gold, "tercia": {"um$", "a$"}}
+        rows = run_ablation(synth.corpus, synth.annotations, synth.alignments, config, gold)
+        assert calls == {"build_parallel_np_set": 1, "build_candidate_counts": len(gold)}
+
+        monkeypatch.undo()
+        expected = []
+        for variant in ABLATION_VARIANTS:
+            marker_sets = run_pipeline(synth.corpus, synth.annotations, synth.alignments, config.with_variant(variant))
+            per_language = [score(marker_sets[lang].grams(), gold[lang]) for lang in sorted(gold)]
+            expected.append(AblationRow(variant, macro_average(per_language)))
+        assert rows == expected
 
     def test_empty_gold_rejected(self, synth):
         config = PipelineConfig(theta=synth.fixture.theta)

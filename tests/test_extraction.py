@@ -11,7 +11,6 @@ from casemark.extraction import (
     PipelineConfig,
     build_candidate_counts,
     candidates_of_word,
-    contingency_for,
     frequency_filter,
     inside_outside_filter,
     read_marker_file,
@@ -105,25 +104,12 @@ class TestFrequencyFilter:
             frequency_filter({}, 0)
 
 
-class TestContingency:
-    def test_sums_exclude_own_cell(self):
-        counts = {"a": (10, 1), "b": (20, 2), "c": (30, 3)}
-        table = contingency_for("a", {"a", "b", "c"}, counts)
-        assert (table.a, table.b, table.c, table.d) == (10, 50, 1, 5)
-
-    def test_single_candidate_degenerates(self):
-        counts = {"a": (7, 3)}
-        table = contingency_for("a", {"a"}, counts)
-        assert (table.a, table.b, table.c, table.d) == (7, 0, 3, 0)
-
-
 class TestInsideOutsideFilter:
     def test_symmetric_counts_give_odds_one(self):
-        counts = {"a": (10, 10), "b": (10, 10)}
-        table = contingency_for("a", {"a", "b"}, counts)
-        from casemark.stats import odds_ratio
+        # "a" (10, 10) against "b" (10, 10): [10, 10; 10, 10]
+        from casemark.stats import ContingencyTable, odds_ratio
 
-        assert odds_ratio(table) == 1.0
+        assert odds_ratio(ContingencyTable(a=10, b=10, c=10, d=10)) == 1.0
 
     def test_keeps_np_exclusive_candidate(self):
         counts = {"good": (50, 0), "noise": (50, 40)}
@@ -171,7 +157,7 @@ class TestSuffixRestrict:
 class TestPipelineConfig:
     def test_defaults_match_contract(self):
         config = PipelineConfig()
-        assert (config.theta, config.phi, config.chi, config.suffix_only) == (97, 0.08, 0.34, True)
+        assert (config.theta, config.phi, config.chi, config.positions) == (97, 0.08, 0.34, {"final"})
 
     def test_variants_cover_the_grid(self):
         config = PipelineConfig()
@@ -179,8 +165,10 @@ class TestPipelineConfig:
         assert config.with_variant("no_theta").theta == 1
         assert not config.with_variant("no_phi").use_p_filter
         assert not config.with_variant("no_chi").use_ratio_filter
-        assert config.with_variant("middle").admit_word_internal
-        assert config.with_variant("beginning").admit_word_initial
+        assert config.with_variant("middle").positions == {"final", "internal"}
+        assert config.with_variant("beginning").positions == {"final", "initial"}
+        for variant in ("baseline", "no_theta", "no_phi", "no_chi"):
+            assert config.with_variant(variant).positions == {"final"}
         with pytest.raises(ConfigurationError):
             config.with_variant("bogus")
 
@@ -191,6 +179,10 @@ class TestPipelineConfig:
             PipelineConfig(phi=0.0)
         with pytest.raises(ConfigurationError):
             PipelineConfig(chi=-0.1)
+        with pytest.raises(ConfigurationError):
+            PipelineConfig(positions=frozenset())
+        with pytest.raises(ConfigurationError):
+            PipelineConfig(positions={"final", "medial"})
 
 
 @settings(max_examples=150, deadline=None)
@@ -243,12 +235,6 @@ class TestRunPipeline:
         result = run_pipeline(synth.corpus, synth.annotations, synth.alignments, config)
         grams = result["lingua"].grams()
         assert any(not g.endswith("$") for g in grams)
-
-    def test_jobs_do_not_change_results(self, synth):
-        config = PipelineConfig(theta=synth.fixture.theta)
-        serial = run_pipeline(synth.corpus, synth.annotations, synth.alignments, config, jobs=1)
-        threaded = run_pipeline(synth.corpus, synth.annotations, synth.alignments, config, jobs=4)
-        assert {k: v.grams() for k, v in serial.items()} == {k: v.grams() for k, v in threaded.items()}
 
     def test_provenance_recorded(self, synth):
         config = PipelineConfig(theta=synth.fixture.theta, languages=("lingua",))

@@ -1,13 +1,12 @@
 import math
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casemark.errors import UndefinedOddsError
-from casemark.stats import ContingencyTable, fisher_exact_two_sided, log_choose, odds_ratio
+from casemark.stats import ContingencyTable, fisher_exact_two_sided, odds_ratio
 
 
 def exact_two_sided(a, b, c, d):
@@ -31,49 +30,6 @@ def exact_two_sided(a, b, c, d):
 tables = st.tuples(
     st.integers(0, 40), st.integers(0, 40), st.integers(0, 40), st.integers(0, 40)
 ).filter(lambda t: sum(t) > 0)
-
-
-class TestLogChoose:
-    def test_small_binomial(self):
-        assert log_choose(5, 2) == pytest.approx(math.log(10), abs=1e-12)
-
-    def test_choose_zero_is_zero(self):
-        assert log_choose(17, 0) == 0.0
-        assert log_choose(17, 17) == 0.0
-        assert log_choose(0, 0) == 0.0
-
-    def test_card_hands(self):
-        # ln C(52,5) = ln 2598960, frozen from an exact big-integer log
-        assert log_choose(52, 5) == pytest.approx(14.770621922970371, abs=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            log_choose(3, 4)
-        with pytest.raises(ValueError):
-            log_choose(-1, 0)
-        with pytest.raises(ValueError):
-            log_choose(3, -1)
-        with pytest.raises(ValueError):
-            log_choose(3.0, 1)
-
-    @pytest.mark.parametrize(
-        "n,k",
-        [
-            (100, 37),
-            (49_999, 12_345),
-            (50_001, 25_000),  # first values on the high-precision path
-            (1_000_000, 1),
-            (1_000_000, 400_000),
-            (10_000_000, 5_000_000),
-            (10_000_000, 123),
-        ],
-    )
-    def test_absolute_error_within_contract(self, n, k):
-        with mpmath.workdps(50):
-            expected = float(
-                mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1) - mpmath.loggamma(n - k + 1)
-            )
-        assert abs(log_choose(n, k) - expected) <= 1e-9
 
 
 class TestFisher:
