@@ -23,7 +23,7 @@ from .projection import (
     project_span,
 )
 from .silver import SilverStandard, build_silver
-from .stats import ContingencyTable, fisher_exact_two_sided, odds_ratio
+from .stats import ContingencyTable, ExactTest, fisher_exact_two_sided, odds_ratio
 
 __version__ = "0.1.0"
 
@@ -34,6 +34,7 @@ __all__ = [
     "ConfigurationError",
     "ContingencyTable",
     "CorpusError",
+    "ExactTest",
     "InsideOutsideCounts",
     "MarkerSet",
     "NpAnnotation",

@@ -15,6 +15,7 @@ counts for one config.
 from __future__ import annotations
 
 import dataclasses
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,7 +29,7 @@ from .projection import (
     build_parallel_np_set,
     partition_word_types,
 )
-from .stats import ContingencyTable, fisher_exact_two_sided, odds_ratio
+from .stats import ExactTest
 
 ABLATION_VARIANTS = ("baseline", "no_theta", "no_phi", "no_chi", "middle", "beginning")
 POSITIONS = frozenset({"final", "initial", "internal"})
@@ -187,25 +188,21 @@ def inside_outside_filter(
     candidate_set = sorted(set(candidates))
     inside_total = sum(counts[c][0] for c in candidate_set)
     outside_total = sum(counts[c][1] for c in candidate_set)
+    test = ExactTest(inside_total, outside_total)
     kept: dict[str, ExactTestResult] = {}
     for gram in candidate_set:
         inside_c, outside_c = counts[gram]
-        table = ContingencyTable(
-            a=inside_c,
-            b=inside_total - inside_c,
-            c=outside_c,
-            d=outside_total - outside_c,
-        )
-        p_value = fisher_exact_two_sided(table)
+        # The odds ratio is cheap: a gram it drops needs no exact test.
         try:
-            ratio = odds_ratio(table)
+            ratio = test.odds_ratio(inside_c, outside_c)
         except UndefinedOddsError:
             if use_ratio_filter:
                 continue
             ratio = None
-        if use_p_filter and not p_value < phi:
-            continue
         if use_ratio_filter and not ratio > chi:
+            continue
+        p_value = test.p_value(inside_c, outside_c)
+        if use_p_filter and not p_value < phi:
             continue
         kept[gram] = ExactTestResult(p_value=p_value, odds_ratio=ratio)
     return kept
@@ -327,13 +324,22 @@ def _format_stat(value: Optional[float]) -> str:
 
 def write_marker_file(marker_set: MarkerSet, path) -> None:
     """One marker per line: `<gram>\\t<inside>\\t<outside>\\t<p>\\t<odds>`,
-    grams in lexicographic order; unset statistics print as NA."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for marker in marker_set.sorted_markers():
-            handle.write(
-                f"{marker.gram}\t{marker.inside_count}\t{marker.outside_count}"
-                f"\t{_format_stat(marker.p_value)}\t{_format_stat(marker.odds_ratio)}\n"
-            )
+    grams in lexicographic order; unset statistics print as NA.
+
+    The lines go to a temporary file in the same directory, which then
+    replaces `path`: a failed write leaves an earlier file as it was."""
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8") as handle:
+            for marker in marker_set.sorted_markers():
+                handle.write(
+                    f"{marker.gram}\t{marker.inside_count}\t{marker.outside_count}"
+                    f"\t{_format_stat(marker.p_value)}\t{_format_stat(marker.odds_ratio)}\n"
+                )
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
 
 
 def read_marker_file(path, language: Optional[str] = None) -> MarkerSet:

@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casemark.errors import ConfigurationError
+from casemark import extraction
+from casemark.errors import ConfigurationError, UndefinedOddsError
 from casemark.extraction import (
     CandidateMarker,
     MarkerSet,
     PipelineConfig,
     build_candidate_counts,
     candidates_of_word,
+    count_grams,
     frequency_filter,
     inside_outside_filter,
     read_marker_file,
@@ -18,6 +20,7 @@ from casemark.extraction import (
     suffix_restrict,
     write_marker_file,
 )
+from casemark.stats import ContingencyTable, fisher_exact_two_sided, odds_ratio
 
 words = st.text(alphabet="ab", min_size=1, max_size=6)
 word_sets = st.sets(words, min_size=1, max_size=12)
@@ -107,8 +110,6 @@ class TestFrequencyFilter:
 class TestInsideOutsideFilter:
     def test_symmetric_counts_give_odds_one(self):
         # "a" (10, 10) against "b" (10, 10): [10, 10; 10, 10]
-        from casemark.stats import ContingencyTable, odds_ratio
-
         assert odds_ratio(ContingencyTable(a=10, b=10, c=10, d=10)) == 1.0
 
     def test_keeps_np_exclusive_candidate(self):
@@ -141,6 +142,57 @@ class TestInsideOutsideFilter:
         assert set(no_p) == {"good", "meh"}
         no_r = inside_outside_filter(grams, counts, 0.01, 0.5, use_ratio_filter=False)
         assert set(no_r) == {"good", "noise"}
+
+
+def plain_inside_outside_filter(candidates, counts, phi, chi, use_p_filter, use_ratio_filter):
+    """The exact-test stage as one table-at-a-time Fisher test and odds ratio
+    per candidate, the ratio test checked after the p-value test."""
+    inside_total = sum(counts[g][0] for g in candidates)
+    outside_total = sum(counts[g][1] for g in candidates)
+    kept = {}
+    for gram in candidates:
+        inside_c, outside_c = counts[gram]
+        table = ContingencyTable(inside_c, inside_total - inside_c, outside_c, outside_total - outside_c)
+        p_value = fisher_exact_two_sided(table)
+        try:
+            ratio = odds_ratio(table)
+        except UndefinedOddsError:
+            if use_ratio_filter:
+                continue
+            ratio = None
+        if use_p_filter and not p_value < phi:
+            continue
+        if use_ratio_filter and not ratio > chi:
+            continue
+        kept[gram] = (p_value, ratio)
+    return kept
+
+
+class TestInsideOutsideFilterMatchesPlainLoop:
+    @pytest.fixture(scope="class")
+    def lingua(self, synth):
+        config = PipelineConfig(languages=("lingua",))
+        _fingerprint, counts = count_grams(synth.corpus, synth.annotations, synth.alignments, config)
+        (language_counts,) = counts
+        return language_counts.grams
+
+    @pytest.mark.parametrize("use_ratio_filter", [True, False])
+    @pytest.mark.parametrize("use_p_filter", [True, False])
+    @pytest.mark.parametrize("theta", ["fixture", 1])
+    def test_same_survivors_and_statistics(self, synth, lingua, theta, use_p_filter, use_ratio_filter):
+        theta = synth.fixture.theta if theta == "fixture" else theta
+        candidates = frequency_filter(lingua, theta)
+        kept = inside_outside_filter(candidates, lingua, 0.08, 0.34, use_p_filter, use_ratio_filter)
+        expected = plain_inside_outside_filter(candidates, lingua, 0.08, 0.34, use_p_filter, use_ratio_filter)
+        assert {gram: tuple(result) for gram, result in kept.items()} == expected
+        assert kept
+
+    def test_ratio_filter_drops_grams_the_p_value_test_keeps(self, lingua):
+        # So the odds-first skip is exercised by the comparison above.
+        candidates = frequency_filter(lingua, 1)
+        no_ratio = plain_inside_outside_filter(candidates, lingua, 0.08, 0.34, True, False)
+        both = plain_inside_outside_filter(candidates, lingua, 0.08, 0.34, True, True)
+        assert set(both) < set(no_ratio)
 
 
 class TestSuffixRestrict:
@@ -271,3 +323,25 @@ class TestMarkerFileRoundTrip:
         write_marker_file(marker_set, path)
         grams = [line.split("\t")[0] for line in path.read_text().splitlines()]
         assert grams == sorted(grams)
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "lingua.tsv"
+        path.write_text("um$\t60\t0\tNA\tNA\n", encoding="utf-8")
+        marker_set = MarkerSet(
+            language="lingua",
+            markers=frozenset({CandidateMarker("a$", 1, 0, 0.5, 2.0), CandidateMarker("b$", 1, 0, 0.5, 2.0)}),
+        )
+        calls = []
+
+        def fail_in_second_line(value):
+            calls.append(value)
+            if len(calls) > 2:
+                raise OSError("disk full")
+            return repr(value)
+
+        monkeypatch.setattr(extraction, "_format_stat", fail_in_second_line)
+        with pytest.raises(OSError, match="disk full"):
+            write_marker_file(marker_set, path)
+        assert len(calls) == 3  # the first line was written before the failure
+        assert path.read_text(encoding="utf-8") == "um$\t60\t0\tNA\tNA\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lingua.tsv"]

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casemark.errors import UndefinedOddsError
-from casemark.stats import ContingencyTable, fisher_exact_two_sided, odds_ratio
+from casemark.stats import ContingencyTable, ExactTest, fisher_exact_two_sided, odds_ratio
 
 
 def exact_two_sided(a, b, c, d):
@@ -71,6 +72,44 @@ class TestFisher:
         p = fisher_exact_two_sided(ContingencyTable(a, b, c, d))
         assert 0.0 <= p <= 1.0
         assert p == pytest.approx(exact_two_sided(a, b, c, d), abs=1e-10)
+
+
+def production_tables(count, seed):
+    """Seeded tables at the margins one language's candidates see: row totals
+    of 1e5 to 2e6 and column totals up to 3000, with the top-left cell within
+    a few standard deviations of its mean, so p-values span the phi range."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        row1, row2 = rng.randint(100_000, 2_000_000), rng.randint(100_000, 2_000_000)
+        col1 = rng.randint(1, 3000)
+        n = row1 + row2
+        mean = col1 * row1 / n
+        sd = math.sqrt(mean * row2 / n * (n - col1) / (n - 1))
+        a = min(max(round(mean + rng.gauss(0, 3) * sd), 0), col1)
+        yield ContingencyTable(a, row1 - a, col1 - a, row2 - col1 + a)
+
+
+class TestAgainstScipy:
+    def test_matches_scipy_at_production_margins(self):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        phi = 0.08
+        near_phi = 0
+        for table in production_tables(400, seed=2022):
+            p = fisher_exact_two_sided(table)
+            expected = scipy_stats.fisher_exact([[table.a, table.b], [table.c, table.d]], alternative="two-sided").pvalue
+            assert p == pytest.approx(expected, rel=1e-6, abs=1e-300), table
+            assert (p < phi) == (expected < phi), table
+            near_phi += 0.01 < expected < 0.5
+        assert near_phi >= 50  # the decision check saw tables on both sides of phi
+
+
+class TestExactTest:
+    def test_shared_margins_match_table_at_a_time(self):
+        test = ExactTest(1_000_000, 200_000)
+        for a, c in [(0, 7), (5, 0), (500, 60), (3000, 0), (40, 400), (500, 60)]:
+            table = ContingencyTable(a, 1_000_000 - a, c, 200_000 - c)
+            assert test.p_value(a, c) == fisher_exact_two_sided(table)
+            assert test.odds_ratio(a, c) == odds_ratio(table)
 
 
 class TestOddsRatio:
