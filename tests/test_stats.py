@@ -74,14 +74,15 @@ class TestFisher:
         assert p == pytest.approx(exact_two_sided(a, b, c, d), abs=1e-10)
 
 
-def production_tables(count, seed):
+def production_tables(count, seed, max_col1=3000):
     """Seeded tables at the margins one language's candidates see: row totals
-    of 1e5 to 2e6 and column totals up to 3000, with the top-left cell within
-    a few standard deviations of its mean, so p-values span the phi range."""
+    of 1e5 to 2e6 and column totals up to max_col1, with the top-left cell
+    within a few standard deviations of its mean, so p-values span the phi
+    range."""
     rng = random.Random(seed)
     for _ in range(count):
         row1, row2 = rng.randint(100_000, 2_000_000), rng.randint(100_000, 2_000_000)
-        col1 = rng.randint(1, 3000)
+        col1 = rng.randint(1, max_col1)
         n = row1 + row2
         mean = col1 * row1 / n
         sd = math.sqrt(mean * row2 / n * (n - col1) / (n - 1))
@@ -110,6 +111,20 @@ class TestExactTest:
             table = ContingencyTable(a, 1_000_000 - a, c, 200_000 - c)
             assert test.p_value(a, c) == fisher_exact_two_sided(table)
             assert test.odds_ratio(a, c) == odds_ratio(table)
+
+    def test_matches_exact_oracle_at_production_row_totals(self):
+        # Needs no SciPy: the tail bisection and the truncated tail sums are
+        # checked against the integer oracle at production row totals. Column
+        # totals stop at 300 to keep the oracle's binomials small.
+        phi = 0.08
+        near_phi = 0
+        for table in production_tables(100, seed=2023, max_col1=300):
+            p = fisher_exact_two_sided(table)
+            expected = exact_two_sided(table.a, table.b, table.c, table.d)
+            assert p == pytest.approx(expected, rel=1e-6, abs=1e-300), table
+            assert (p < phi) == (expected < phi), table
+            near_phi += 0.01 < expected < 0.5
+        assert near_phi >= 20  # the decision check saw tables on both sides of phi
 
 
 class TestOddsRatio:
