@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-from .corpus import BOUNDARY, ParallelCorpus
+from .corpus import BOUNDARY, ParallelCorpus, atomic_open
 from .extraction import MarkerSet
 from .projection import ParallelNp
 
@@ -39,28 +39,11 @@ class CooccurrenceMatrix:
 def assign_marker(word: str, marker_set: MarkerSet) -> Optional[str]:
     """Longest marker matching the end of the boundary-wrapped word, if any."""
     wrapped = BOUNDARY + word + BOUNDARY
-    best = None
-    for marker in marker_set.grams():
-        if wrapped.endswith(marker):
-            if best is None or len(marker) > len(best):
-                best = marker
-    return best
-
-
-def _head_assignment(
-    pnp: ParallelNp,
-    corpus: ParallelCorpus,
-    language: str,
-    marker_set: MarkerSet,
-    head: str,
-) -> Optional[str]:
-    for version in sorted(pnp.projections):
-        if version.language != language:
-            continue
-        span = pnp.projections[version]
-        tokens = corpus.verse(version, pnp.verse)
-        index = span.token_indices[0] if head == "first" else span.token_indices[-1]
-        return assign_marker(tokens[index], marker_set)
+    grams = marker_set.grams()
+    # Suffixes longest first, down to the empty one: a marker file may hold an empty gram.
+    for start in range(len(wrapped) + 1):
+        if wrapped[start:] in grams:
+            return wrapped[start:]
     return None
 
 
@@ -84,13 +67,24 @@ def group_by_marker_combination(
         if language not in marker_sets:
             raise KeyError(f"no marker set for language {language!r}")
     ordered = tuple(sorted(languages))
+    position = 0 if head == "first" else -1
+    # Per language: its versions in sorted order, and each head word's marker, looked up once.
+    per_language = [(language, corpus.versions_of(language), marker_sets[language], {}) for language in ordered]
     buckets: dict[GroupKey, list[ParallelNp]] = defaultdict(list)
     for pnp in parallel_nps:
-        key = tuple(
-            (language, _head_assignment(pnp, corpus, language, marker_sets[language], head))
-            for language in ordered
-        )
-        buckets[key].append(pnp)
+        key = []
+        for language, versions, marker_set, known in per_language:
+            marker = None
+            for version in versions:
+                span = pnp.projections.get(version)
+                if span is not None:
+                    word = corpus.verse(version, pnp.verse)[span.token_indices[position]]
+                    if word not in known:
+                        known[word] = assign_marker(word, marker_set)
+                    marker = known[word]
+                    break
+            key.append((language, marker))
+        buckets[tuple(key)].append(pnp)
     groups = [
         MarkerCombinationGroup(key=key, members=tuple(members))
         for key, members in buckets.items()
@@ -142,13 +136,13 @@ def export_matrix(matrix: CooccurrenceMatrix, out_dir) -> None:
     fixed deterministic order."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "rows.txt", "w", encoding="utf-8") as handle:
+    with atomic_open(out_dir / "rows.txt") as handle:
         for row in matrix.rows:
             handle.write(row + "\n")
-    with open(out_dir / "cols.txt", "w", encoding="utf-8") as handle:
+    with atomic_open(out_dir / "cols.txt") as handle:
         for col in matrix.cols:
             handle.write(f"{col}\t{matrix.col_text.get(col, '')}\n")
-    with open(out_dir / "matrix.tsv", "w", encoding="utf-8") as handle:
+    with atomic_open(out_dir / "matrix.tsv") as handle:
         for (row_i, col_i) in sorted(matrix.cells):
             handle.write(f"{row_i}\t{col_i}\t{matrix.cells[(row_i, col_i)]}\n")
 

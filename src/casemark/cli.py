@@ -20,7 +20,7 @@ from typing import Optional
 import yaml
 
 from . import analysis, evaluation, extraction, projection, silver
-from .corpus import load_alignment, load_corpus, load_np_annotation
+from .corpus import atomic_open, load_alignment, load_corpus, load_np_annotation
 from .errors import CasemarkError, ConfigurationError
 from .extraction import ABLATION_VARIANTS, POSITIONS, PipelineConfig
 
@@ -198,7 +198,7 @@ def _write_manifest(config: RunConfig, corpus_hash: str, languages) -> None:
         "languages": sorted(languages),
     }
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    with open(config.output_dir / "manifest.json", "w", encoding="utf-8") as handle:
+    with atomic_open(config.output_dir / "manifest.json") as handle:
         # default=sorted writes the positions set as a sorted list.
         json.dump(manifest, handle, sort_keys=True, indent=2, default=sorted)
         handle.write("\n")
@@ -244,7 +244,7 @@ def cmd_silver(config: RunConfig) -> int:
             continue
         silver.write_silver_file(standard, silver_dir / f"{language}.txt")
         diagnostics.append((language, standard.diagnostics))
-    with open(silver_dir / "diagnostics.tsv", "w", encoding="utf-8") as handle:
+    with atomic_open(silver_dir / "diagnostics.tsv") as handle:
         handle.write("language\tparadigms_used\tsuffixes_emitted\n")
         for language, diag in diagnostics:
             handle.write(f"{language}\t{diag['paradigms_used']}\t{diag['suffixes_emitted']}\n")
@@ -284,10 +284,10 @@ def cmd_eval(config: RunConfig) -> int:
     eval_dir = config.output_dir / "eval"
     diff_dir = eval_dir / "diff"
     diff_dir.mkdir(parents=True, exist_ok=True)
-    with open(eval_dir / "results.tsv", "w", encoding="utf-8") as handle:
+    with atomic_open(eval_dir / "results.tsv") as handle:
         handle.write(evaluation.render_results_table(per_language))
     for lang in shared:
-        with open(diff_dir / f"{lang}.tsv", "w", encoding="utf-8") as handle:
+        with atomic_open(diff_dir / f"{lang}.tsv") as handle:
             handle.write(evaluation.render_diff_table(predicted[lang].grams(), gold[lang]))
     print(evaluation.render_results_table(per_language), end="")
     return 0
@@ -306,7 +306,7 @@ def cmd_ablate(config: RunConfig) -> int:
     rows = evaluation.run_ablation(corpus, annotations, alignments, config.pipeline, gold)
     ablation_dir = config.output_dir / "ablation"
     ablation_dir.mkdir(parents=True, exist_ok=True)
-    with open(ablation_dir / "ablation.tsv", "w", encoding="utf-8") as handle:
+    with atomic_open(ablation_dir / "ablation.tsv") as handle:
         handle.write(evaluation.render_ablation_table(rows))
     print(evaluation.render_ablation_table(rows), end="")
     return 0
@@ -331,7 +331,7 @@ def cmd_analyze(config: RunConfig) -> int:
     analysis_dir = config.output_dir / "analysis"
     analysis_dir.mkdir(parents=True, exist_ok=True)
     groups = analysis.group_by_marker_combination(parallel_nps, corpus, marker_sets, languages)
-    with open(analysis_dir / "groups.txt", "w", encoding="utf-8") as handle:
+    with atomic_open(analysis_dir / "groups.txt") as handle:
         handle.write(analysis.render_group_report(groups, corpus, config.samples_per_group))
     matrix = analysis.build_cooccurrence_matrix(parallel_nps, corpus, languages=None)
     analysis.export_matrix(matrix, analysis_dir)

@@ -17,7 +17,10 @@ File formats (UTF-8, one record per line, tab-separated):
 from __future__ import annotations
 
 import hashlib
+import operator
+import os
 import unicodedata
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
@@ -58,11 +61,12 @@ class NpSpan:
     token_indices: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.token_indices:
+        indices = self.token_indices
+        if not indices:
             raise CorpusError(f"empty span in verse {self.verse!r}")
-        if any(i < 0 for i in self.token_indices):
+        if min(indices) < 0:
             raise CorpusError(f"negative token index in verse {self.verse!r}")
-        if any(a >= b for a, b in zip(self.token_indices, self.token_indices[1:])):
+        if not all(map(operator.lt, indices, indices[1:])):
             raise CorpusError(f"span indices must be strictly increasing in verse {self.verse!r}")
 
     @classmethod
@@ -120,17 +124,20 @@ def _parse_verse_file(path) -> dict[str, Verse]:
                 raise ParseError(path, line_no, "empty verse id")
             if verse_id in verses:
                 raise ParseError(path, line_no, f"duplicate verse id {verse_id!r}")
-            tokens = []
-            for token in text.split(" "):
-                if not token:
-                    raise ParseError(path, line_no, "empty token (double or trailing space?)")
-                if BOUNDARY in token:
-                    raise ParseError(path, line_no, f"token {token!r} contains reserved character {BOUNDARY!r}")
-                if any(ch.isspace() for ch in token):
-                    raise ParseError(path, line_no, f"token {token!r} contains whitespace")
-                tokens.append(_normalize_token(token))
-            if not tokens:
-                raise ParseError(path, line_no, "verse has no tokens")
+            tokens = text.split(" ")
+            # A clean line has no empty token, no boundary character and no
+            # other whitespace, so splitting on any whitespace gives the same
+            # tokens; only a line that fails this is searched for the culprit.
+            if BOUNDARY in text or text.split() != tokens:
+                for token in tokens:
+                    if not token:
+                        raise ParseError(path, line_no, "empty token (double or trailing space?)")
+                    if BOUNDARY in token:
+                        raise ParseError(path, line_no, f"token {token!r} contains reserved character {BOUNDARY!r}")
+                    if any(ch.isspace() for ch in token):
+                        raise ParseError(path, line_no, f"token {token!r} contains whitespace")
+            if not unicodedata.is_normalized("NFC", text):
+                tokens = [_normalize_token(token) for token in tokens]
             verses[verse_id] = tuple(tokens)
     return verses
 
@@ -163,10 +170,26 @@ def load_corpus(version_paths: Sequence, verse_allowlist: Optional[Iterable[str]
     return ParallelCorpus(versions=versions, shared_verses=shared_order)
 
 
+@contextmanager
+def atomic_open(path):
+    """A text handle on a temporary file next to `path`, which replaces
+    `path` when the block completes; if the block raises, the temporary file
+    is removed and an earlier file at `path` stays as it was. There is no
+    fsync: this guards against a failed write, not against power loss."""
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8") as handle:
+            yield handle
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
+
+
 def write_verse_file(corpus: ParallelCorpus, version: VersionId, path) -> None:
     """Inverse of loading: one `<verse-id>\\t<tokens>` line per shared verse."""
     verses = corpus.versions[version]
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_open(path) as handle:
         for verse_id in corpus.shared_verses:
             handle.write(f"{verse_id}\t{' '.join(verses[verse_id])}\n")
 

@@ -15,13 +15,12 @@ counts for one config.
 from __future__ import annotations
 
 import dataclasses
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .corpus import BOUNDARY, Alignment, ParallelCorpus, corpus_fingerprint
+from .corpus import BOUNDARY, Alignment, ParallelCorpus, atomic_open, corpus_fingerprint
 from .errors import ConfigurationError, ParseError, UndefinedOddsError
 from .projection import (
     NpAnnotation,
@@ -105,9 +104,13 @@ class MarkerSet:
     language: str
     markers: frozenset[CandidateMarker]
     provenance: Mapping[str, object] = field(default_factory=dict)
+    _grams: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_grams", frozenset(m.gram for m in self.markers))
 
     def grams(self) -> frozenset[str]:
-        return frozenset(m.gram for m in self.markers)
+        return self._grams
 
     def sorted_markers(self) -> list[CandidateMarker]:
         return sorted(self.markers, key=lambda m: m.gram)
@@ -130,16 +133,19 @@ class LanguageCounts(NamedTuple):
 
 def candidates_of_word(word: str, max_len: Optional[int] = None) -> set[str]:
     """All substrings of `$word$` containing at least one non-boundary
-    character; duplicates within the word collapse."""
+    character; duplicates within the word collapse. The word itself holds no
+    boundary character (the corpus loader rejects it), so only `$` and, for
+    the empty word, `$$` consist of boundaries alone."""
     wrapped = BOUNDARY + word + BOUNDARY
     length = len(wrapped)
-    grams = set()
-    for start in range(length):
-        limit = length if max_len is None else min(length, start + max_len)
-        for end in range(start + 1, limit + 1):
-            gram = wrapped[start:end]
-            if gram.strip(BOUNDARY):
-                grams.add(gram)
+    span = length if max_len is None else max_len
+    grams = {
+        wrapped[start:end]
+        for start in range(length)
+        for end in range(start + 1, min(length, start + span) + 1)
+    }
+    grams.discard(BOUNDARY)
+    grams.discard(BOUNDARY + BOUNDARY)
     return grams
 
 
@@ -159,9 +165,7 @@ def build_candidate_counts(
         inside.update(candidates_of_word(word, max_len))
     outside: Counter = Counter()
     for word in np_irrelevant:
-        for gram in candidates_of_word(word, max_len):
-            if gram in inside:
-                outside[gram] += 1
+        outside.update(inside.keys() & candidates_of_word(word, max_len))
     return {gram: (inside[gram], outside[gram]) for gram in inside}
 
 
@@ -328,18 +332,12 @@ def write_marker_file(marker_set: MarkerSet, path) -> None:
 
     The lines go to a temporary file in the same directory, which then
     replaces `path`: a failed write leaves an earlier file as it was."""
-    path = Path(path)
-    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(temp, "w", encoding="utf-8") as handle:
-            for marker in marker_set.sorted_markers():
-                handle.write(
-                    f"{marker.gram}\t{marker.inside_count}\t{marker.outside_count}"
-                    f"\t{_format_stat(marker.p_value)}\t{_format_stat(marker.odds_ratio)}\n"
-                )
-        os.replace(temp, path)
-    finally:
-        temp.unlink(missing_ok=True)
+    with atomic_open(path) as handle:
+        for marker in marker_set.sorted_markers():
+            handle.write(
+                f"{marker.gram}\t{marker.inside_count}\t{marker.outside_count}"
+                f"\t{_format_stat(marker.p_value)}\t{_format_stat(marker.odds_ratio)}\n"
+            )
 
 
 def read_marker_file(path, language: Optional[str] = None) -> MarkerSet:

@@ -13,7 +13,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .corpus import Alignment, NpAnnotation, NpSpan, ParallelCorpus, Verse, VersionId
+from .corpus import Alignment, NpAnnotation, NpSpan, ParallelCorpus, Verse, VersionId, atomic_open
 from .errors import ConfigurationError
 
 
@@ -50,13 +50,17 @@ class WordPartition:
     np_irrelevant: frozenset[str]
 
 
-def project_span(span: NpSpan, alignment: Alignment, target_verse: Verse) -> Optional[NpSpan]:
-    """Target indices aligned to any token of the span, in target word order.
+def _links_by_source(links: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
+    by_source: dict[int, list[int]] = defaultdict(list)
+    for i, j in links:
+        by_source[i].append(j)
+    return by_source
 
-    Returns None when no span token carries an alignment link.
-    """
-    wanted = set(span.token_indices)
-    hits = {j for (i, j) in alignment.links.get(span.verse, ()) if i in wanted}
+
+def _project(
+    span: NpSpan, by_source: Mapping[int, list[int]], alignment: Alignment, target_verse: Verse
+) -> Optional[NpSpan]:
+    hits = {j for i in span.token_indices for j in by_source.get(i, ())}
     if not hits:
         return None
     if max(hits) >= len(target_verse):
@@ -65,6 +69,14 @@ def project_span(span: NpSpan, alignment: Alignment, target_verse: Verse) -> Opt
             f"points outside verse {span.verse!r}"
         )
     return NpSpan(span.verse, tuple(sorted(hits)))
+
+
+def project_span(span: NpSpan, alignment: Alignment, target_verse: Verse) -> Optional[NpSpan]:
+    """Target indices aligned to any token of the span, in target word order.
+
+    Returns None when no span token carries an alignment link.
+    """
+    return _project(span, _links_by_source(alignment.links.get(span.verse, ())), alignment, target_verse)
 
 
 def build_parallel_np_set(
@@ -95,11 +107,20 @@ def build_parallel_np_set(
     result: list[ParallelNp] = []
     for annotation in sorted(annotations, key=lambda ann: ann.version):
         source = annotation.version
+        pairs = [(target, by_pair[(source, target)]) for target in targets]
         for verse_id in corpus.shared_verses:
-            for span in annotation.spans.get(verse_id, ()):
+            spans = annotation.spans.get(verse_id, ())
+            if not spans:
+                continue
+            # Each verse's links are indexed by source token once, for all its spans.
+            indexed = [
+                (target, alignment, _links_by_source(alignment.links.get(verse_id, ())))
+                for target, alignment in pairs
+            ]
+            for span in spans:
                 projections = {}
-                for target in targets:
-                    projected = project_span(span, by_pair[(source, target)], corpus.verse(target, verse_id))
+                for target, alignment, by_source in indexed:
+                    projected = _project(span, by_source, alignment, corpus.verse(target, verse_id))
                     if projected is not None:
                         projections[target] = projected
                 result.append(ParallelNp(verse=verse_id, source=(source, span), projections=projections))
@@ -145,18 +166,18 @@ def build_inside_outside(
                 inside_idx[(copy, pnp.verse, version)].update(span.token_indices)
 
     inside: Counter = Counter()
-    outside: Counter = Counter()
+    total: Counter = Counter()
     for copy in copies:
         for version in covered[copy]:
             verses = corpus.versions[version]
             for verse_id in corpus.shared_verses:
-                marked = inside_idx.get((copy, verse_id, version), ())
-                for index, token in enumerate(verses[verse_id]):
-                    if index in marked:
-                        inside[token] += 1
-                    else:
-                        outside[token] += 1
-    return InsideOutsideCounts(language=language, inside=inside, outside=outside)
+                tokens = verses[verse_id]
+                total.update(tokens)
+                marked = inside_idx.get((copy, verse_id, version))
+                if marked:
+                    inside.update(tokens[index] for index in marked)
+    # Counter subtraction keeps positive counts only, so `outside` has no zeros.
+    return InsideOutsideCounts(language=language, inside=inside, outside=total - inside)
 
 
 def partition_word_types(counts: InsideOutsideCounts) -> WordPartition:
@@ -179,7 +200,7 @@ def partition_word_types(counts: InsideOutsideCounts) -> WordPartition:
 def dump_parallel_nps(parallel_nps: Sequence[ParallelNp], corpus: ParallelCorpus, path) -> None:
     """Write the parallel NP set as inspectable lines:
     `<verse-id>\\t<version>\\t<idx,idx,...>\\t<surface text>`, source line first."""
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_open(path) as handle:
         for pnp in parallel_nps:
             rows = [(pnp.source[0], pnp.source[1])]
             rows.extend(sorted(pnp.projections.items()))

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import BOUNDARY
+from .corpus import BOUNDARY, atomic_open
 from .errors import ParseError
 
 NOMINAL_POS = ("N", "ADJ")
@@ -122,7 +122,7 @@ def build_silver(path, language: str) -> SilverStandard:
 
 def write_silver_file(standard: SilverStandard, path) -> None:
     """One suffix per line, lexicographic order."""
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_open(path) as handle:
         for suffix in sorted(standard.suffixes):
             handle.write(suffix + "\n")
 

@@ -1,7 +1,9 @@
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casemark.analysis import (
     assign_marker,
@@ -20,6 +22,19 @@ def marker_set(language, grams):
         language=language,
         markers=frozenset(CandidateMarker(g, 1, 0) for g in grams),
     )
+
+
+def longest_endswith(word, grams):
+    """Reference: try every marker, keep the longest that ends `$word$`."""
+    wrapped = f"${word}$"
+    best = None
+    for gram in grams:
+        if wrapped.endswith(gram) and (best is None or len(gram) > len(best)):
+            best = gram
+    return best
+
+
+LETTERS = "abéд"
 
 
 class TestAssignMarker:
@@ -49,6 +64,29 @@ class TestAssignMarker:
             result = assign_marker(word, markers)
             if result is not None:
                 assert word.endswith(result.strip("$"))
+
+    def test_empty_gram_matches_any_word(self):
+        markers = marker_set("x", {"", "ibus$"})
+        assert assign_marker("pastor", markers) == ""
+        assert assign_marker("ovibus", markers) == "ibus$"
+
+    def test_gram_without_trailing_boundary_never_matches(self):
+        assert assign_marker("ba", marker_set("x", {"a", "ba", "$ba"})) is None
+
+    @settings(max_examples=300)
+    @given(
+        word=st.text(alphabet=LETTERS, min_size=1, max_size=6),
+        grams=st.sets(st.text(alphabet=LETTERS + "$", max_size=5), max_size=8),
+        cuts=st.lists(st.integers(0, 9), max_size=3),
+        whole_word=st.booleans(),
+    )
+    def test_matches_longest_endswith(self, word, grams, cuts, whole_word):
+        wrapped = f"${word}$"
+        # Suffixes of the word itself make matches likely; a cut past the end gives "".
+        grams = set(grams) | {wrapped[cut:] for cut in cuts}
+        if whole_word:
+            grams.add(wrapped)
+        assert assign_marker(word, marker_set("x", grams)) == longest_endswith(word, grams)
 
 
 ENG = VersionId("english", "e1")
@@ -222,3 +260,78 @@ def test_grouping_on_synthetic_pipeline_output(synth):
     assert (("lingua", "um$"),) in keys
     assert (("lingua", "ibus$"),) in keys
     assert sum(len(g.members) for g in groups) == len(pnps)
+
+
+LAT2 = VersionId("latin", "l2")
+LEXICON = ("domibus", "operibus", "bonis", "rex", "regis", "дворцах", "делами", "предкам", "bé")
+SUFFIXES = ("ibus$", "bus$", "is$", "s$", "$rex$", "x$", "ах$", "ами$", "ам$", "é$", "")
+
+
+def sorted_projection_groups(parallel_nps, corpus, marker_sets, languages, head):
+    """The grouping as first written: per NP and language, the first
+    projection in sorted version order, its head word matched marker by marker."""
+    buckets = defaultdict(list)
+    for pnp in parallel_nps:
+        key = []
+        for language in sorted(languages):
+            marker = None
+            for version in sorted(pnp.projections):
+                if version.language == language:
+                    indices = pnp.projections[version].token_indices
+                    word = corpus.verse(version, pnp.verse)[indices[0] if head == "first" else indices[-1]]
+                    marker = longest_endswith(word, marker_sets[language].grams())
+                    break
+            key.append((language, marker))
+        buckets[tuple(key)].append(pnp)
+    return {key: tuple(members) for key, members in buckets.items()}
+
+
+@st.composite
+def two_edition_worlds(draw):
+    """Latin has two editions; each NP projects into a random subset of the
+    targets, inserted in random order."""
+    verse_ids = [f"v{i}" for i in range(draw(st.integers(1, 3)))]
+    targets = (LAT, LAT2, RUS)
+    versions = {
+        version: {vid: tuple(draw(st.lists(st.sampled_from(LEXICON), min_size=3, max_size=3))) for vid in verse_ids}
+        for version in (ENG, *targets)
+    }
+    corpus = ParallelCorpus(versions=versions, shared_verses=tuple(verse_ids))
+    pnps = []
+    for _ in range(draw(st.integers(0, 10))):
+        verse = draw(st.sampled_from(verse_ids))
+        projections = {}
+        for target in draw(st.permutations(targets)):
+            if draw(st.booleans()):
+                indices = draw(st.sets(st.integers(0, 2), min_size=1))
+                projections[target] = NpSpan(verse, tuple(sorted(indices)))
+        pnps.append(ParallelNp(verse, (ENG, NpSpan(verse, (0,))), projections))
+    marker_sets = {
+        language: marker_set(language, draw(st.sets(st.sampled_from(SUFFIXES))))
+        for language in ("latin", "russian")
+    }
+    return corpus, pnps, marker_sets
+
+
+class TestGroupingMatchesSortedProjections:
+    @settings(max_examples=200)
+    @given(
+        world=two_edition_worlds(),
+        languages=st.sets(st.sampled_from(["latin", "russian"]), min_size=1),
+        head=st.sampled_from(["last", "first"]),
+    )
+    def test_same_groups_as_the_reference(self, world, languages, head):
+        corpus, pnps, markers = world
+        groups = group_by_marker_combination(pnps, corpus, markers, sorted(languages), head=head)
+        assert {g.key: g.members for g in groups} == sorted_projection_groups(pnps, corpus, markers, languages, head)
+        sizes = [len(g.members) for g in groups]
+        assert sizes == sorted(sizes, reverse=True)
+
+    def test_first_latin_edition_decides(self):
+        corpus = ParallelCorpus(
+            versions={ENG: {"v1": ("x",)}, LAT: {"v1": ("regis",)}, LAT2: {"v1": ("domibus",)}},
+            shared_verses=("v1",),
+        )
+        pnp = ParallelNp("v1", (ENG, NpSpan("v1", (0,))), {LAT2: NpSpan("v1", (0,)), LAT: NpSpan("v1", (0,))})
+        groups = group_by_marker_combination([pnp], corpus, {"latin": marker_set("latin", {"is$", "ibus$"})}, ["latin"])
+        assert groups[0].key == (("latin", "is$"),)

@@ -1,0 +1,140 @@
+"""Every output file is written atomically: a write that fails partway leaves
+the previous file as it was and no temporary file behind."""
+
+import builtins
+import errno
+from pathlib import Path
+
+import pytest
+
+from helpers import tiny_corpus_files, write_lines
+
+from casemark.cli import main
+from casemark.corpus import VersionId, load_corpus, write_verse_file
+
+
+@pytest.fixture
+def world(tmp_path):
+    """A two-version corpus with every input the six subcommands read."""
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    verse_files = tiny_corpus_files(
+        inputs,
+        {
+            "english-e1.txt": {"v1": "the houses", "v2": "good deeds", "v3": "to parents"},
+            "latin-l1.txt": {"v1": "domibus", "v2": "operibus bonis", "v3": "patribus"},
+        },
+    )
+    annotation = write_lines(inputs / "english-e1.np", ["v1\t0:2", "v2\t0:2", "v3\t1:2"])
+    alignment = write_lines(
+        inputs / "english-latin.tsv",
+        ["#\tenglish-e1\tlatin-l1", "v1\t1-0", "v2\t0-1 1-0", "v3\t1-0"],
+    )
+    paradigms = write_lines(
+        inputs / "latin.paradigms.tsv",
+        ["dom\tdomus\tN;NOM;SG", "dom\tdomus\tN;GEN;SG", "dom\tdomibus\tN;DAT;PL", "dom\tdomibus\tN;ABL;PL"],
+    )
+    out = tmp_path / "out"
+    config = write_lines(
+        tmp_path / "run.yaml",
+        [
+            "verse_files:",
+            *[f'  - "{p}"' for p in verse_files],
+            f'alignment_files: ["{alignment}"]',
+            f'annotation_files: ["{annotation}"]',
+            f'paradigm_files: {{latin: "{paradigms}"}}',
+            "pipeline: {theta: 1, use_p_filter: false, use_ratio_filter: false}",
+            f'output_dir: "{out}"',
+        ],
+    )
+    for command in ("silver", "extract", "eval", "ablate", "project", "analyze"):
+        assert main([command, "--config", str(config)]) == 0, command
+    return config, out, verse_files
+
+
+def snapshot(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class DiskFull:
+    """A text handle that writes half of the first chunk, then fails."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def write(self, text):
+        self._handle.write(text[: len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+        return False
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+
+def fail_writes_to(monkeypatch, target: Path):
+    """Make every file opened for writing in `target`'s directory whose name
+    contains `target`'s name (a temporary file for it, or the file itself) fail."""
+    real_open = builtins.open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        path = Path(file) if isinstance(file, (str, Path)) else None
+        if "w" in mode and path is not None and path.parent == target.parent and target.name in path.name:
+            return DiskFull(handle)
+        return handle
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+
+
+# (output file under the output directory, subcommand that writes it, its exit code when the write fails;
+# None means the OSError propagates)
+CLI_WRITERS = [
+    ("manifest.json", "extract", None),
+    ("markers/latin.tsv", "extract", 1),
+    ("silver/latin.txt", "silver", None),
+    ("silver/diagnostics.tsv", "silver", None),
+    ("eval/results.tsv", "eval", None),
+    ("eval/diff/latin.tsv", "eval", None),
+    ("ablation/ablation.tsv", "ablate", None),
+    ("nps/parallel_nps.tsv", "project", None),
+    ("analysis/groups.txt", "analyze", None),
+    ("analysis/rows.txt", "analyze", None),
+    ("analysis/cols.txt", "analyze", None),
+    ("analysis/matrix.tsv", "analyze", None),
+]
+
+
+@pytest.mark.parametrize("relative, command, exit_code", CLI_WRITERS, ids=[w[0] for w in CLI_WRITERS])
+def test_failed_write_keeps_the_previous_output(world, monkeypatch, relative, command, exit_code):
+    config, out, _verse_files = world
+    target = out / relative
+    before = snapshot(out)
+    assert before[Path(relative)], "the earlier run should have written a non-empty file"
+    fail_writes_to(monkeypatch, target)
+    if exit_code is None:
+        with pytest.raises(OSError, match="No space left"):
+            main([command, "--config", str(config)])
+    else:
+        assert main([command, "--config", str(config)]) == exit_code
+    monkeypatch.undo()
+    assert snapshot(out) == before
+
+
+def test_failed_verse_file_write_keeps_the_previous_file(world, monkeypatch, tmp_path):
+    _config, _out, verse_files = world
+    corpus = load_corpus(verse_files)
+    target = tmp_path / "copy" / "latin-l1.txt"
+    target.parent.mkdir()
+    write_verse_file(corpus, VersionId("latin", "l1"), target)
+    before = snapshot(target.parent)
+    fail_writes_to(monkeypatch, target)
+    with pytest.raises(OSError, match="No space left"):
+        write_verse_file(corpus, VersionId("latin", "l1"), target)
+    monkeypatch.undo()
+    assert snapshot(target.parent) == before

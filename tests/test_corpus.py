@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import unicodedata
 
 import pytest
@@ -227,3 +228,49 @@ class TestNpSpan:
     def test_requires_non_empty(self):
         with pytest.raises(CorpusError):
             NpSpan("v1", ())
+
+    def test_negative_index_is_reported_before_ordering(self):
+        with pytest.raises(CorpusError, match="negative token index"):
+            NpSpan("v", (3, -1))
+
+
+class TestVerseLineErrors:
+    """A line that fails the whole-line check still names its bad token."""
+
+    def load(self, tmp_path, text):
+        path = write_lines(tmp_path / "alpha-a1.txt", [f"v1\t{text}"])
+        other = tiny_corpus_files(tmp_path, {"beta-b1.txt": {"v1": "x"}})[0]
+        return load_corpus([path, other])
+
+    @pytest.mark.parametrize("space", ["\u00a0", "\x0b", "\x1c"])
+    def test_other_whitespace_names_the_token(self, tmp_path, space):
+        token = f"a{space}b"
+        with pytest.raises(ParseError, match=re.escape(f"token {token!r} contains whitespace")):
+            self.load(tmp_path, f"x {token} y")
+
+    def test_whitespace_only_token_is_caught_when_counts_balance(self, tmp_path):
+        # "\x0b" vanishes from str.split() and "a\x0bb" splits in two, so the
+        # token count alone would not see either.
+        with pytest.raises(ParseError, match=re.escape("token '\\x0b' contains whitespace")):
+            self.load(tmp_path, "\x0b a\x0bb")
+
+    @pytest.mark.parametrize("text", ["a  b", "a b ", " a", ""])
+    def test_empty_token(self, tmp_path, text):
+        with pytest.raises(ParseError, match=re.escape("empty token (double or trailing space?)")):
+            self.load(tmp_path, text)
+
+    def test_boundary_character_names_the_token(self, tmp_path):
+        with pytest.raises(ParseError, match=re.escape("token 'b$c' contains reserved character '$'")):
+            self.load(tmp_path, "a b$c d")
+
+    def test_first_bad_token_is_reported(self, tmp_path):
+        with pytest.raises(ParseError, match="reserved"):
+            self.load(tmp_path, "a$ b\u00a0c")
+
+    def test_non_nfc_line_yields_nfc_tokens(self, tmp_path):
+        normalize = unicodedata.normalize
+        text = " ".join(["déjà", normalize("NFD", "café"), "x", normalize("NFD", "Ångström")])
+        corpus = self.load(tmp_path, text)
+        tokens = corpus.verse(VersionId("alpha", "a1"), "v1")
+        assert tokens == ("déjà", "café", "x", "Ångström")
+        assert all(unicodedata.is_normalized("NFC", token) for token in tokens)

@@ -77,6 +77,14 @@ class TestCandidatesOfWord:
         assert "ibu" in grams and "us$" in grams
         assert all(len(g) <= 3 for g in grams)
 
+    @settings(max_examples=300)
+    @given(st.text(alphabet="abéдü", max_size=7), st.none() | st.integers(1, 9))
+    def test_matches_definition_with_and_without_max_len(self, word, max_len):
+        expected = {
+            gram for gram in brute_force_candidates(word) if max_len is None or len(gram) <= max_len
+        }
+        assert candidates_of_word(word, max_len) == expected
+
 
 class TestCandidateCounts:
     def test_type_level_counting(self):
@@ -91,6 +99,17 @@ class TestCandidateCounts:
     def test_repeated_gram_counts_once_per_type(self):
         counts = build_candidate_counts({"aa"}, set())
         assert counts["a"] == (1, 0)
+
+    @settings(max_examples=150)
+    @given(word_sets, st.sets(words, max_size=12), st.none() | st.integers(1, 4))
+    def test_matches_per_gram_loop(self, relevant, irrelevant, max_len):
+        expected = {}
+        for word in relevant:
+            for gram in candidates_of_word(word, max_len):
+                inside = sum(gram in candidates_of_word(w, max_len) for w in relevant)
+                outside = sum(gram in candidates_of_word(w, max_len) for w in irrelevant)
+                expected[gram] = (inside, outside)
+        assert build_candidate_counts(relevant, irrelevant, max_len) == expected
 
 
 class TestFrequencyFilter:

@@ -2,10 +2,21 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import tiny_corpus_files, write_lines
 
-from casemark.corpus import Alignment, NpSpan, VersionId, load_alignment, load_corpus, load_np_annotation
+from casemark.corpus import (
+    Alignment,
+    NpAnnotation,
+    NpSpan,
+    ParallelCorpus,
+    VersionId,
+    load_alignment,
+    load_corpus,
+    load_np_annotation,
+)
 from casemark.errors import ConfigurationError
 from casemark.projection import (
     InsideOutsideCounts,
@@ -110,6 +121,31 @@ class TestBuildParallelNpSet:
         first = build_parallel_np_set(corpus, annotations, alignments)
         second = build_parallel_np_set(corpus, list(reversed(annotations)), list(reversed(alignments)))
         assert first == second
+
+
+class TestProjectionPaths:
+    def test_set_projection_matches_project_span(self, synth):
+        by_pair = {(a.source_version, a.target_version): a for a in synth.alignments}
+        pnps = build_parallel_np_set(synth.corpus, synth.annotations, synth.alignments)
+        assert pnps
+        for pnp in pnps:
+            source, span = pnp.source
+            expected = {}
+            for (pair_source, target), alignment in sorted(by_pair.items()):
+                if pair_source == source:
+                    projected = project_span(span, alignment, synth.corpus.verse(target, pnp.verse))
+                    if projected is not None:
+                        expected[target] = projected
+            assert pnp.projections == expected
+
+    def test_link_past_the_target_verse_is_a_configuration_error(self):
+        corpus = ParallelCorpus(
+            versions={ENG: {"v1": ("a", "b")}, TGT: {"v1": ("x",)}},
+            shared_verses=("v1",),
+        )
+        annotation = NpAnnotation(ENG, {"v1": (NpSpan("v1", (0, 1)),)})
+        with pytest.raises(ConfigurationError, match="points outside verse 'v1'"):
+            build_parallel_np_set(corpus, [annotation], [alignment_with({(1, 3)})])
 
 
 def single_copy_counts(spans_by_copy, verse_tokens=("a", "b", "c"), language="lingua"):
@@ -222,3 +258,78 @@ def test_dump_parallel_nps(tmp_path, synth):
         assert verse_id.startswith("v")
         assert indices
         assert surface
+
+
+ENG2 = VersionId("english", "e2")
+
+
+def per_token_inside_outside(corpus, parallel_nps, language, copies):
+    """Reference: every token of every covered version, one at a time."""
+    inside, outside = Counter(), Counter()
+    for copy in copies:
+        for version in corpus.versions_of(language):
+            if version in copies and version != copy:
+                continue
+            for verse_id in corpus.shared_verses:
+                marked = set()
+                for pnp in parallel_nps:
+                    if pnp.verse == verse_id and pnp.source[0] == copy:
+                        if version == copy:
+                            marked.update(pnp.source[1].token_indices)
+                        if version in pnp.projections:
+                            marked.update(pnp.projections[version].token_indices)
+                for index, token in enumerate(corpus.verse(version, verse_id)):
+                    if index in marked:
+                        inside[token] += 1
+                    else:
+                        outside[token] += 1
+    return inside, outside
+
+
+@st.composite
+def annotated_worlds(draw):
+    """English e1 and e2 are both annotated sources; English e3 and lingua
+    are targets. Verses hold 1-4 tokens from a small lexicon."""
+    eng3 = VersionId("english", "e3")
+    verse_ids = [f"v{i}" for i in range(draw(st.integers(1, 3)))]
+    all_versions = (ENG, ENG2, eng3, TGT)
+    versions = {
+        version: {vid: tuple(draw(st.lists(st.sampled_from("abcde"), min_size=1, max_size=4))) for vid in verse_ids}
+        for version in all_versions
+    }
+    corpus = ParallelCorpus(versions=versions, shared_verses=tuple(verse_ids))
+
+    def span_in(version, verse):
+        length = len(versions[version][verse])
+        return NpSpan(verse, tuple(sorted(draw(st.sets(st.integers(0, length - 1), min_size=1)))))
+
+    pnps = []
+    for _ in range(draw(st.integers(0, 8))):
+        verse = draw(st.sampled_from(verse_ids))
+        source = draw(st.sampled_from((ENG, ENG2)))
+        projections = {t: span_in(t, verse) for t in (eng3, TGT) if draw(st.booleans())}
+        pnps.append(ParallelNp(verse, (source, span_in(source, verse)), projections))
+    return corpus, pnps
+
+
+class TestInsideOutsideMatchesPerTokenLoop:
+    @settings(max_examples=200)
+    @given(annotated_worlds())
+    def test_random_worlds(self, world):
+        corpus, pnps = world
+        for language in ("english", "lingua"):
+            counts = build_inside_outside(corpus, pnps, language, source_versions=[ENG2, ENG])
+            inside, outside = per_token_inside_outside(corpus, pnps, language, [ENG, ENG2])
+            assert counts.inside == inside
+            assert counts.outside == outside
+            assert all(n > 0 for n in counts.outside.values())
+            assert all(n > 0 for n in counts.inside.values())
+
+    def test_synthetic_corpus(self, synth):
+        sources = sorted(a.version for a in synth.annotations)
+        pnps = build_parallel_np_set(synth.corpus, synth.annotations, synth.alignments)
+        for language in synth.corpus.languages():
+            counts = build_inside_outside(synth.corpus, pnps, language, source_versions=sources)
+            inside, outside = per_token_inside_outside(synth.corpus, pnps, language, sources)
+            assert (counts.inside, counts.outside) == (inside, outside)
+            assert 0 not in counts.outside.values()
