@@ -395,7 +395,7 @@ def main(argv=None) -> int:
         config = load_run_config(args.config)
         config = _apply_overrides(config, args)
         return _COMMANDS[args.command](config)
-    except CasemarkError as exc:
+    except (CasemarkError, OSError) as exc:
         print(f"casemark {args.command}: {exc}", file=sys.stderr)
         return 2
 

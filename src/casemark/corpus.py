@@ -23,7 +23,7 @@ import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ConfigurationError, CorpusError, ParseError
 
@@ -32,8 +32,10 @@ BOUNDARY = "$"
 Verse = tuple[str, ...]
 
 
-@dataclass(frozen=True, order=True)
-class VersionId:
+class VersionId(NamedTuple):
+    """A corpus version; a tuple, so hashing, equality and ordering run in C
+    (it equals the plain `(language, edition)` tuple)."""
+
     language: str
     edition: str
 

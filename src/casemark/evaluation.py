@@ -77,13 +77,16 @@ def run_ablation(
     gold_by_language: Mapping[str, Iterable[str]],
     variants: Sequence[str] = ABLATION_VARIANTS,
 ) -> list[AblationRow]:
-    """Count grams once, select markers per variant from those counts, and
-    macro-average each variant against the same silver standards."""
+    """Count grams once, at the lowest theta of the variants, select markers
+    per variant from those counts, and macro-average each variant against
+    the same silver standards."""
     scorable = sorted(gold_by_language)
     if not scorable:
         raise ConfigurationError("nothing to evaluate: no silver standards given")
     # Only the scored languages are counted; the others would be discarded.
-    wanted = dataclasses.replace(config, languages=tuple(lang for lang in scorable if config.wants_language(lang)))
+    languages = tuple(lang for lang in scorable if config.wants_language(lang))
+    theta = min((config.with_variant(variant).theta for variant in variants), default=config.theta)
+    wanted = dataclasses.replace(config, languages=languages, theta=theta)
     _fingerprint, counts = count_grams(corpus, annotations, alignments, wanted)
     per_language: dict[str, dict[str, PRF]] = {}
     for language_counts in counts:

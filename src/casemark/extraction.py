@@ -7,9 +7,10 @@ gram, an exact-test filter comparing inside/outside containment counts
 against all other candidates, and a restriction to word-final grams.
 
 The work splits at the config boundary: `count_grams` projects the corpus
-and counts every language's grams, which no threshold or positional setting
-affects, and `extract_markers_for_language` selects markers from those
-counts for one config.
+and counts each language's grams that reach the config's frequency threshold
+(no other setting affects counting), and `extract_markers_for_language`
+selects markers from those counts for any config with at least that
+threshold.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -122,13 +125,28 @@ class ExactTestResult(NamedTuple):
 
 
 class LanguageCounts(NamedTuple):
-    """One language's gram -> (inside, outside) type-containment counts and
-    the sizes of the NP-relevant / NP-irrelevant type sets behind them."""
+    """One language's gram -> (inside, outside) type-containment counts for
+    the grams whose inside count reaches `theta`, and the sizes of the
+    NP-relevant / NP-irrelevant type sets behind them."""
 
     language: str
     grams: dict[str, tuple[int, int]]
     np_relevant_types: int
     np_irrelevant_types: int
+    theta: int
+
+
+@lru_cache(maxsize=None)  # one immutable entry per word length and max_len seen
+def _gram_slices(length: int, max_len: Optional[int]) -> tuple[slice, ...]:
+    """The slices of a boundary-wrapped word of `length` characters that are
+    at most `max_len` long and hold a character other than the two boundaries."""
+    span = length if max_len is None else max_len
+    return tuple(
+        slice(start, end)
+        for start in range(length)
+        for end in range(start + 1, min(length, start + span) + 1)
+        if max(start, 1) < min(end, length - 1)
+    )
 
 
 def candidates_of_word(word: str, max_len: Optional[int] = None) -> set[str]:
@@ -137,36 +155,30 @@ def candidates_of_word(word: str, max_len: Optional[int] = None) -> set[str]:
     boundary character (the corpus loader rejects it), so only `$` and, for
     the empty word, `$$` consist of boundaries alone."""
     wrapped = BOUNDARY + word + BOUNDARY
-    length = len(wrapped)
-    span = length if max_len is None else max_len
-    grams = {
-        wrapped[start:end]
-        for start in range(length)
-        for end in range(start + 1, min(length, start + span) + 1)
-    }
-    grams.discard(BOUNDARY)
-    grams.discard(BOUNDARY + BOUNDARY)
-    return grams
+    return set(map(wrapped.__getitem__, _gram_slices(len(wrapped), max_len)))
 
 
 def build_candidate_counts(
     np_relevant: Iterable[str],
     np_irrelevant: Iterable[str],
     max_len: Optional[int] = None,
+    theta: int = 1,
 ) -> dict[str, tuple[int, int]]:
-    """Map each gram drawn from NP-relevant words to its type-containment
-    counts (types containing it among NP-relevant / NP-irrelevant words).
+    """Map each gram drawn from NP-relevant words that at least `theta` of
+    them contain to its type-containment counts (types containing it among
+    NP-relevant / NP-irrelevant words).
 
     A word type contributes at most one to each count per gram; grams seen
-    only in NP-irrelevant words are not in the domain.
+    only in NP-irrelevant words are not in the domain, and the outside side
+    is counted for the kept grams only.
     """
-    inside: Counter = Counter()
-    for word in np_relevant:
-        inside.update(candidates_of_word(word, max_len))
-    outside: Counter = Counter()
-    for word in np_irrelevant:
-        outside.update(inside.keys() & candidates_of_word(word, max_len))
-    return {gram: (inside[gram], outside[gram]) for gram in inside}
+    inside = Counter(chain.from_iterable(map(candidates_of_word, np_relevant, repeat(max_len))))
+    if theta > 1:  # at theta=1 every gram stays, and a copy would only cost memory
+        inside = {gram: count for gram, count in inside.items() if count >= theta}
+    outside = Counter(
+        filter(inside.__contains__, chain.from_iterable(map(candidates_of_word, np_irrelevant, repeat(max_len))))
+    )
+    return {gram: (count, outside[gram]) for gram, count in inside.items()}
 
 
 def frequency_filter(counts: Mapping[str, tuple[int, int]], theta: int) -> set[str]:
@@ -264,11 +276,13 @@ def count_grams(
     alignments: Sequence[Alignment],
     config: PipelineConfig,
 ) -> tuple[str, Iterator[LanguageCounts]]:
-    """Steps 1-3 of the pipeline, which no threshold or positional setting
-    affects: the corpus fingerprint and the gram counts of every language the
-    config wants. Projection and fingerprint run at once; each language is
-    counted only when the returned iterator reaches it, so a caller that
-    finishes one language before the next holds one language's counts.
+    """Steps 1-3 of the pipeline: the corpus fingerprint and, for every
+    language the config wants, the counts of the grams that reach
+    `config.theta`; no grams below it are kept, so the counts serve any
+    config with at least that threshold. Projection and fingerprint run at
+    once; each language is counted only when the returned iterator reaches
+    it, so a caller that finishes one language before the next holds one
+    language's counts.
     """
     parallel_nps = build_parallel_np_set(corpus, annotations, alignments)
     sources = [annotation.version for annotation in annotations]
@@ -280,9 +294,12 @@ def count_grams(
             partition = partition_word_types(counts)
             yield LanguageCounts(
                 language=language,
-                grams=build_candidate_counts(partition.np_relevant, partition.np_irrelevant, config.max_gram_length),
+                grams=build_candidate_counts(
+                    partition.np_relevant, partition.np_irrelevant, config.max_gram_length, config.theta
+                ),
                 np_relevant_types=len(partition.np_relevant),
                 np_irrelevant_types=len(partition.np_irrelevant),
+                theta=config.theta,
             )
 
     return corpus_fingerprint(corpus), per_language()
@@ -294,9 +311,11 @@ def select_markers(
     config: PipelineConfig,
 ) -> dict[str, MarkerSet]:
     """Each language's marker set under one config, from `count_grams`
-    output counted with the same max_gram_length."""
+    output counted with the same max_gram_length and at most its theta."""
     marker_sets = {}
     for language_counts in counts:
+        if config.theta < language_counts.theta:
+            raise ConfigurationError(f"theta={config.theta} is below the counted theta={language_counts.theta}")
         provenance = {
             "config": dataclasses.asdict(config),
             "corpus_fingerprint": fingerprint,

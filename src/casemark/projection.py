@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .corpus import Alignment, NpAnnotation, NpSpan, ParallelCorpus, Verse, VersionId, atomic_open
@@ -50,25 +51,34 @@ class WordPartition:
     np_irrelevant: frozenset[str]
 
 
-def _links_by_source(links: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
-    by_source: dict[int, list[int]] = defaultdict(list)
-    for i, j in links:
-        by_source[i].append(j)
-    return by_source
+def _owners(spans: Sequence[NpSpan]) -> dict[int, list[int]]:
+    """Source token -> positions of the spans holding it; hand-built
+    annotations may overlap, so a token can belong to several spans."""
+    owners: dict[int, list[int]] = defaultdict(list)
+    for position, span in enumerate(spans):
+        for index in span.token_indices:
+            owners[index].append(position)
+    return owners
 
 
 def _project(
-    span: NpSpan, by_source: Mapping[int, list[int]], alignment: Alignment, target_verse: Verse
-) -> Optional[NpSpan]:
-    hits = {j for i in span.token_indices for j in by_source.get(i, ())}
-    if not hits:
-        return None
-    if max(hits) >= len(target_verse):
-        raise ConfigurationError(
-            f"alignment {alignment.source_version}->{alignment.target_version} "
-            f"points outside verse {span.verse!r}"
-        )
-    return NpSpan(span.verse, tuple(sorted(hits)))
+    verse_id: str, owners: Mapping[int, list[int]], alignment: Alignment, target_verse: Verse
+) -> dict[int, NpSpan]:
+    """Each span's projection through one pass over the verse's links, by
+    span position; spans without a linked token are left out."""
+    hits: dict[int, set[int]] = defaultdict(set)
+    for i, j in alignment.links.get(verse_id, ()):
+        for position in owners.get(i, ()):
+            hits[position].add(j)
+    projected = {}
+    for position, indices in hits.items():
+        if max(indices) >= len(target_verse):
+            raise ConfigurationError(
+                f"alignment {alignment.source_version}->{alignment.target_version} "
+                f"points outside verse {verse_id!r}"
+            )
+        projected[position] = NpSpan(verse_id, tuple(sorted(indices)))
+    return projected
 
 
 def project_span(span: NpSpan, alignment: Alignment, target_verse: Verse) -> Optional[NpSpan]:
@@ -76,7 +86,7 @@ def project_span(span: NpSpan, alignment: Alignment, target_verse: Verse) -> Opt
 
     Returns None when no span token carries an alignment link.
     """
-    return _project(span, _links_by_source(alignment.links.get(span.verse, ())), alignment, target_verse)
+    return _project(span.verse, _owners((span,)), alignment, target_verse).get(0)
 
 
 def build_parallel_np_set(
@@ -107,22 +117,19 @@ def build_parallel_np_set(
     result: list[ParallelNp] = []
     for annotation in sorted(annotations, key=lambda ann: ann.version):
         source = annotation.version
-        pairs = [(target, by_pair[(source, target)]) for target in targets]
+        pairs = [(target, by_pair[(source, target)], corpus.versions[target]) for target in targets]
         for verse_id in corpus.shared_verses:
             spans = annotation.spans.get(verse_id, ())
             if not spans:
                 continue
-            # Each verse's links are indexed by source token once, for all its spans.
-            indexed = [
-                (target, alignment, _links_by_source(alignment.links.get(verse_id, ())))
-                for target, alignment in pairs
+            # One pass over each target's links projects all of the verse's spans.
+            owners = _owners(spans)
+            projected = [
+                (target, _project(verse_id, owners, alignment, verses[verse_id]))
+                for target, alignment, verses in pairs
             ]
-            for span in spans:
-                projections = {}
-                for target, alignment, by_source in indexed:
-                    projected = _project(span, by_source, alignment, corpus.verse(target, verse_id))
-                    if projected is not None:
-                        projections[target] = projected
+            for position, span in enumerate(spans):
+                projections = {target: spans_of[position] for target, spans_of in projected if position in spans_of}
                 result.append(ParallelNp(verse=verse_id, source=(source, span), projections=projections))
     return result
 
@@ -156,13 +163,15 @@ def build_inside_outside(
         ]
         covered[copy] = tuple(versions)
 
+    own_versions = corpus.versions_of(language)
     inside_idx: dict[tuple[VersionId, str, VersionId], set[int]] = defaultdict(set)
     for pnp in parallel_nps:
         copy = pnp.source[0]
         if copy.language == language:
             inside_idx[(copy, pnp.verse, copy)].update(pnp.source[1].token_indices)
-        for version, span in pnp.projections.items():
-            if version.language == language:
+        for version in own_versions:
+            span = pnp.projections.get(version)
+            if span is not None:
                 inside_idx[(copy, pnp.verse, version)].update(span.token_indices)
 
     inside: Counter = Counter()
@@ -170,12 +179,12 @@ def build_inside_outside(
     for copy in copies:
         for version in covered[copy]:
             verses = corpus.versions[version]
-            for verse_id in corpus.shared_verses:
-                tokens = verses[verse_id]
-                total.update(tokens)
-                marked = inside_idx.get((copy, verse_id, version))
-                if marked:
-                    inside.update(tokens[index] for index in marked)
+            total.update(chain.from_iterable(map(verses.__getitem__, corpus.shared_verses)))
+            inside.update(
+                verses[verse_id][index]
+                for verse_id in corpus.shared_verses
+                for index in inside_idx.get((copy, verse_id, version), ())
+            )
     # Counter subtraction keeps positive counts only, so `outside` has no zeros.
     return InsideOutsideCounts(language=language, inside=inside, outside=total - inside)
 

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from helpers import tiny_corpus_files, write_lines
 
+import casemark
 from casemark.cli import load_run_config, main
 from casemark.errors import ConfigurationError
 
@@ -191,6 +196,39 @@ class TestAnalyzeAndProject:
         assert main(["project", "--config", str(config)]) == 0
         dump = (out / "nps" / "parallel_nps.tsv").read_text(encoding="utf-8")
         assert dump.count("\n") == 3000  # 1000 NPs x (source + 2 projections)
+
+
+class TestHashSeedIndependence:
+    """Set and Counter iteration orders follow the string hash seed, so each
+    run goes to a new interpreter under a different PYTHONHASHSEED."""
+
+    COMMANDS = (
+        ("extract", "--theta", "1", "--no-suffix-only", "--languages", "english,lingua,tercia"),
+        ("silver",),
+        ("ablate",),
+        ("project",),
+        ("analyze",),
+    )
+
+    def run_all(self, config, out, hash_seed):
+        src = str(Path(casemark.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        for command in self.COMMANDS:
+            argv = [sys.executable, "-m", "casemark.cli", *command, "--config", str(config), "--out", str(out)]
+            subprocess.run(argv, env=env, check=True, capture_output=True)
+        return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+    def test_outputs_are_byte_identical_across_hash_seeds(self, workdir, tmp_path):
+        config, _out = workdir
+        first = self.run_all(config, tmp_path / "seed0", "0")
+        second = self.run_all(config, tmp_path / "seed1", "1")
+        assert first == second
+        assert {"manifest.json", "ablation/ablation.tsv", "nps/parallel_nps.tsv", "analysis/matrix.tsv"} <= {
+            str(path) for path in first
+        }
+        # At theta 1 with every position kept, more than the two planted suffixes pass.
+        assert len(first[Path("markers/lingua.tsv")].splitlines()) > 2
 
 
 class TestRunConfigLoading:

@@ -2,8 +2,11 @@ import itertools
 import random
 import re
 import unicodedata
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import tiny_corpus_files, write_lines
 
@@ -30,7 +33,41 @@ def two_version_paths(tmp_path):
     )
 
 
+@dataclass(frozen=True, order=True)
+class DataclassVersionId:
+    """VersionId as a frozen dataclass, the reference for its tuple form."""
+
+    language: str
+    edition: str
+
+    def __str__(self) -> str:
+        return f"{self.language}-{self.edition}"
+
+
+version_parts = st.text(alphabet="ab-é", min_size=1, max_size=3)
+
+
 class TestVersionId:
+    @settings(max_examples=100)
+    @given(st.lists(st.tuples(version_parts, version_parts), max_size=8))
+    def test_behaves_like_the_dataclass(self, parts):
+        ids = [VersionId(*pair) for pair in parts]
+        references = [DataclassVersionId(*pair) for pair in parts]
+        assert [str(v) for v in ids] == [str(r) for r in references]
+        assert [repr(v) for v in ids] == [repr(r).replace("Dataclass", "") for r in references]
+        assert [tuple(v) for v in sorted(ids)] == [(r.language, r.edition) for r in sorted(references)]
+        # Equal hashes keep the iteration order of every set and dict keyed by versions.
+        assert [hash(v) for v in ids] == [hash(r) for r in references]
+        assert [tuple(v) for v in set(ids)] == [(r.language, r.edition) for r in set(references)]
+        keyed = {v: i for i, v in enumerate(ids)}
+        reference_keyed = {r: i for i, r in enumerate(references)}
+        for pair in parts:
+            assert keyed[VersionId(*pair)] == reference_keyed[DataclassVersionId(*pair)]
+
+    def test_equals_the_plain_tuple(self):
+        assert VersionId("english", "kjv") == ("english", "kjv")
+        assert {("english", "kjv"): 1}[VersionId("english", "kjv")] == 1
+
     def test_from_filename_strips_extensions(self):
         vid = VersionId.from_filename("/data/english-kjv.np.txt")
         assert vid == VersionId("english", "kjv")

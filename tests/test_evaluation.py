@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -135,6 +136,35 @@ class TestRunAblation:
         for variant in ABLATION_VARIANTS:
             marker_sets = run_pipeline(synth.corpus, synth.annotations, synth.alignments, config.with_variant(variant))
             per_language = [score(marker_sets[lang].grams(), gold[lang]) for lang in sorted(gold)]
+            expected.append(AblationRow(variant, macro_average(per_language)))
+        assert rows == expected
+
+    @pytest.mark.parametrize("with_no_theta", [True, False])
+    def test_rows_match_selection_from_full_counts(self, synth, monkeypatch, with_no_theta):
+        variants = tuple(v for v in ABLATION_VARIANTS if with_no_theta or v != "no_theta")
+        config = PipelineConfig(theta=synth.fixture.theta)
+        gold = {"lingua": synth.fixture.gold, "tercia": {"um$", "a$"}}
+        counted_at = []
+        original = extraction.build_candidate_counts
+
+        def recording(relevant, irrelevant, max_len=None, theta=1):
+            counted_at.append(theta)
+            return original(relevant, irrelevant, max_len, theta)
+
+        monkeypatch.setattr(extraction, "build_candidate_counts", recording)
+        rows = run_ablation(synth.corpus, synth.annotations, synth.alignments, config, gold, variants)
+        monkeypatch.undo()
+        # The lowest theta of the grid: no_theta's 1, else the baseline's.
+        assert counted_at == [1 if with_no_theta else config.theta] * len(gold)
+
+        full = dataclasses.replace(config, theta=1, languages=tuple(sorted(gold)))
+        counts = list(extraction.count_grams(synth.corpus, synth.annotations, synth.alignments, full)[1])
+        expected = []
+        for variant in variants:
+            per_language = []
+            for language_counts in counts:
+                markers = extraction.extract_markers_for_language(language_counts.grams, config.with_variant(variant))
+                per_language.append(score({m.gram for m in markers}, gold[language_counts.language]))
             expected.append(AblationRow(variant, macro_average(per_language)))
         assert rows == expected
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -17,6 +18,7 @@ from casemark.extraction import (
     inside_outside_filter,
     read_marker_file,
     run_pipeline,
+    select_markers,
     suffix_restrict,
     write_marker_file,
 )
@@ -26,15 +28,27 @@ words = st.text(alphabet="ab", min_size=1, max_size=6)
 word_sets = st.sets(words, min_size=1, max_size=12)
 
 
-def brute_force_candidates(word):
+def brute_force_candidates(word, max_len=None):
     wrapped = f"${word}$"
     out = set()
     for i in range(len(wrapped)):
         for j in range(i + 1, len(wrapped) + 1):
             gram = wrapped[i:j]
-            if set(gram) != {"$"}:
+            if set(gram) != {"$"} and (max_len is None or len(gram) <= max_len):
                 out.add(gram)
     return out
+
+
+def plain_gram_counts(relevant, irrelevant, max_len, theta):
+    """Reference: each gram of the relevant words, with the number of
+    relevant / irrelevant types containing it, kept when the first reaches theta."""
+    expected = {}
+    for word in relevant:
+        for gram in brute_force_candidates(word, max_len):
+            inside = sum(gram in brute_force_candidates(w, max_len) for w in relevant)
+            if inside >= theta:
+                expected[gram] = (inside, sum(gram in brute_force_candidates(w, max_len) for w in irrelevant))
+    return expected
 
 
 class TestCandidatesOfWord:
@@ -110,6 +124,22 @@ class TestCandidateCounts:
                 outside = sum(gram in candidates_of_word(w, max_len) for w in irrelevant)
                 expected[gram] = (inside, outside)
         assert build_candidate_counts(relevant, irrelevant, max_len) == expected
+
+    # Non-ASCII letters and the empty word (whose only grams hold no letter at all).
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sets(st.text(alphabet="aéжb", max_size=6), max_size=10),
+        st.sets(st.text(alphabet="aéжb", max_size=6), max_size=10),
+        st.none() | st.integers(1, 9),
+        st.integers(1, 5),
+    )
+    def test_theta_floor_matches_plain_counts(self, relevant, irrelevant, max_len, theta):
+        expected = plain_gram_counts(relevant, irrelevant, max_len, theta)
+        assert build_candidate_counts(relevant, irrelevant, max_len, theta) == expected
+
+    def test_theta_floor_keeps_whole_counts_of_the_kept_grams(self):
+        counts = build_candidate_counts({"ab", "cb"}, {"db", "a"}, theta=2)
+        assert counts == {"b": (2, 1), "b$": (2, 1)}
 
 
 class TestFrequencyFilter:
@@ -190,7 +220,8 @@ def plain_inside_outside_filter(candidates, counts, phi, chi, use_p_filter, use_
 class TestInsideOutsideFilterMatchesPlainLoop:
     @pytest.fixture(scope="class")
     def lingua(self, synth):
-        config = PipelineConfig(languages=("lingua",))
+        # Counted at theta=1: the tests below select at theta 1 and at the fixture's.
+        config = PipelineConfig(theta=1, languages=("lingua",))
         _fingerprint, counts = count_grams(synth.corpus, synth.annotations, synth.alignments, config)
         (language_counts,) = counts
         return language_counts.grams
@@ -313,6 +344,36 @@ class TestRunPipeline:
         provenance = result["lingua"].provenance
         assert provenance["config"]["theta"] == synth.fixture.theta
         assert len(provenance["corpus_fingerprint"]) == 64
+
+
+class TestThetaFloor:
+    """count_grams keeps only the grams reaching the config's theta, so its
+    counts serve configs at that theta or above and no lower."""
+
+    @staticmethod
+    def lingua_counts(synth, theta):
+        config = PipelineConfig(theta=theta, languages=("lingua",))
+        (counts,) = count_grams(synth.corpus, synth.annotations, synth.alignments, config)[1]
+        return counts
+
+    def test_counts_are_the_theta_reaching_part_of_full_counts(self, synth):
+        theta = synth.fixture.theta
+        full, floor = self.lingua_counts(synth, 1), self.lingua_counts(synth, theta)
+        assert (full.theta, floor.theta) == (1, theta)
+        assert floor.grams == {gram: pair for gram, pair in full.grams.items() if pair[0] >= theta}
+        assert len(floor.grams) < len(full.grams)
+        assert floor._replace(grams=None, theta=1) == full._replace(grams=None)
+
+    def test_select_markers_rejects_a_theta_below_the_counted_one(self, synth):
+        config = PipelineConfig(theta=synth.fixture.theta, languages=("lingua",))
+        fingerprint, counts = count_grams(synth.corpus, synth.annotations, synth.alignments, config)
+        counts = list(counts)
+        with pytest.raises(ConfigurationError, match="theta"):
+            select_markers(fingerprint, counts, config.with_variant("no_theta"))
+        higher = dataclasses.replace(config, theta=config.theta + 1)
+        assert select_markers(fingerprint, counts, higher) == run_pipeline(
+            synth.corpus, synth.annotations, synth.alignments, higher
+        )
 
 
 class TestMarkerFileRoundTrip:

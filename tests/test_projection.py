@@ -333,3 +333,80 @@ class TestInsideOutsideMatchesPerTokenLoop:
             inside, outside = per_token_inside_outside(synth.corpus, pnps, language, sources)
             assert (counts.inside, counts.outside) == (inside, outside)
             assert 0 not in counts.outside.values()
+
+
+@st.composite
+def hand_annotated_worlds(draw):
+    """English e1 and e2 are annotated by hand with spans that may overlap;
+    English e3 and lingua are targets. Every link lies inside both verses."""
+    eng3 = VersionId("english", "e3")
+    versions = (ENG, ENG2, eng3, TGT)
+    verse_ids = [f"v{i}" for i in range(draw(st.integers(1, 3)))]
+    length = {(version, vid): draw(st.integers(1, 5)) for version in versions for vid in verse_ids}
+    corpus = ParallelCorpus(
+        versions={
+            version: {vid: tuple(f"w{i}" for i in range(length[version, vid])) for vid in verse_ids}
+            for version in versions
+        },
+        shared_verses=tuple(verse_ids),
+    )
+
+    def spans(source, vid):
+        indices = st.sets(st.integers(0, length[source, vid] - 1), min_size=1)
+        return tuple(NpSpan(vid, tuple(sorted(draw(indices)))) for _ in range(draw(st.integers(0, 3))))
+
+    def links(source, target, vid):
+        pair = st.tuples(st.integers(0, length[source, vid] - 1), st.integers(0, length[target, vid] - 1))
+        return frozenset(draw(st.sets(pair, max_size=6)))
+
+    annotations = [NpAnnotation(source, {vid: spans(source, vid) for vid in verse_ids}) for source in (ENG2, ENG)]
+    alignments = [
+        Alignment(source, target, {vid: links(source, target, vid) for vid in verse_ids})
+        for source in (ENG, ENG2)
+        for target in (eng3, TGT)
+    ]
+    return corpus, annotations, alignments
+
+
+def per_span_parallel_nps(corpus, annotations, alignments):
+    """Reference: every span projected on its own with project_span, which
+    must give the target indices linked to any of its tokens."""
+    by_pair = {(a.source_version, a.target_version): a for a in alignments}
+    sources = {annotation.version for annotation in annotations}
+    targets = sorted(v for v in corpus.versions if v not in sources)
+    expected = []
+    for annotation in sorted(annotations, key=lambda a: a.version):
+        for verse_id in corpus.shared_verses:
+            for span in annotation.spans.get(verse_id, ()):
+                projections = {}
+                for target in targets:
+                    alignment = by_pair[(annotation.version, target)]
+                    projected = project_span(span, alignment, corpus.verse(target, verse_id))
+                    linked = tuple(sorted({j for i, j in alignment.links[verse_id] if i in span.token_indices}))
+                    assert (projected.token_indices if projected else ()) == linked
+                    if projected is not None:
+                        projections[target] = projected
+                expected.append(ParallelNp(verse_id, (annotation.version, span), projections))
+    return expected
+
+
+class TestParallelNpSetMatchesPerSpanProjection:
+    @settings(max_examples=200)
+    @given(hand_annotated_worlds())
+    def test_random_worlds(self, world):
+        corpus, annotations, alignments = world
+        pnps = build_parallel_np_set(corpus, annotations, alignments)
+        expected = per_span_parallel_nps(corpus, annotations, alignments)
+        assert pnps == expected
+        # Projections also keep the target order, which the NP dump and analysis see.
+        assert [list(p.projections) for p in pnps] == [list(p.projections) for p in expected]
+
+    def test_overlapping_spans_project_separately(self):
+        corpus = ParallelCorpus(
+            versions={ENG: {"v1": ("a", "b", "c")}, TGT: {"v1": ("x", "y", "z")}},
+            shared_verses=("v1",),
+        )
+        spans = (NpSpan("v1", (0, 1)), NpSpan("v1", (1, 2)), NpSpan("v1", (1,)))
+        annotation = NpAnnotation(ENG, {"v1": spans})
+        pnps = build_parallel_np_set(corpus, [annotation], [alignment_with({(0, 2), (1, 0), (2, 1)})])
+        assert [p.projections[TGT].token_indices for p in pnps] == [(0, 2), (0, 1), (0,)]
