@@ -76,9 +76,9 @@ def group_by_marker_combination(
         for language, versions, marker_set, known in per_language:
             marker = None
             for version in versions:
-                span = pnp.projections.get(version)
-                if span is not None:
-                    word = corpus.verse(version, pnp.verse)[span.token_indices[position]]
+                indices = pnp.projections.get(version)
+                if indices is not None:
+                    word = corpus.verse(version, pnp.verse)[indices[position]]
                     if word not in known:
                         known[word] = assign_marker(word, marker_set)
                     marker = known[word]
@@ -115,13 +115,13 @@ def build_cooccurrence_matrix(
         source_version, source_span = pnp.source
         source_tokens = corpus.verse(source_version, pnp.verse)
         col_text[col] = " ".join(source_tokens[i] for i in source_span.token_indices)
-        spans = list(pnp.projections.items())
-        spans.append((source_version, source_span))
-        for version, span in spans:
+        rows = list(pnp.projections.items())
+        rows.append((source_version, source_span.token_indices))
+        for version, indices in rows:
             if wanted is not None and version.language not in wanted:
                 continue
             tokens = corpus.verse(version, pnp.verse)
-            for index in span.token_indices:
+            for index in indices:
                 counts[(f"{version.language}:{tokens[index]}", col)] += 1
     rows = tuple(sorted({row for row, _col in counts}))
     cols = tuple(sorted(col_text))

@@ -75,6 +75,14 @@ def _require_existing(paths, what: str) -> None:
         raise ConfigurationError(f"missing {what}: {', '.join(missing)}")
 
 
+def _check_shapes(section: dict, shapes: dict, prefix: str = "") -> None:
+    """Each set key of `section` must hold a value of its type in `shapes`."""
+    for key, kind in shapes.items():
+        value = section.get(key)
+        if value is not None and not isinstance(value, kind):
+            raise ConfigurationError(f"config key {prefix}{key} must be of type {kind.__name__}, got {value!r}")
+
+
 def load_run_config(path) -> RunConfig:
     """Read a YAML run configuration; relative paths resolve against the
     config file's directory."""
@@ -86,16 +94,17 @@ def load_run_config(path) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigurationError(f"config file {path} must hold a mapping at top level")
     base = path.parent
-    # `jobs` is accepted and ignored: runs are single-threaded, and existing
-    # configs still set it.
-    known = {
-        "verse_files", "alignment_files", "annotation_files", "paradigm_files",
-        "verse_allowlist", "verse_allowlist_file", "pipeline", "output_dir",
-        "jobs", "markers_dir", "silver_dir", "analysis",
+    # The known keys and their types; `jobs` is accepted and ignored: runs
+    # are single-threaded, and existing configs still set it.
+    shapes = {
+        "verse_files": list, "alignment_files": list, "annotation_files": list, "paradigm_files": dict,
+        "verse_allowlist": list, "verse_allowlist_file": str, "pipeline": dict, "output_dir": str,
+        "jobs": object, "markers_dir": str, "silver_dir": str, "analysis": dict,
     }
-    unknown = set(raw) - known
+    unknown = set(raw) - set(shapes)
     if unknown:
         raise ConfigurationError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    _check_shapes(raw, shapes)
 
     allowlist = None
     if raw.get("verse_allowlist") is not None:
@@ -108,6 +117,7 @@ def load_run_config(path) -> RunConfig:
         allowlist = from_file if allowlist is None else allowlist | from_file
 
     pipeline_raw = dict(raw.get("pipeline") or {})
+    _check_shapes(pipeline_raw, {"languages": list, "exclude_languages": list}, "pipeline.")
     if "languages" in pipeline_raw and pipeline_raw["languages"] is not None:
         pipeline_raw["languages"] = tuple(pipeline_raw["languages"])
     if "exclude_languages" in pipeline_raw:
@@ -118,11 +128,8 @@ def load_run_config(path) -> RunConfig:
     except TypeError as exc:
         raise ConfigurationError(f"bad pipeline config: {exc}") from None
 
-    paradigms = {
-        str(language): (base / p if not Path(p).is_absolute() else Path(p))
-        for language, p in (raw.get("paradigm_files") or {}).items()
-    }
     analysis_raw = raw.get("analysis") or {}
+    _check_shapes(analysis_raw, {"languages": list, "samples_per_group": int}, "analysis.")
 
     def _resolve(value):
         if value is None:
@@ -130,6 +137,7 @@ def load_run_config(path) -> RunConfig:
         value = Path(value)
         return value if value.is_absolute() else base / value
 
+    paradigms = {str(language): _resolve(p) for language, p in (raw.get("paradigm_files") or {}).items()}
     out_dir = _resolve(raw.get("output_dir", "out"))
     return RunConfig(
         verse_files=_expand_paths(raw.get("verse_files"), base),

@@ -19,9 +19,12 @@ from __future__ import annotations
 import hashlib
 import operator
 import os
+import re
 import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -90,21 +93,27 @@ class ParallelCorpus:
     def versions_of(self, language: str) -> tuple[VersionId, ...]:
         return tuple(sorted(v for v in self.versions if v.language == language))
 
-    def total_tokens(self, version: VersionId) -> int:
-        return sum(len(t) for t in self.versions[version].values())
-
 
 @dataclass(frozen=True)
 class Alignment:
+    """Per verse, the links as one flat `(i0, j0, i1, j1, ...)` tuple of
+    source-target index pairs in file order; a repeated link stays repeated."""
+
     source_version: VersionId
     target_version: VersionId
-    links: Mapping[str, frozenset[tuple[int, int]]]
+    links: Mapping[str, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
 class NpAnnotation:
     version: VersionId
     spans: Mapping[str, tuple[NpSpan, ...]]
+
+    @cached_property
+    def np_tokens(self) -> dict[str, frozenset[int]]:
+        """Per verse with spans, the token indices inside any of them (computed once, on first use)."""
+        return {v: frozenset(chain.from_iterable(s.token_indices for s in spans)) for v, spans in self.spans.items()
+                if spans}
 
 
 def _normalize_token(token: str) -> str:
@@ -188,25 +197,21 @@ def atomic_open(path):
         temp.unlink(missing_ok=True)
 
 
-def write_verse_file(corpus: ParallelCorpus, version: VersionId, path) -> None:
-    """Inverse of loading: one `<verse-id>\\t<tokens>` line per shared verse."""
-    verses = corpus.versions[version]
-    with atomic_open(path) as handle:
-        for verse_id in corpus.shared_verses:
-            handle.write(f"{verse_id}\t{' '.join(verses[verse_id])}\n")
-
-
 def _is_index(text: str) -> bool:
     # ASCII only: str.isdigit also accepts digits such as "²" that int() rejects.
     return text.isascii() and text.isdigit()
+
+
+# A clean line of links: only its bounds are left to check.
+_CLEAN_LINKS = re.compile(r" *(?:[0-9]+-[0-9]+(?: +|$))*")
 
 
 def load_alignment(path, corpus: ParallelCorpus) -> Alignment:
     """Load a word alignment between two corpus versions.
 
     Verses outside the corpus' shared set are ignored; shared verses missing
-    from the file get an empty link set. Indices are bounds-checked against
-    both verses.
+    from the file get no links. Indices are bounds-checked against both
+    verses.
     """
     with open(path, encoding="utf-8") as handle:
         lines = handle.read().splitlines()
@@ -224,7 +229,9 @@ def load_alignment(path, corpus: ParallelCorpus) -> Alignment:
         if version not in corpus.versions:
             raise CorpusError(f"alignment {path} references unknown version {version}")
     shared = set(corpus.shared_verses)
-    links: dict[str, frozenset[tuple[int, int]]] = {}
+    source_verses = corpus.versions[source]
+    target_verses = corpus.versions[target]
+    links: dict[str, tuple[int, ...]] = {}
     for line_no, line in enumerate(lines[1:], 2):
         if not line:
             continue
@@ -234,27 +241,31 @@ def load_alignment(path, corpus: ParallelCorpus) -> Alignment:
         verse_id = parts[0]
         if verse_id not in shared:
             continue
-        pair_text = parts[1] if len(parts) == 2 else ""
-        src_len = len(corpus.verse(source, verse_id))
-        tgt_len = len(corpus.verse(target, verse_id))
-        pairs = set()
-        for chunk in pair_text.split():
-            left, sep, right = chunk.partition("-")
-            if not sep or not _is_index(left) or not _is_index(right):
-                raise ParseError(path, line_no, f"bad link {chunk!r} (expected <i>-<j>)")
-            i, j = int(left), int(right)
-            if i >= src_len:
-                raise CorpusError(
-                    f"{path}: verse {verse_id!r} source index {i} out of bounds (verse has {src_len} tokens)"
-                )
-            if j >= tgt_len:
-                raise CorpusError(
-                    f"{path}: verse {verse_id!r} target index {j} out of bounds (verse has {tgt_len} tokens)"
-                )
-            pairs.add((i, j))
-        links[verse_id] = frozenset(pairs)
+        text = parts[1] if len(parts) == 2 else ""
+        src_len = len(source_verses[verse_id])
+        tgt_len = len(target_verses[verse_id])
+        flat = tuple(map(int, text.replace("-", " ").split())) if _CLEAN_LINKS.fullmatch(text) else None
+        if flat is None or (flat and (max(flat[0::2]) >= src_len or max(flat[1::2]) >= tgt_len)):
+            # The line fails a whole-line check: walk it for its first bad link.
+            walked = []
+            for chunk in text.split():
+                left, sep, right = chunk.partition("-")
+                if not sep or not _is_index(left) or not _is_index(right):
+                    raise ParseError(path, line_no, f"bad link {chunk!r} (expected <i>-<j>)")
+                i, j = int(left), int(right)
+                if i >= src_len:
+                    raise CorpusError(
+                        f"{path}: verse {verse_id!r} source index {i} out of bounds (verse has {src_len} tokens)"
+                    )
+                if j >= tgt_len:
+                    raise CorpusError(
+                        f"{path}: verse {verse_id!r} target index {j} out of bounds (verse has {tgt_len} tokens)"
+                    )
+                walked += (i, j)
+            flat = tuple(walked)
+        links[verse_id] = flat
     for verse_id in corpus.shared_verses:
-        links.setdefault(verse_id, frozenset())
+        links.setdefault(verse_id, ())
     return Alignment(source_version=source, target_version=target, links=links)
 
 

@@ -25,12 +25,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .corpus import BOUNDARY, Alignment, ParallelCorpus, atomic_open, corpus_fingerprint
 from .errors import ConfigurationError, ParseError, UndefinedOddsError
-from .projection import (
-    NpAnnotation,
-    build_inside_outside,
-    build_parallel_np_set,
-    partition_word_types,
-)
+from .projection import NpAnnotation, alignments_by_pair, build_inside_outside, partition_word_types
 from .stats import ExactTest
 
 ABLATION_VARIANTS = ("baseline", "no_theta", "no_phi", "no_chi", "middle", "beginning")
@@ -279,18 +274,17 @@ def count_grams(
     """Steps 1-3 of the pipeline: the corpus fingerprint and, for every
     language the config wants, the counts of the grams that reach
     `config.theta`; no grams below it are kept, so the counts serve any
-    config with at least that threshold. Projection and fingerprint run at
-    once; each language is counted only when the returned iterator reaches
-    it, so a caller that finishes one language before the next holds one
-    language's counts.
+    config with at least that threshold. The inputs are checked and the
+    fingerprint taken at once; each language is projected and counted only
+    when the returned iterator reaches it, so a caller that finishes one
+    language before the next holds one language's counts.
     """
-    parallel_nps = build_parallel_np_set(corpus, annotations, alignments)
-    sources = [annotation.version for annotation in annotations]
+    alignments_by_pair(corpus, annotations, alignments)
     languages = [lang for lang in corpus.languages() if config.wants_language(lang)]
 
     def per_language() -> Iterator[LanguageCounts]:
         for language in languages:
-            counts = build_inside_outside(corpus, parallel_nps, language, source_versions=sources)
+            counts = build_inside_outside(corpus, annotations, alignments, language)
             partition = partition_word_types(counts)
             yield LanguageCounts(
                 language=language,

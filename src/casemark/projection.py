@@ -2,17 +2,17 @@
 
 An annotated source edition marks NP spans; each span is carried into every
 target version by following the alignment links of its tokens, keeping target
-word order. The projected copies then yield, per language, the multisets of
-word tokens seen inside and outside NPs, and from those the partition into
-NP-relevant and NP-irrelevant word types.
+word order. Per language, the tokens inside and outside NPs then give the
+partition into NP-relevant and NP-irrelevant word types; that count follows
+the links of each verse's NP tokens as a whole, not span by span.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import chain, compress
+from typing import Collection, Mapping, Optional, Sequence
 
 from .corpus import Alignment, NpAnnotation, NpSpan, ParallelCorpus, Verse, VersionId, atomic_open
 from .errors import ConfigurationError
@@ -20,11 +20,12 @@ from .errors import ConfigurationError
 
 @dataclass(frozen=True)
 class ParallelNp:
-    """One source-edition NP together with its nonempty projections."""
+    """One source-edition NP together with its nonempty projections: per
+    target version, the sorted token indices in the same verse."""
 
     verse: str
     source: tuple[VersionId, NpSpan]
-    projections: Mapping[VersionId, NpSpan]
+    projections: Mapping[VersionId, tuple[int, ...]]
 
     @property
     def np_id(self) -> str:
@@ -51,34 +52,44 @@ class WordPartition:
     np_irrelevant: frozenset[str]
 
 
-def _owners(spans: Sequence[NpSpan]) -> dict[int, list[int]]:
-    """Source token -> positions of the spans holding it; hand-built
-    annotations may overlap, so a token can belong to several spans."""
-    owners: dict[int, list[int]] = defaultdict(list)
-    for position, span in enumerate(spans):
-        for index in span.token_indices:
-            owners[index].append(position)
-    return owners
+def linked_targets(flat: Sequence[int], source_indices: Collection[int]) -> set[int]:
+    """Target indices linked to any of `source_indices` by flat
+    `(i0, j0, i1, j1, ...)` links."""
+    return set(compress(flat[1::2], map(source_indices.__contains__, flat[0::2])))
 
 
-def _project(
-    verse_id: str, owners: Mapping[int, list[int]], alignment: Alignment, target_verse: Verse
-) -> dict[int, NpSpan]:
-    """Each span's projection through one pass over the verse's links, by
-    span position; spans without a linked token are left out."""
-    hits: dict[int, set[int]] = defaultdict(set)
-    for i, j in alignment.links.get(verse_id, ()):
-        for position in owners.get(i, ()):
-            hits[position].add(j)
-    projected = {}
-    for position, indices in hits.items():
-        if max(indices) >= len(target_verse):
-            raise ConfigurationError(
-                f"alignment {alignment.source_version}->{alignment.target_version} "
-                f"points outside verse {verse_id!r}"
-            )
-        projected[position] = NpSpan(verse_id, tuple(sorted(indices)))
-    return projected
+def alignments_by_pair(
+    corpus: ParallelCorpus,
+    annotations: Sequence[NpAnnotation],
+    alignments: Sequence[Alignment],
+    language: Optional[str] = None,
+) -> dict[tuple[VersionId, VersionId], Mapping[str, tuple[int, ...]]]:
+    """The links from each annotated edition into each unannotated version
+    (of `language`, when given), targets in sorted order.
+
+    Raises ConfigurationError for a duplicate annotation, a missing
+    (source, target) alignment, or a link from an NP verse past the end of
+    its target verse.
+    """
+    sources = [annotation.version for annotation in annotations]
+    for position, source in enumerate(sources):
+        if source in sources[:position]:
+            raise ConfigurationError(f"duplicate annotation for version {source}")
+    targets = sorted(v for v in corpus.versions if v not in sources and (language is None or v.language == language))
+    given = {(alignment.source_version, alignment.target_version): alignment for alignment in alignments}
+    by_pair = {}
+    for annotation in annotations:
+        source = annotation.version
+        for target in targets:
+            if (source, target) not in given:
+                raise ConfigurationError(f"missing alignment for pair {source} -> {target}")
+            links = by_pair[(source, target)] = given[(source, target)].links
+            verses = corpus.versions[target]
+            for verse_id in annotation.np_tokens:
+                flat = links.get(verse_id)
+                if flat and max(flat[1::2]) >= len(verses[verse_id]):
+                    raise ConfigurationError(f"alignment {source}->{target} points outside verse {verse_id!r}")
+    return by_pair
 
 
 def project_span(span: NpSpan, alignment: Alignment, target_verse: Verse) -> Optional[NpSpan]:
@@ -86,7 +97,12 @@ def project_span(span: NpSpan, alignment: Alignment, target_verse: Verse) -> Opt
 
     Returns None when no span token carries an alignment link.
     """
-    return _project(span.verse, _owners((span,)), alignment, target_verse).get(0)
+    linked = linked_targets(alignment.links.get(span.verse, ()), span.token_indices)
+    if linked and max(linked) >= len(target_verse):
+        raise ConfigurationError(
+            f"alignment {alignment.source_version}->{alignment.target_version} points outside verse {span.verse!r}"
+        )
+    return NpSpan(span.verse, tuple(sorted(linked))) if linked else None
 
 
 def build_parallel_np_set(
@@ -100,91 +116,62 @@ def build_parallel_np_set(
     across editions. Targets are the corpus versions without an annotation;
     a missing (source, target) alignment is a configuration error.
     """
-    sources = []
-    for annotation in annotations:
-        if annotation.version in sources:
-            raise ConfigurationError(f"duplicate annotation for version {annotation.version}")
-        sources.append(annotation.version)
-    source_set = set(sources)
-    targets = sorted(v for v in corpus.versions if v not in source_set)
-    by_pair = {}
-    for alignment in alignments:
-        by_pair[(alignment.source_version, alignment.target_version)] = alignment
-    for source in sources:
-        for target in targets:
-            if (source, target) not in by_pair:
-                raise ConfigurationError(f"missing alignment for pair {source} -> {target}")
+    by_pair = alignments_by_pair(corpus, annotations, alignments)
     result: list[ParallelNp] = []
     for annotation in sorted(annotations, key=lambda ann: ann.version):
         source = annotation.version
-        pairs = [(target, by_pair[(source, target)], corpus.versions[target]) for target in targets]
+        pairs = [(target, links) for (pair_source, target), links in by_pair.items() if pair_source == source]
         for verse_id in corpus.shared_verses:
             spans = annotation.spans.get(verse_id, ())
             if not spans:
                 continue
-            # One pass over each target's links projects all of the verse's spans.
-            owners = _owners(spans)
-            projected = [
-                (target, _project(verse_id, owners, alignment, verses[verse_id]))
-                for target, alignment, verses in pairs
-            ]
+            # Source token -> span positions (spans may overlap): one pass over each target's links projects all.
+            owners: dict[int, list[int]] = defaultdict(list)
             for position, span in enumerate(spans):
-                projections = {target: spans_of[position] for target, spans_of in projected if position in spans_of}
-                result.append(ParallelNp(verse=verse_id, source=(source, span), projections=projections))
+                for index in span.token_indices:
+                    owners[index].append(position)
+            projections: list[dict[VersionId, tuple[int, ...]]] = [{} for _ in spans]
+            for target, links in pairs:
+                flat = links.get(verse_id, ())
+                hits: dict[int, set[int]] = defaultdict(set)
+                for i, j in zip(flat[0::2], flat[1::2]):
+                    for position in owners.get(i, ()):
+                        hits[position].add(j)
+                for position, indices in hits.items():
+                    projections[position][target] = tuple(sorted(indices))
+            result.extend(ParallelNp(verse_id, (source, span), p) for span, p in zip(spans, projections))
     return result
 
 
 def build_inside_outside(
     corpus: ParallelCorpus,
-    parallel_nps: Sequence[ParallelNp],
+    annotations: Sequence[NpAnnotation],
+    alignments: Sequence[Alignment],
     language: str,
-    source_versions: Optional[Iterable[VersionId]] = None,
 ) -> InsideOutsideCounts:
     """Count, over all annotated copies, the tokens of `language` falling
     inside versus outside projected NPs.
 
-    Each copy annotates every target version plus the source edition itself
-    (identity projection); within a copy a token counts once, as inside iff
-    its index lies in any projected span for that verse. When source_versions
-    is None the copies are inferred from the parallel NPs, which misses
-    editions that produced no NPs at all.
+    Each annotated edition is one copy. It marks, per verse, its own NP
+    tokens when it is of `language` (identity projection), and in every
+    unannotated version of `language` the tokens linked to them. Within a
+    copy a token counts once, as inside iff it is marked.
     """
-    if source_versions is None:
-        copies = sorted({pnp.source[0] for pnp in parallel_nps})
-    else:
-        copies = sorted(source_versions)
-    copy_set = set(copies)
-
-    covered: dict[VersionId, tuple[VersionId, ...]] = {}
-    for copy in copies:
-        versions = [
-            v for v in corpus.versions_of(language)
-            if v not in copy_set or v == copy
-        ]
-        covered[copy] = tuple(versions)
-
-    own_versions = corpus.versions_of(language)
-    inside_idx: dict[tuple[VersionId, str, VersionId], set[int]] = defaultdict(set)
-    for pnp in parallel_nps:
-        copy = pnp.source[0]
-        if copy.language == language:
-            inside_idx[(copy, pnp.verse, copy)].update(pnp.source[1].token_indices)
-        for version in own_versions:
-            span = pnp.projections.get(version)
-            if span is not None:
-                inside_idx[(copy, pnp.verse, version)].update(span.token_indices)
-
+    by_pair = alignments_by_pair(corpus, annotations, alignments, language)
     inside: Counter = Counter()
     total: Counter = Counter()
-    for copy in copies:
-        for version in covered[copy]:
+    for annotation in annotations:
+        copy = annotation.version
+        for version in corpus.versions_of(language):
+            marked = annotation.np_tokens.items()
+            if version != copy:
+                if (copy, version) not in by_pair:
+                    continue  # another annotated edition
+                links = by_pair[(copy, version)]
+                marked = [(verse_id, linked_targets(links.get(verse_id, ()), indices)) for verse_id, indices in marked]
             verses = corpus.versions[version]
             total.update(chain.from_iterable(map(verses.__getitem__, corpus.shared_verses)))
-            inside.update(
-                verses[verse_id][index]
-                for verse_id in corpus.shared_verses
-                for index in inside_idx.get((copy, verse_id, version), ())
-            )
+            inside.update(chain.from_iterable(map(verses[v].__getitem__, indices) for v, indices in marked))
     # Counter subtraction keeps positive counts only, so `outside` has no zeros.
     return InsideOutsideCounts(language=language, inside=inside, outside=total - inside)
 
@@ -211,10 +198,10 @@ def dump_parallel_nps(parallel_nps: Sequence[ParallelNp], corpus: ParallelCorpus
     `<verse-id>\\t<version>\\t<idx,idx,...>\\t<surface text>`, source line first."""
     with atomic_open(path) as handle:
         for pnp in parallel_nps:
-            rows = [(pnp.source[0], pnp.source[1])]
+            rows = [(pnp.source[0], pnp.source[1].token_indices)]
             rows.extend(sorted(pnp.projections.items()))
-            for version, span in rows:
+            for version, token_indices in rows:
                 tokens = corpus.verse(version, pnp.verse)
-                surface = " ".join(tokens[i] for i in span.token_indices)
-                indices = ",".join(str(i) for i in span.token_indices)
+                surface = " ".join(tokens[i] for i in token_indices)
+                indices = ",".join(str(i) for i in token_indices)
                 handle.write(f"{pnp.verse}\t{version}\t{indices}\t{surface}\n")

@@ -115,9 +115,9 @@ def world():
     }
     corpus = ParallelCorpus(versions=versions, shared_verses=("v1", "v2", "v3"))
     pnps = [
-        ParallelNp("v1", (ENG, NpSpan("v1", (1, 2))), {LAT: NpSpan("v1", (0,)), RUS: NpSpan("v1", (0,))}),
-        ParallelNp("v2", (ENG, NpSpan("v2", (1, 2))), {LAT: NpSpan("v2", (0, 1)), RUS: NpSpan("v2", (0, 1))}),
-        ParallelNp("v3", (ENG, NpSpan("v3", (1, 2))), {LAT: NpSpan("v3", (0,)), RUS: NpSpan("v3", (0,))}),
+        ParallelNp("v1", (ENG, NpSpan("v1", (1, 2))), {LAT: (0,), RUS: (0,)}),
+        ParallelNp("v2", (ENG, NpSpan("v2", (1, 2))), {LAT: (0, 1), RUS: (0, 1)}),
+        ParallelNp("v3", (ENG, NpSpan("v3", (1, 2))), {LAT: (0,), RUS: (0,)}),
     ]
     markers = {
         "latin": marker_set("latin", {"ibus$", "is$"}),
@@ -199,10 +199,10 @@ class TestCooccurrenceMatrix:
             sums[matrix.rows[row_i]] += count
         brute = Counter()
         for pnp in pnps:
-            spans = list(pnp.projections.items()) + [pnp.source]
-            for version, span in spans:
+            rows = list(pnp.projections.items()) + [(pnp.source[0], pnp.source[1].token_indices)]
+            for version, indices in rows:
                 tokens = corpus.verse(version, pnp.verse)
-                for i in span.token_indices:
+                for i in indices:
                     brute[f"{version.language}:{tokens[i]}"] += 1
         assert sums == brute
 
@@ -277,7 +277,7 @@ def sorted_projection_groups(parallel_nps, corpus, marker_sets, languages, head)
             marker = None
             for version in sorted(pnp.projections):
                 if version.language == language:
-                    indices = pnp.projections[version].token_indices
+                    indices = pnp.projections[version]
                     word = corpus.verse(version, pnp.verse)[indices[0] if head == "first" else indices[-1]]
                     marker = longest_endswith(word, marker_sets[language].grams())
                     break
@@ -304,7 +304,7 @@ def two_edition_worlds(draw):
         for target in draw(st.permutations(targets)):
             if draw(st.booleans()):
                 indices = draw(st.sets(st.integers(0, 2), min_size=1))
-                projections[target] = NpSpan(verse, tuple(sorted(indices)))
+                projections[target] = tuple(sorted(indices))
         pnps.append(ParallelNp(verse, (ENG, NpSpan(verse, (0,))), projections))
     marker_sets = {
         language: marker_set(language, draw(st.sets(st.sampled_from(SUFFIXES))))
@@ -332,6 +332,6 @@ class TestGroupingMatchesSortedProjections:
             versions={ENG: {"v1": ("x",)}, LAT: {"v1": ("regis",)}, LAT2: {"v1": ("domibus",)}},
             shared_verses=("v1",),
         )
-        pnp = ParallelNp("v1", (ENG, NpSpan("v1", (0,))), {LAT2: NpSpan("v1", (0,)), LAT: NpSpan("v1", (0,))})
+        pnp = ParallelNp("v1", (ENG, NpSpan("v1", (0,))), {LAT2: (0,), LAT: (0,)})
         groups = group_by_marker_combination([pnp], corpus, {"latin": marker_set("latin", {"is$", "ibus$"})}, ["latin"])
         assert groups[0].key == (("latin", "is$"),)

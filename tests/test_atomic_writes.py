@@ -10,7 +10,6 @@ import pytest
 from helpers import tiny_corpus_files, write_lines
 
 from casemark.cli import main
-from casemark.corpus import VersionId, load_corpus, write_verse_file
 
 
 @pytest.fixture
@@ -124,16 +123,3 @@ def test_failed_write_keeps_the_previous_output(world, monkeypatch, capsys, rela
     assert "No space left" in stderr
     assert "Traceback" not in stderr
 
-
-def test_failed_verse_file_write_keeps_the_previous_file(world, monkeypatch, tmp_path):
-    _config, _out, verse_files = world
-    corpus = load_corpus(verse_files)
-    target = tmp_path / "copy" / "latin-l1.txt"
-    target.parent.mkdir()
-    write_verse_file(corpus, VersionId("latin", "l1"), target)
-    before = snapshot(target.parent)
-    fail_writes_to(monkeypatch, target)
-    with pytest.raises(OSError, match="No space left"):
-        write_verse_file(corpus, VersionId("latin", "l1"), target)
-    monkeypatch.undo()
-    assert snapshot(target.parent) == before

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -276,3 +277,59 @@ class TestRunConfigLoading:
         direct = write_lines(tmp_path / "c.yaml", ["pipeline:", "  positions: [final]"])
         with pytest.raises(ConfigurationError, match="bad pipeline config"):
             load_run_config(direct)
+
+
+class TestConfigShapes:
+    """A YAML value of the wrong shape is a configuration error (exit 2),
+    never a traceback."""
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            ["pipeline: [1]"],
+            ["pipeline: {languages: 5}"],
+            ["pipeline: {exclude_languages: 5}"],
+            ["analysis: {samples_per_group: x}"],
+            ["analysis: {languages: 5}"],
+            ["analysis: [1]"],
+            ["verse_files: 5"],
+            ["annotation_files: {a: 1}"],
+            ["paradigm_files: [1]"],
+            ["verse_allowlist: 5"],
+            ["output_dir: 5"],
+        ],
+    )
+    def test_exits_2_without_traceback(self, tmp_path, capsys, lines):
+        config = write_lines(tmp_path / "c.yaml", lines)
+        assert main(["project", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "must be of type" in err
+        assert "Traceback" not in err
+
+
+class TestMarkerFileBytes:
+    """The marker files of the synthetic fixture, pinned by SHA-256. They
+    print p-values and odds ratios with repr, so this also checks that the
+    exact test's floating point gives the same bytes on every machine."""
+
+    EXPECTED = {
+        (): {
+            "english.tsv": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "lingua.tsv": "90b1dca8cfc16d6bef67da559c787a553d596e3ad7bc2fa0a8862853b85b06cb",
+            "tercia.tsv": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        },
+        ("--theta", "1", "--no-suffix-only"): {
+            "english.tsv": "8f7d3aa48f4fbe152444d70739d688cf3c3537c093da30308a4d14badf63f3af",
+            "lingua.tsv": "4f81bc0366f5c4535255499f44cda83b4339dad65f494302d5b4fc53c7756cc0",
+            "tercia.tsv": "21693ade67e02cd58b0067b21bea0789aed27803f4e7ea07fbc6bbce3843e604",
+        },
+    }
+
+    @pytest.mark.parametrize("flags", list(EXPECTED))
+    def test_sha256_of_each_marker_file(self, workdir, tmp_path, flags):
+        config, _out = workdir
+        out = tmp_path / "pinned"
+        argv = ["extract", "--config", str(config), "--out", str(out), "--languages", "english,lingua,tercia", *flags]
+        assert main(argv) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted((out / "markers").glob("*.tsv"))}
+        assert digests == self.EXPECTED[flags]

@@ -1,8 +1,10 @@
 import itertools
 import random
 import re
+import tempfile
 import unicodedata
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import tiny_corpus_files, write_lines
 
+from casemark import corpus as corpus_module
 from casemark.corpus import (
     NpSpan,
     VersionId,
@@ -17,7 +20,6 @@ from casemark.corpus import (
     load_alignment,
     load_corpus,
     load_np_annotation,
-    write_verse_file,
 )
 from casemark.errors import ConfigurationError, CorpusError, ParseError
 
@@ -146,17 +148,6 @@ class TestLoadCorpus:
         assert all(c == corpora[0] for c in corpora)
         assert len({corpus_fingerprint(c) for c in corpora}) == 1
 
-    def test_round_trip(self, two_version_paths, tmp_path):
-        corpus = load_corpus(two_version_paths)
-        out = tmp_path / "rt"
-        out.mkdir()
-        new_paths = []
-        for version in corpus.versions:
-            path = out / f"{version}.txt"
-            write_verse_file(corpus, version, path)
-            new_paths.append(path)
-        assert load_corpus(new_paths) == corpus
-
     def test_every_shared_lookup_succeeds(self, synth):
         rng = random.Random(5)
         versions = list(synth.corpus.versions)
@@ -181,12 +172,12 @@ class TestLoadAlignment:
     def test_basic_links(self, tmp_path):
         corpus, path = self.make(tmp_path, ["#\talpha-a1\tbeta-b1", "v1\t0-0 1-2"])
         alignment = load_alignment(path, corpus)
-        assert alignment.links["v1"] == frozenset({(0, 0), (1, 2)})
-        assert alignment.links["v2"] == frozenset()
+        assert alignment.links["v1"] == (0, 0, 1, 2)
+        assert alignment.links["v2"] == ()
 
-    def test_duplicate_links_collapse(self, tmp_path):
-        corpus, path = self.make(tmp_path, ["#\talpha-a1\tbeta-b1", "v1\t0-0 0-0"])
-        assert load_alignment(path, corpus).links["v1"] == frozenset({(0, 0)})
+    def test_duplicate_links_stay_in_file_order(self, tmp_path):
+        corpus, path = self.make(tmp_path, ["#\talpha-a1\tbeta-b1", "v1\t1-2 0-0 1-2"])
+        assert load_alignment(path, corpus).links["v1"] == (1, 2, 0, 0, 1, 2)
 
     def test_out_of_bounds_names_verse_and_index(self, tmp_path):
         corpus, path = self.make(tmp_path, ["#\talpha-a1\tbeta-b1", "v1\t5-0"])
@@ -212,6 +203,84 @@ class TestLoadAlignment:
         corpus, path = self.make(tmp_path, ["#\talpha-a1\tbeta-b1", "v1\t0:0"])
         with pytest.raises(ParseError, match="bad link"):
             load_alignment(path, corpus)
+
+
+# Each line is a mutation of the clean links "0-0 1-2" for verses of 2 (source)
+# and 3 (target) tokens.
+MUTATED_LINKS = [
+    "0-0 1-2",
+    "",
+    "   ",
+    "0-0  1-2",
+    "  0-0 1-2",
+    "0-0 1-2  ",
+    "+1-2",
+    "1--2",
+    "1-2-3",
+    "-1-2",
+    "1-",
+    "-",
+    "01-002",
+    "1_0-2",
+    "1-²",
+    "\u0661-2",
+    "0-0\x0b1-2",
+    "0-0\x0c1-2",
+    "0-0\xa01-2",
+    "0-0\u20031-2",
+    "0-0\x1c1-2",
+    "0-0\u20281-2",
+    "0-0\r1-2",
+    "0-0\t1-2",
+    "2-0",
+    "0-3",
+    "0-0 1-3 5-0",
+    "0-0 2-2 1-9",
+    "1-2 9999999999999999999999-0",
+    "0-0 1-2 0-0",
+]
+
+
+class TestWholeLineCheck:
+    """`load_alignment` checks a clean line whole and walks only the others
+    chunk by chunk; walking every line must give the same links, or the same
+    error class and message."""
+
+    def outcome(self, path, corpus):
+        try:
+            return load_alignment(path, corpus).links
+        except (ParseError, CorpusError) as exc:
+            return type(exc), str(exc)
+
+    def check(self, tmp_path, monkeypatch, text):
+        versions = {"alpha-a1.txt": {"v1": "a b", "v2": "c"}, "beta-b1.txt": {"v1": "x y z", "v2": "p"}}
+        corpus = load_corpus(tiny_corpus_files(tmp_path, versions))
+        path = tmp_path / "align.tsv"
+        path.write_text(f"#\talpha-a1\tbeta-b1\nv1\t{text}\nv2\t0-0\n", encoding="utf-8")
+        fast = self.outcome(path, corpus)
+        with monkeypatch.context() as patch:
+            patch.setattr(corpus_module, "_CLEAN_LINKS", re.compile(r"(?!)"))
+            walked = self.outcome(path, corpus)
+        assert fast == walked
+        return fast
+
+    @pytest.mark.parametrize("text", MUTATED_LINKS)
+    def test_listed_mutations(self, tmp_path, monkeypatch, text):
+        self.check(tmp_path, monkeypatch, text)
+
+    def test_clean_and_broken_lines_both_occur(self, tmp_path, monkeypatch):
+        outcomes = [self.check(tmp_path, monkeypatch, text) for text in ("0-0 1-2", "1-2-3", "0-3", "0-0\xa01-2")]
+        assert outcomes[0]["v1"] == (0, 0, 1, 2)
+        assert outcomes[1][0] is ParseError
+        assert outcomes[2][0] is CorpusError and "target index 3" in outcomes[2][1]
+        assert outcomes[3]["v1"] == (0, 0, 1, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(["0", "1", "2", "3", "-", " ", "  ", "+", "\xa0", "\x0b", "\u0661", "_", "²"]),
+                    max_size=12))
+    def test_random_mutations(self, pieces):
+        with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as monkeypatch:
+            self.check(Path(root), monkeypatch, "".join(pieces))
 
 
 class TestLoadNpAnnotation:

@@ -113,7 +113,7 @@ class TestRunAblation:
         assert by_variant["middle"].precision < by_variant["baseline"].precision
 
     def test_counts_once_and_matches_pipeline_per_variant(self, synth, monkeypatch):
-        calls = {"build_parallel_np_set": 0, "build_candidate_counts": 0}
+        calls = {"alignments_by_pair": 0, "build_inside_outside": 0, "build_candidate_counts": 0}
 
         def counted(name):
             original = getattr(extraction, name)
@@ -124,12 +124,16 @@ class TestRunAblation:
 
             monkeypatch.setattr(extraction, name, wrapper)
 
-        counted("build_parallel_np_set")
-        counted("build_candidate_counts")
+        for name in calls:
+            counted(name)
         config = PipelineConfig(theta=synth.fixture.theta)
         gold = {"lingua": synth.fixture.gold, "tercia": {"um$", "a$"}}
         rows = run_ablation(synth.corpus, synth.annotations, synth.alignments, config, gold)
-        assert calls == {"build_parallel_np_set": 1, "build_candidate_counts": len(gold)}
+        # The inputs are checked once per run, and each scored language is
+        # projected and counted once, not once per variant.
+        assert calls == {
+            "alignments_by_pair": 1, "build_inside_outside": len(gold), "build_candidate_counts": len(gold)
+        }
 
         monkeypatch.undo()
         expected = []

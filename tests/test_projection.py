@@ -18,6 +18,7 @@ from casemark.corpus import (
     load_np_annotation,
 )
 from casemark.errors import ConfigurationError
+from casemark.extraction import PipelineConfig, count_grams
 from casemark.projection import (
     InsideOutsideCounts,
     ParallelNp,
@@ -32,14 +33,19 @@ ENG = VersionId("english", "e1")
 TGT = VersionId("lingua", "l1")
 
 
+def flat(pairs):
+    """Flat `(i0, j0, i1, j1, ...)` links from (i, j) pairs, in the given order."""
+    return tuple(index for pair in pairs for index in pair)
+
+
 def alignment_with(links, source=ENG, target=TGT, verse="v1"):
-    return Alignment(source_version=source, target_version=target, links={verse: frozenset(links)})
+    return Alignment(source_version=source, target_version=target, links={verse: flat(sorted(links))})
 
 
 class TestProjectSpan:
     def test_union_of_links_sorted(self):
         span = NpSpan("v1", (1, 2))
-        alignment = alignment_with({(1, 4), (2, 2), (2, 3)})
+        alignment = alignment_with([(2, 3), (1, 4), (2, 2), (2, 3)])
         projected = project_span(span, alignment, ("t0", "t1", "t2", "t3", "t4"))
         assert projected.token_indices == (2, 3, 4)
 
@@ -135,7 +141,7 @@ class TestProjectionPaths:
                 if pair_source == source:
                     projected = project_span(span, alignment, synth.corpus.verse(target, pnp.verse))
                     if projected is not None:
-                        expected[target] = projected
+                        expected[target] = projected.token_indices
             assert pnp.projections == expected
 
     def test_link_past_the_target_verse_is_a_configuration_error(self):
@@ -144,33 +150,47 @@ class TestProjectionPaths:
             shared_verses=("v1",),
         )
         annotation = NpAnnotation(ENG, {"v1": (NpSpan("v1", (0, 1)),)})
+        alignments = [alignment_with({(1, 3)})]
         with pytest.raises(ConfigurationError, match="points outside verse 'v1'"):
-            build_parallel_np_set(corpus, [annotation], [alignment_with({(1, 3)})])
+            build_parallel_np_set(corpus, [annotation], alignments)
+        with pytest.raises(ConfigurationError, match="points outside verse 'v1'"):
+            build_inside_outside(corpus, [annotation], alignments, "lingua")
+        with pytest.raises(ConfigurationError, match="points outside verse 'v1'"):
+            project_span(annotation.spans["v1"][0], alignments[0], corpus.verse(TGT, "v1"))
+
+    def test_count_grams_raises_before_the_first_language(self, synth):
+        config = PipelineConfig(theta=synth.fixture.theta)
+        annotations, alignments = synth.annotations, synth.alignments
+        with pytest.raises(ConfigurationError, match="duplicate annotation"):
+            count_grams(synth.corpus, annotations * 2, alignments, config)
+        with pytest.raises(ConfigurationError, match="missing alignment"):
+            count_grams(synth.corpus, annotations, alignments[:-1], config)
+        last = alignments[-1]
+        verse_id, indices = next(iter(annotations[0].np_tokens.items()))
+        past_end = len(synth.corpus.verse(last.target_version, verse_id))
+        links = dict(last.links)
+        links[verse_id] += (min(indices), past_end)
+        broken = Alignment(last.source_version, last.target_version, links)
+        with pytest.raises(ConfigurationError, match=f"points outside verse '{verse_id}'"):
+            count_grams(synth.corpus, annotations, [*alignments[:-1], broken], config)
 
 
 def single_copy_counts(spans_by_copy, verse_tokens=("a", "b", "c"), language="lingua"):
-    """Build inside/outside counts for one target verse under explicit copies."""
+    """Inside/outside counts for one target verse: english edition i annotates
+    its token 0, which links to the target indices spans_by_copy[i]."""
     eng_versions = [VersionId("english", f"e{i+1}") for i in range(len(spans_by_copy))]
-    verses = {"v1": " ".join(verse_tokens)}
-    files = {f"{v}.txt": verses for v in map(str, eng_versions)}
-    files[f"{language}-l1.txt"] = verses
     target = VersionId(language, "l1")
-    pnps = []
-    for eng, indices in zip(eng_versions, spans_by_copy):
-        if indices:
-            pnps.append(
-                ParallelNp(
-                    verse="v1",
-                    source=(eng, NpSpan("v1", (0,))),
-                    projections={target: NpSpan("v1", tuple(sorted(indices)))},
-                )
-            )
-    corpus_versions = {v: {"v1": tuple(verse_tokens)} for v in eng_versions}
-    corpus_versions[target] = {"v1": tuple(verse_tokens)}
-    from casemark.corpus import ParallelCorpus
-
+    corpus_versions = {v: {"v1": tuple(verse_tokens)} for v in (*eng_versions, target)}
     corpus = ParallelCorpus(versions=corpus_versions, shared_verses=("v1",))
-    return build_inside_outside(corpus, pnps, language, source_versions=eng_versions)
+    annotations = [
+        NpAnnotation(eng, {"v1": (NpSpan("v1", (0,)),) if indices else ()})
+        for eng, indices in zip(eng_versions, spans_by_copy)
+    ]
+    alignments = [
+        alignment_with({(0, j) for j in indices}, source=eng, target=target)
+        for eng, indices in zip(eng_versions, spans_by_copy)
+    ]
+    return build_inside_outside(corpus, annotations, alignments, language)
 
 
 class TestInsideOutside:
@@ -184,36 +204,35 @@ class TestInsideOutside:
         assert counts.inside == Counter({"a": 1, "b": 2, "c": 1})
         assert counts.outside == Counter({"a": 1, "c": 1})
 
+    def test_copy_without_nps_counts_outside(self):
+        counts = single_copy_counts([{0, 1}, set()])
+        assert counts.inside == Counter({"a": 1, "b": 1})
+        assert counts.outside == Counter({"a": 1, "b": 1, "c": 2})
+
     def test_overlapping_spans_count_membership_once(self):
         eng = VersionId("english", "e1")
         target = VersionId("lingua", "l1")
-        from casemark.corpus import ParallelCorpus
-
         corpus = ParallelCorpus(
-            versions={eng: {"v1": ("x",)}, target: {"v1": ("a", "b")}},
+            versions={eng: {"v1": ("x", "y")}, target: {"v1": ("a", "b")}},
             shared_verses=("v1",),
         )
-        pnps = [
-            ParallelNp("v1", (eng, NpSpan("v1", (0,))), {target: NpSpan("v1", (0, 1))}),
-            ParallelNp("v1", (eng, NpSpan("v1", (0,))), {target: NpSpan("v1", (1,))}),
-        ]
-        counts = build_inside_outside(corpus, pnps, "lingua", source_versions=[eng])
+        annotation = NpAnnotation(eng, {"v1": (NpSpan("v1", (0, 1)), NpSpan("v1", (1,)))})
+        alignment = alignment_with([(0, 0), (1, 1), (1, 1)], source=eng, target=target)
+        counts = build_inside_outside(corpus, [annotation], [alignment], "lingua")
         assert counts.inside == Counter({"a": 1, "b": 1})
         assert counts.outside == Counter()
+        english = build_inside_outside(corpus, [annotation], [alignment], "english")
+        assert (english.inside, english.outside) == (Counter({"x": 1, "y": 1}), Counter())
 
     def test_conservation_on_synthetic_corpus(self, synth):
-        sources = [a.version for a in synth.annotations]
-        pnps = build_parallel_np_set(synth.corpus, synth.annotations, synth.alignments)
         for language in ("lingua", "tercia"):
-            counts = build_inside_outside(synth.corpus, pnps, language, source_versions=sources)
+            counts = build_inside_outside(synth.corpus, synth.annotations, synth.alignments, language)
             version = synth.corpus.versions_of(language)[0]
-            expected = len(sources) * synth.corpus.total_tokens(version)
+            expected = len(synth.annotations) * sum(map(len, synth.corpus.versions[version].values()))
             assert sum(counts.inside.values()) + sum(counts.outside.values()) == expected
 
     def test_identity_projection_for_source_language(self, synth):
-        sources = [a.version for a in synth.annotations]
-        pnps = build_parallel_np_set(synth.corpus, synth.annotations, synth.alignments)
-        counts = build_inside_outside(synth.corpus, pnps, "english", source_versions=sources)
+        counts = build_inside_outside(synth.corpus, synth.annotations, synth.alignments, "english")
         # "the" and nouns sit inside every NP span; verbs never do
         assert counts.outside["the"] == 0
         assert counts.inside["verb0"] == 0
@@ -277,7 +296,7 @@ def per_token_inside_outside(corpus, parallel_nps, language, copies):
                         if version == copy:
                             marked.update(pnp.source[1].token_indices)
                         if version in pnp.projections:
-                            marked.update(pnp.projections[version].token_indices)
+                            marked.update(pnp.projections[version])
                 for index, token in enumerate(corpus.verse(version, verse_id)):
                     if index in marked:
                         inside[token] += 1
@@ -287,58 +306,11 @@ def per_token_inside_outside(corpus, parallel_nps, language, copies):
 
 
 @st.composite
-def annotated_worlds(draw):
-    """English e1 and e2 are both annotated sources; English e3 and lingua
-    are targets. Verses hold 1-4 tokens from a small lexicon."""
-    eng3 = VersionId("english", "e3")
-    verse_ids = [f"v{i}" for i in range(draw(st.integers(1, 3)))]
-    all_versions = (ENG, ENG2, eng3, TGT)
-    versions = {
-        version: {vid: tuple(draw(st.lists(st.sampled_from("abcde"), min_size=1, max_size=4))) for vid in verse_ids}
-        for version in all_versions
-    }
-    corpus = ParallelCorpus(versions=versions, shared_verses=tuple(verse_ids))
-
-    def span_in(version, verse):
-        length = len(versions[version][verse])
-        return NpSpan(verse, tuple(sorted(draw(st.sets(st.integers(0, length - 1), min_size=1)))))
-
-    pnps = []
-    for _ in range(draw(st.integers(0, 8))):
-        verse = draw(st.sampled_from(verse_ids))
-        source = draw(st.sampled_from((ENG, ENG2)))
-        projections = {t: span_in(t, verse) for t in (eng3, TGT) if draw(st.booleans())}
-        pnps.append(ParallelNp(verse, (source, span_in(source, verse)), projections))
-    return corpus, pnps
-
-
-class TestInsideOutsideMatchesPerTokenLoop:
-    @settings(max_examples=200)
-    @given(annotated_worlds())
-    def test_random_worlds(self, world):
-        corpus, pnps = world
-        for language in ("english", "lingua"):
-            counts = build_inside_outside(corpus, pnps, language, source_versions=[ENG2, ENG])
-            inside, outside = per_token_inside_outside(corpus, pnps, language, [ENG, ENG2])
-            assert counts.inside == inside
-            assert counts.outside == outside
-            assert all(n > 0 for n in counts.outside.values())
-            assert all(n > 0 for n in counts.inside.values())
-
-    def test_synthetic_corpus(self, synth):
-        sources = sorted(a.version for a in synth.annotations)
-        pnps = build_parallel_np_set(synth.corpus, synth.annotations, synth.alignments)
-        for language in synth.corpus.languages():
-            counts = build_inside_outside(synth.corpus, pnps, language, source_versions=sources)
-            inside, outside = per_token_inside_outside(synth.corpus, pnps, language, sources)
-            assert (counts.inside, counts.outside) == (inside, outside)
-            assert 0 not in counts.outside.values()
-
-
-@st.composite
 def hand_annotated_worlds(draw):
     """English e1 and e2 are annotated by hand with spans that may overlap;
-    English e3 and lingua are targets. Every link lies inside both verses."""
+    English e3, a second edition of a source language, and lingua are
+    targets. Every link lies inside both verses; links may repeat, and a
+    verse may have none."""
     eng3 = VersionId("english", "e3")
     versions = (ENG, ENG2, eng3, TGT)
     verse_ids = [f"v{i}" for i in range(draw(st.integers(1, 3)))]
@@ -356,8 +328,9 @@ def hand_annotated_worlds(draw):
         return tuple(NpSpan(vid, tuple(sorted(draw(indices)))) for _ in range(draw(st.integers(0, 3))))
 
     def links(source, target, vid):
+        # A list, so a link may repeat; an empty one leaves the verse unlinked.
         pair = st.tuples(st.integers(0, length[source, vid] - 1), st.integers(0, length[target, vid] - 1))
-        return frozenset(draw(st.sets(pair, max_size=6)))
+        return flat(draw(st.lists(pair, max_size=6)))
 
     annotations = [NpAnnotation(source, {vid: spans(source, vid) for vid in verse_ids}) for source in (ENG2, ENG)]
     alignments = [
@@ -382,10 +355,11 @@ def per_span_parallel_nps(corpus, annotations, alignments):
                 for target in targets:
                     alignment = by_pair[(annotation.version, target)]
                     projected = project_span(span, alignment, corpus.verse(target, verse_id))
-                    linked = tuple(sorted({j for i, j in alignment.links[verse_id] if i in span.token_indices}))
+                    pairs = zip(alignment.links[verse_id][0::2], alignment.links[verse_id][1::2])
+                    linked = tuple(sorted({j for i, j in pairs if i in span.token_indices}))
                     assert (projected.token_indices if projected else ()) == linked
                     if projected is not None:
-                        projections[target] = projected
+                        projections[target] = projected.token_indices
                 expected.append(ParallelNp(verse_id, (annotation.version, span), projections))
     return expected
 
@@ -409,4 +383,31 @@ class TestParallelNpSetMatchesPerSpanProjection:
         spans = (NpSpan("v1", (0, 1)), NpSpan("v1", (1, 2)), NpSpan("v1", (1,)))
         annotation = NpAnnotation(ENG, {"v1": spans})
         pnps = build_parallel_np_set(corpus, [annotation], [alignment_with({(0, 2), (1, 0), (2, 1)})])
-        assert [p.projections[TGT].token_indices for p in pnps] == [(0, 2), (0, 1), (0,)]
+        assert [p.projections[TGT] for p in pnps] == [(0, 2), (0, 1), (0,)]
+
+
+class TestInsideOutsideMatchesPerTokenLoop:
+    """The verse-level count equals the per-token count rebuilt from the
+    per-span projections of the parallel NP set."""
+
+    @settings(max_examples=200)
+    @given(hand_annotated_worlds())
+    def test_random_worlds(self, world):
+        corpus, annotations, alignments = world
+        pnps = build_parallel_np_set(corpus, annotations, alignments)
+        for language in ("english", "lingua"):
+            counts = build_inside_outside(corpus, annotations, alignments, language)
+            inside, outside = per_token_inside_outside(corpus, pnps, language, [ENG, ENG2])
+            assert counts.inside == inside
+            assert counts.outside == outside
+            assert all(n > 0 for n in counts.outside.values())
+            assert all(n > 0 for n in counts.inside.values())
+
+    def test_synthetic_corpus(self, synth):
+        sources = sorted(a.version for a in synth.annotations)
+        pnps = build_parallel_np_set(synth.corpus, synth.annotations, synth.alignments)
+        for language in synth.corpus.languages():
+            counts = build_inside_outside(synth.corpus, synth.annotations, synth.alignments, language)
+            inside, outside = per_token_inside_outside(synth.corpus, pnps, language, sources)
+            assert (counts.inside, counts.outside) == (inside, outside)
+            assert 0 not in counts.outside.values()
