@@ -52,22 +52,17 @@ def group_by_marker_combination(
     corpus: ParallelCorpus,
     marker_sets: Mapping[str, MarkerSet],
     languages: Sequence[str],
-    head: str = "last",
 ) -> list[MarkerCombinationGroup]:
     """Partition the parallel NPs by their per-language marker assignment.
 
-    The span token standing in for the head word is the last one by default
-    (suffixing languages); pass head="first" for prefixing ones. NPs lacking a
-    projection in a requested language keep a None slot for it. Groups come
-    out largest first (ties in key order).
+    The last span token stands in for the head word (suffixing languages).
+    NPs lacking a projection in a requested language keep a None slot for
+    it. Groups come out largest first (ties in key order).
     """
-    if head not in ("last", "first"):
-        raise ValueError(f"head must be 'last' or 'first', got {head!r}")
     for language in languages:
         if language not in marker_sets:
             raise KeyError(f"no marker set for language {language!r}")
     ordered = tuple(sorted(languages))
-    position = 0 if head == "first" else -1
     # Per language: its versions in sorted order, and each head word's marker, looked up once.
     per_language = [(language, corpus.versions_of(language), marker_sets[language], {}) for language in ordered]
     buckets: dict[GroupKey, list[ParallelNp]] = defaultdict(list)
@@ -78,7 +73,7 @@ def group_by_marker_combination(
             for version in versions:
                 indices = pnp.projections.get(version)
                 if indices is not None:
-                    word = corpus.verse(version, pnp.verse)[indices[position]]
+                    word = corpus.verse(version, pnp.verse)[indices[-1]]
                     if word not in known:
                         known[word] = assign_marker(word, marker_set)
                     marker = known[word]
@@ -100,14 +95,12 @@ def _key_text(key: GroupKey) -> str:
 def build_cooccurrence_matrix(
     parallel_nps: Sequence[ParallelNp],
     corpus: ParallelCorpus,
-    languages: Optional[Sequence[str]] = None,
 ) -> CooccurrenceMatrix:
     """Count how often each word form occurs inside each parallel NP.
 
-    Rows cover the projected spans (and the source span, when its language is
-    requested); NPs from different source editions stay distinct columns.
+    Rows cover the projected spans and the source span; NPs from different
+    source editions stay distinct columns.
     """
-    wanted = None if languages is None else set(languages)
     counts: dict[tuple[str, str], int] = Counter()
     col_text: dict[str, str] = {}
     for pnp in parallel_nps:
@@ -118,8 +111,6 @@ def build_cooccurrence_matrix(
         rows = list(pnp.projections.items())
         rows.append((source_version, source_span.token_indices))
         for version, indices in rows:
-            if wanted is not None and version.language not in wanted:
-                continue
             tokens = corpus.verse(version, pnp.verse)
             for index in indices:
                 counts[(f"{version.language}:{tokens[index]}", col)] += 1

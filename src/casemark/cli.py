@@ -20,7 +20,7 @@ from typing import Optional
 import yaml
 
 from . import analysis, evaluation, extraction, projection, silver
-from .corpus import atomic_open, load_alignment, load_corpus, load_np_annotation
+from .corpus import atomic_open, corpus_fingerprint, load_alignment, load_corpus, load_np_annotation
 from .errors import CasemarkError, ConfigurationError
 from .extraction import ABLATION_VARIANTS, POSITIONS, PipelineConfig
 
@@ -76,11 +76,21 @@ def _require_existing(paths, what: str) -> None:
 
 
 def _check_shapes(section: dict, shapes: dict, prefix: str = "") -> None:
-    """Each set key of `section` must hold a value of its type in `shapes`."""
-    for key, kind in shapes.items():
+    """Each set key of `section` must hold a value of its type in `shapes`.
+    A `(container, element)` shape also requires each element of the list,
+    or each value of the mapping, to be of the element type."""
+    for key, shape in shapes.items():
         value = section.get(key)
-        if value is not None and not isinstance(value, kind):
+        if value is None:
+            continue
+        kind, element = shape if isinstance(shape, tuple) else (shape, None)
+        if not isinstance(value, kind):
             raise ConfigurationError(f"config key {prefix}{key} must be of type {kind.__name__}, got {value!r}")
+        if element is None:
+            continue
+        for item in value.values() if kind is dict else value:
+            if not isinstance(item, element):
+                raise ConfigurationError(f"config key {prefix}{key} must hold {element.__name__} values, got {item!r}")
 
 
 def load_run_config(path) -> RunConfig:
@@ -96,8 +106,9 @@ def load_run_config(path) -> RunConfig:
     base = path.parent
     # The known keys and their types; `jobs` is accepted and ignored: runs
     # are single-threaded, and existing configs still set it.
+    paths = (list, str)
     shapes = {
-        "verse_files": list, "alignment_files": list, "annotation_files": list, "paradigm_files": dict,
+        "verse_files": paths, "alignment_files": paths, "annotation_files": paths, "paradigm_files": (dict, str),
         "verse_allowlist": list, "verse_allowlist_file": str, "pipeline": dict, "output_dir": str,
         "jobs": object, "markers_dir": str, "silver_dir": str, "analysis": dict,
     }
@@ -117,7 +128,7 @@ def load_run_config(path) -> RunConfig:
         allowlist = from_file if allowlist is None else allowlist | from_file
 
     pipeline_raw = dict(raw.get("pipeline") or {})
-    _check_shapes(pipeline_raw, {"languages": list, "exclude_languages": list}, "pipeline.")
+    _check_shapes(pipeline_raw, {"languages": (list, str), "exclude_languages": (list, str)}, "pipeline.")
     if "languages" in pipeline_raw and pipeline_raw["languages"] is not None:
         pipeline_raw["languages"] = tuple(pipeline_raw["languages"])
     if "exclude_languages" in pipeline_raw:
@@ -129,7 +140,7 @@ def load_run_config(path) -> RunConfig:
         raise ConfigurationError(f"bad pipeline config: {exc}") from None
 
     analysis_raw = raw.get("analysis") or {}
-    _check_shapes(analysis_raw, {"languages": list, "samples_per_group": int}, "analysis.")
+    _check_shapes(analysis_raw, {"languages": (list, str), "samples_per_group": int}, "analysis.")
 
     def _resolve(value):
         if value is None:
@@ -195,14 +206,14 @@ def _load_corpus_inputs(config: RunConfig):
     return corpus, annotations, alignments
 
 
-def _write_manifest(config: RunConfig, corpus_hash: str, languages) -> None:
+def _write_manifest(config: RunConfig, corpus, languages) -> None:
     inputs = {}
     for path in [*config.verse_files, *config.alignment_files, *config.annotation_files]:
         inputs[str(path)] = _sha256(path)
     manifest = {
         "pipeline": dataclasses.asdict(config.pipeline),
         "inputs": inputs,
-        "corpus_fingerprint": corpus_hash,
+        "corpus_fingerprint": corpus_fingerprint(corpus),
         "languages": sorted(languages),
     }
     config.output_dir.mkdir(parents=True, exist_ok=True)
@@ -214,8 +225,7 @@ def _write_manifest(config: RunConfig, corpus_hash: str, languages) -> None:
 
 def cmd_extract(config: RunConfig) -> int:
     corpus, annotations, alignments = _load_corpus_inputs(config)
-    fingerprint, counts = extraction.count_grams(corpus, annotations, alignments, config.pipeline)
-    marker_sets = extraction.select_markers(fingerprint, counts, config.pipeline)
+    marker_sets = extraction.run_pipeline(corpus, annotations, alignments, config.pipeline)
     markers_dir = config.resolved_markers_dir()
     markers_dir.mkdir(parents=True, exist_ok=True)
     failures = []
@@ -224,7 +234,7 @@ def cmd_extract(config: RunConfig) -> int:
             extraction.write_marker_file(marker_sets[language], markers_dir / f"{language}.tsv")
         except OSError as exc:
             failures.append(f"{language}: {exc}")
-    _write_manifest(config, fingerprint, marker_sets)
+    _write_manifest(config, corpus, marker_sets)
     for failure in failures:
         print(f"extract: {failure}", file=sys.stderr)
     return 1 if failures else 0
@@ -261,24 +271,25 @@ def cmd_silver(config: RunConfig) -> int:
     return 1 if failures else 0
 
 
+def _read_outputs(config: RunConfig, kind: str, wanted=None) -> dict:
+    """The marker sets (`kind` "markers") or silver standards ("silver") in
+    the config's directory for them, keyed by language (the file stem);
+    only the languages `wanted` accepts, when it is given."""
+    if kind == "markers":
+        directory, pattern, command = config.resolved_markers_dir(), "*.tsv", "extract"
+        reader = extraction.read_marker_file
+    else:
+        directory, pattern, command = config.resolved_silver_dir(), "*.txt", "silver"
+        reader = silver.read_silver_file
+    if not directory.is_dir():
+        raise ConfigurationError(f"{kind} directory {directory} does not exist (run `{command}` first?)")
+    return {p.stem: reader(p) for p in sorted(directory.glob(pattern)) if wanted is None or wanted(p.stem)}
+
+
 def _load_scorable(config: RunConfig):
-    markers_dir = config.resolved_markers_dir()
-    silver_dir = config.resolved_silver_dir()
-    if not markers_dir.is_dir():
-        raise ConfigurationError(f"markers directory {markers_dir} does not exist (run `extract` first?)")
-    if not silver_dir.is_dir():
-        raise ConfigurationError(f"silver directory {silver_dir} does not exist (run `silver` first?)")
-    predicted = {
-        p.stem: extraction.read_marker_file(p, language=p.stem)
-        for p in sorted(markers_dir.glob("*.tsv"))
-    }
-    gold = {
-        p.stem: silver.read_silver_file(p)
-        for p in sorted(silver_dir.glob("*.txt"))
-    }
-    shared = sorted(
-        lang for lang in set(predicted) & set(gold) if config.pipeline.wants_language(lang)
-    )
+    predicted = _read_outputs(config, "markers", config.pipeline.wants_language)
+    gold = _read_outputs(config, "silver", config.pipeline.wants_language)
+    shared = sorted(set(predicted) & set(gold))
     if not shared:
         raise ConfigurationError("nothing to evaluate: no language has both markers and a silver standard")
     return predicted, gold, shared
@@ -303,14 +314,7 @@ def cmd_eval(config: RunConfig) -> int:
 
 def cmd_ablate(config: RunConfig) -> int:
     corpus, annotations, alignments = _load_corpus_inputs(config)
-    silver_dir = config.resolved_silver_dir()
-    if not silver_dir.is_dir():
-        raise ConfigurationError(f"silver directory {silver_dir} does not exist (run `silver` first?)")
-    gold = {
-        p.stem: silver.read_silver_file(p)
-        for p in sorted(silver_dir.glob("*.txt"))
-        if config.pipeline.wants_language(p.stem)
-    }
+    gold = _read_outputs(config, "silver", config.pipeline.wants_language)
     rows = evaluation.run_ablation(corpus, annotations, alignments, config.pipeline, gold)
     ablation_dir = config.output_dir / "ablation"
     ablation_dir.mkdir(parents=True, exist_ok=True)
@@ -322,13 +326,7 @@ def cmd_ablate(config: RunConfig) -> int:
 
 def cmd_analyze(config: RunConfig) -> int:
     corpus, annotations, alignments = _load_corpus_inputs(config)
-    markers_dir = config.resolved_markers_dir()
-    if not markers_dir.is_dir():
-        raise ConfigurationError(f"markers directory {markers_dir} does not exist (run `extract` first?)")
-    marker_sets = {
-        p.stem: extraction.read_marker_file(p, language=p.stem)
-        for p in sorted(markers_dir.glob("*.tsv"))
-    }
+    marker_sets = _read_outputs(config, "markers")
     parallel_nps = projection.build_parallel_np_set(corpus, annotations, alignments)
     languages = config.analysis_languages
     if languages is None:
@@ -341,7 +339,7 @@ def cmd_analyze(config: RunConfig) -> int:
     groups = analysis.group_by_marker_combination(parallel_nps, corpus, marker_sets, languages)
     with atomic_open(analysis_dir / "groups.txt") as handle:
         handle.write(analysis.render_group_report(groups, corpus, config.samples_per_group))
-    matrix = analysis.build_cooccurrence_matrix(parallel_nps, corpus, languages=None)
+    matrix = analysis.build_cooccurrence_matrix(parallel_nps, corpus)
     analysis.export_matrix(matrix, analysis_dir)
     return 0
 

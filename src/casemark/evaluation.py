@@ -87,13 +87,12 @@ def run_ablation(
     languages = tuple(lang for lang in scorable if config.wants_language(lang))
     theta = min((config.with_variant(variant).theta for variant in variants), default=config.theta)
     wanted = dataclasses.replace(config, languages=languages, theta=theta)
-    _fingerprint, counts = count_grams(corpus, annotations, alignments, wanted)
     per_language: dict[str, dict[str, PRF]] = {}
-    for language_counts in counts:
-        gold = set(gold_by_language[language_counts.language])
-        per_variant = per_language[language_counts.language] = {}
+    for language, grams in count_grams(corpus, annotations, alignments, wanted):
+        gold = set(gold_by_language[language])
+        per_variant = per_language[language] = {}
         for variant in variants:
-            markers = extract_markers_for_language(language_counts.grams, config.with_variant(variant))
+            markers = extract_markers_for_language(grams, config.with_variant(variant))
             per_variant[variant] = score({m.gram for m in markers}, gold)
     for language in scorable:
         if language not in per_language:
@@ -104,13 +103,13 @@ def run_ablation(
     ]
 
 
-def render_results_table(per_language: Mapping[str, PRF], average_row: bool = True) -> str:
-    """Tab-separated language/P/R/F1 table with an optional average row."""
+def render_results_table(per_language: Mapping[str, PRF]) -> str:
+    """Tab-separated language/P/R/F1 table with an average row."""
     lines = ["language\tprecision\trecall\tf1"]
     for language in sorted(per_language):
         row = per_language[language]
         lines.append(f"{language}\t{row.precision:.4f}\t{row.recall:.4f}\t{row.f1:.4f}")
-    if average_row and per_language:
+    if per_language:
         avg = macro_average([per_language[lang] for lang in sorted(per_language)])
         lines.append(f"average\t{avg.precision:.4f}\t{avg.recall:.4f}\t{avg.f1:.4f}")
     return "\n".join(lines) + "\n"

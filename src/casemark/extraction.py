@@ -19,11 +19,11 @@ import dataclasses
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .corpus import BOUNDARY, Alignment, ParallelCorpus, atomic_open, corpus_fingerprint
+from .corpus import BOUNDARY, Alignment, ParallelCorpus, atomic_open
 from .errors import ConfigurationError, ParseError, UndefinedOddsError
 from .projection import NpAnnotation, alignments_by_pair, build_inside_outside, partition_word_types
 from .stats import ExactTest
@@ -47,7 +47,6 @@ class PipelineConfig:
     positions: frozenset[str] = frozenset({"final"})
     use_p_filter: bool = True
     use_ratio_filter: bool = True
-    max_gram_length: Optional[int] = None
     languages: Optional[tuple[str, ...]] = None
     exclude_languages: tuple[str, ...] = ()
 
@@ -58,8 +57,6 @@ class PipelineConfig:
             raise ConfigurationError(f"phi must lie in (0, 1), got {self.phi}")
         if self.chi < 0.0:
             raise ConfigurationError(f"chi must be >= 0, got {self.chi}")
-        if self.max_gram_length is not None and self.max_gram_length < 1:
-            raise ConfigurationError("max_gram_length must be >= 1 when set")
         if not self.positions or not self.positions <= POSITIONS:
             raise ConfigurationError(f"positions must be a non-empty subset of {sorted(POSITIONS)}")
 
@@ -101,7 +98,6 @@ class CandidateMarker:
 class MarkerSet:
     language: str
     markers: frozenset[CandidateMarker]
-    provenance: Mapping[str, object] = field(default_factory=dict)
     _grams: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -119,44 +115,30 @@ class ExactTestResult(NamedTuple):
     odds_ratio: Optional[float]
 
 
-class LanguageCounts(NamedTuple):
-    """One language's gram -> (inside, outside) type-containment counts for
-    the grams whose inside count reaches `theta`, and the sizes of the
-    NP-relevant / NP-irrelevant type sets behind them."""
-
-    language: str
-    grams: dict[str, tuple[int, int]]
-    np_relevant_types: int
-    np_irrelevant_types: int
-    theta: int
-
-
-@lru_cache(maxsize=None)  # one immutable entry per word length and max_len seen
-def _gram_slices(length: int, max_len: Optional[int]) -> tuple[slice, ...]:
-    """The slices of a boundary-wrapped word of `length` characters that are
-    at most `max_len` long and hold a character other than the two boundaries."""
-    span = length if max_len is None else max_len
+@lru_cache(maxsize=None)  # one immutable entry per word length seen
+def _gram_slices(length: int) -> tuple[slice, ...]:
+    """The slices of a boundary-wrapped word of `length` characters that hold
+    a character other than the two boundaries."""
     return tuple(
         slice(start, end)
         for start in range(length)
-        for end in range(start + 1, min(length, start + span) + 1)
+        for end in range(start + 1, length + 1)
         if max(start, 1) < min(end, length - 1)
     )
 
 
-def candidates_of_word(word: str, max_len: Optional[int] = None) -> set[str]:
+def candidates_of_word(word: str) -> set[str]:
     """All substrings of `$word$` containing at least one non-boundary
     character; duplicates within the word collapse. The word itself holds no
     boundary character (the corpus loader rejects it), so only `$` and, for
     the empty word, `$$` consist of boundaries alone."""
     wrapped = BOUNDARY + word + BOUNDARY
-    return set(map(wrapped.__getitem__, _gram_slices(len(wrapped), max_len)))
+    return set(map(wrapped.__getitem__, _gram_slices(len(wrapped))))
 
 
 def build_candidate_counts(
     np_relevant: Iterable[str],
     np_irrelevant: Iterable[str],
-    max_len: Optional[int] = None,
     theta: int = 1,
 ) -> dict[str, tuple[int, int]]:
     """Map each gram drawn from NP-relevant words that at least `theta` of
@@ -167,12 +149,10 @@ def build_candidate_counts(
     only in NP-irrelevant words are not in the domain, and the outside side
     is counted for the kept grams only.
     """
-    inside = Counter(chain.from_iterable(map(candidates_of_word, np_relevant, repeat(max_len))))
+    inside = Counter(chain.from_iterable(map(candidates_of_word, np_relevant)))
     if theta > 1:  # at theta=1 every gram stays, and a copy would only cost memory
         inside = {gram: count for gram, count in inside.items() if count >= theta}
-    outside = Counter(
-        filter(inside.__contains__, chain.from_iterable(map(candidates_of_word, np_irrelevant, repeat(max_len))))
-    )
+    outside = Counter(filter(inside.__contains__, chain.from_iterable(map(candidates_of_word, np_irrelevant))))
     return {gram: (count, outside[gram]) for gram, count in inside.items()}
 
 
@@ -247,22 +227,12 @@ def extract_markers_for_language(
             use_ratio_filter=config.use_ratio_filter,
         )
     else:
-        tested = {gram: None for gram in surviving}
-    final = {gram for gram in tested if _position(gram) in config.positions}
-    markers = []
-    for gram in sorted(final):
-        result = tested[gram]
-        inside_c, outside_c = counts[gram]
-        markers.append(
-            CandidateMarker(
-                gram=gram,
-                inside_count=inside_c,
-                outside_count=outside_c,
-                p_value=result.p_value if result else None,
-                odds_ratio=result.odds_ratio if result else None,
-            )
-        )
-    return markers
+        tested = dict.fromkeys(surviving, (None, None))
+    return [
+        CandidateMarker(gram, *counts[gram], *tested[gram])
+        for gram in sorted(tested)
+        if _position(gram) in config.positions
+    ]
 
 
 def count_grams(
@@ -270,56 +240,24 @@ def count_grams(
     annotations: Sequence[NpAnnotation],
     alignments: Sequence[Alignment],
     config: PipelineConfig,
-) -> tuple[str, Iterator[LanguageCounts]]:
-    """Steps 1-3 of the pipeline: the corpus fingerprint and, for every
-    language the config wants, the counts of the grams that reach
-    `config.theta`; no grams below it are kept, so the counts serve any
-    config with at least that threshold. The inputs are checked and the
-    fingerprint taken at once; each language is projected and counted only
-    when the returned iterator reaches it, so a caller that finishes one
-    language before the next holds one language's counts.
+) -> Iterator[tuple[str, dict[str, tuple[int, int]]]]:
+    """Steps 1-3 of the pipeline: `(language, grams)` for every language the
+    config wants, in sorted order, where `grams` maps each gram reaching
+    `config.theta` to its (inside, outside) type-containment counts; no grams
+    below it are kept, so the counts serve any config with at least that
+    threshold. The inputs are checked at once; each language is projected
+    and counted only when the returned iterator reaches it, so a caller that
+    finishes one language before the next holds one language's counts.
     """
     alignments_by_pair(corpus, annotations, alignments)
     languages = [lang for lang in corpus.languages() if config.wants_language(lang)]
 
-    def per_language() -> Iterator[LanguageCounts]:
+    def per_language() -> Iterator[tuple[str, dict[str, tuple[int, int]]]]:
         for language in languages:
-            counts = build_inside_outside(corpus, annotations, alignments, language)
-            partition = partition_word_types(counts)
-            yield LanguageCounts(
-                language=language,
-                grams=build_candidate_counts(
-                    partition.np_relevant, partition.np_irrelevant, config.max_gram_length, config.theta
-                ),
-                np_relevant_types=len(partition.np_relevant),
-                np_irrelevant_types=len(partition.np_irrelevant),
-                theta=config.theta,
-            )
+            partition = partition_word_types(build_inside_outside(corpus, annotations, alignments, language))
+            yield language, build_candidate_counts(partition.np_relevant, partition.np_irrelevant, config.theta)
 
-    return corpus_fingerprint(corpus), per_language()
-
-
-def select_markers(
-    fingerprint: str,
-    counts: Iterable[LanguageCounts],
-    config: PipelineConfig,
-) -> dict[str, MarkerSet]:
-    """Each language's marker set under one config, from `count_grams`
-    output counted with the same max_gram_length and at most its theta."""
-    marker_sets = {}
-    for language_counts in counts:
-        if config.theta < language_counts.theta:
-            raise ConfigurationError(f"theta={config.theta} is below the counted theta={language_counts.theta}")
-        provenance = {
-            "config": dataclasses.asdict(config),
-            "corpus_fingerprint": fingerprint,
-            "np_relevant_types": language_counts.np_relevant_types,
-            "np_irrelevant_types": language_counts.np_irrelevant_types,
-        }
-        markers = extract_markers_for_language(language_counts.grams, config)
-        language = language_counts.language
-        marker_sets[language] = MarkerSet(language=language, markers=frozenset(markers), provenance=provenance)
-    return marker_sets
+    return per_language()
 
 
 def run_pipeline(
@@ -330,7 +268,10 @@ def run_pipeline(
 ) -> dict[str, MarkerSet]:
     """Full extraction: projection, partition, candidates, filters, per
     language. Languages may be restricted through the config."""
-    return select_markers(*count_grams(corpus, annotations, alignments, config), config)
+    return {
+        language: MarkerSet(language, frozenset(extract_markers_for_language(grams, config)))
+        for language, grams in count_grams(corpus, annotations, alignments, config)
+    }
 
 
 def _format_stat(value: Optional[float]) -> str:
@@ -353,10 +294,8 @@ def write_marker_file(marker_set: MarkerSet, path) -> None:
             )
 
 
-def read_marker_file(path, language: Optional[str] = None) -> MarkerSet:
-    """Inverse of write_marker_file; the language defaults to the file stem."""
-    if language is None:
-        language = Path(path).name.split(".", 1)[0]
+def read_marker_file(path) -> MarkerSet:
+    """Inverse of write_marker_file; the language is the file stem."""
     markers = []
     with open(path, encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, 1):
@@ -383,4 +322,4 @@ def read_marker_file(path, language: Optional[str] = None) -> MarkerSet:
                     odds_ratio=ratio,
                 )
             )
-    return MarkerSet(language=language, markers=frozenset(markers))
+    return MarkerSet(language=Path(path).stem, markers=frozenset(markers))

@@ -181,15 +181,18 @@ class TestGrouping:
 class TestCooccurrenceMatrix:
     def test_single_np_rows(self):
         corpus, pnps, _markers = world()
-        matrix = build_cooccurrence_matrix([pnps[1]], corpus, languages=["latin"])
-        assert matrix.rows == ("latin:bonis", "latin:operibus")
+        matrix = build_cooccurrence_matrix([pnps[1]], corpus)
+        assert matrix.rows == (
+            "english:deeds", "english:good", "latin:bonis", "latin:operibus", "russian:делами", "russian:добрыми"
+        )
         assert len(matrix.cols) == 1
         assert set(matrix.cells.values()) == {1}
 
     def test_absent_word_has_no_row(self):
         corpus, pnps, _markers = world()
-        matrix = build_cooccurrence_matrix([pnps[0]], corpus, languages=["latin", "russian"])
-        assert "latin:patribus" not in matrix.rows
+        matrix = build_cooccurrence_matrix([pnps[0]], corpus)
+        assert "latin:domibus" in matrix.rows
+        assert "latin:patribus" not in matrix.rows and "english:parents" not in matrix.rows
 
     def test_row_sums_match_brute_force(self):
         corpus, pnps, _markers = world()
@@ -216,7 +219,7 @@ class TestCooccurrenceMatrix:
         versions = dict(corpus.versions)
         versions[VersionId("english", "e2")] = corpus.versions[ENG]
         corpus2 = ParallelCorpus(versions=versions, shared_verses=corpus.shared_verses)
-        matrix = build_cooccurrence_matrix([pnps[0], other_edition], corpus2, languages=["latin"])
+        matrix = build_cooccurrence_matrix([pnps[0], other_edition], corpus2)
         assert len(matrix.cols) == 2
 
     def test_export_is_deterministic(self, tmp_path):
@@ -238,7 +241,7 @@ class TestCooccurrenceMatrix:
 
     def test_triplet_lines(self, tmp_path):
         corpus, pnps, _markers = world()
-        matrix = build_cooccurrence_matrix(pnps, corpus, languages=["latin"])
+        matrix = build_cooccurrence_matrix(pnps, corpus)
         export_matrix(matrix, tmp_path)
         lines = (tmp_path / "matrix.tsv").read_text().splitlines()
         assert len(lines) == len(matrix.cells)
@@ -267,7 +270,7 @@ LEXICON = ("domibus", "operibus", "bonis", "rex", "regis", "дворцах", "д
 SUFFIXES = ("ibus$", "bus$", "is$", "s$", "$rex$", "x$", "ах$", "ами$", "ам$", "é$", "")
 
 
-def sorted_projection_groups(parallel_nps, corpus, marker_sets, languages, head):
+def sorted_projection_groups(parallel_nps, corpus, marker_sets, languages):
     """The grouping as first written: per NP and language, the first
     projection in sorted version order, its head word matched marker by marker."""
     buckets = defaultdict(list)
@@ -278,7 +281,7 @@ def sorted_projection_groups(parallel_nps, corpus, marker_sets, languages, head)
             for version in sorted(pnp.projections):
                 if version.language == language:
                     indices = pnp.projections[version]
-                    word = corpus.verse(version, pnp.verse)[indices[0] if head == "first" else indices[-1]]
+                    word = corpus.verse(version, pnp.verse)[indices[-1]]
                     marker = longest_endswith(word, marker_sets[language].grams())
                     break
             key.append((language, marker))
@@ -318,12 +321,11 @@ class TestGroupingMatchesSortedProjections:
     @given(
         world=two_edition_worlds(),
         languages=st.sets(st.sampled_from(["latin", "russian"]), min_size=1),
-        head=st.sampled_from(["last", "first"]),
     )
-    def test_same_groups_as_the_reference(self, world, languages, head):
+    def test_same_groups_as_the_reference(self, world, languages):
         corpus, pnps, markers = world
-        groups = group_by_marker_combination(pnps, corpus, markers, sorted(languages), head=head)
-        assert {g.key: g.members for g in groups} == sorted_projection_groups(pnps, corpus, markers, languages, head)
+        groups = group_by_marker_combination(pnps, corpus, markers, sorted(languages))
+        assert {g.key: g.members for g in groups} == sorted_projection_groups(pnps, corpus, markers, languages)
         sizes = [len(g.members) for g in groups]
         assert sizes == sorted(sizes, reverse=True)
 

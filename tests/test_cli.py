@@ -306,6 +306,33 @@ class TestConfigShapes:
         assert "must be of type" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, lines",
+        [
+            ("silver", ["verse_files: [5]"]),
+            ("extract", ["alignment_files: [a.txt, 5]"]),
+            ("project", ["annotation_files: [[a.txt]]"]),
+            ("silver", ["paradigm_files: {lingua: 5}"]),
+            ("silver", ["paradigm_files: {lingua: null}"]),
+            ("extract", ["pipeline: {languages: [5]}"]),
+            ("extract", ["pipeline: {exclude_languages: [lingua, {a: 1}]}"]),
+            ("analyze", ["analysis: {languages: [5]}"]),
+        ],
+    )
+    def test_non_string_elements_exit_2_without_traceback(self, tmp_path, capsys, command, lines):
+        config = write_lines(tmp_path / "c.yaml", lines)
+        assert main([command, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "must hold str values" in err
+        assert "Traceback" not in err
+
+    def test_max_gram_length_is_no_longer_accepted(self, tmp_path, capsys):
+        config = write_lines(tmp_path / "c.yaml", ["pipeline: {max_gram_length: 3}"])
+        assert main(["extract", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "bad pipeline config" in err and "max_gram_length" in err
+        assert "Traceback" not in err
+
 
 class TestMarkerFileBytes:
     """The marker files of the synthetic fixture, pinned by SHA-256. They

@@ -151,9 +151,9 @@ class TestRunAblation:
         counted_at = []
         original = extraction.build_candidate_counts
 
-        def recording(relevant, irrelevant, max_len=None, theta=1):
+        def recording(relevant, irrelevant, theta=1):
             counted_at.append(theta)
-            return original(relevant, irrelevant, max_len, theta)
+            return original(relevant, irrelevant, theta)
 
         monkeypatch.setattr(extraction, "build_candidate_counts", recording)
         rows = run_ablation(synth.corpus, synth.annotations, synth.alignments, config, gold, variants)
@@ -162,13 +162,13 @@ class TestRunAblation:
         assert counted_at == [1 if with_no_theta else config.theta] * len(gold)
 
         full = dataclasses.replace(config, theta=1, languages=tuple(sorted(gold)))
-        counts = list(extraction.count_grams(synth.corpus, synth.annotations, synth.alignments, full)[1])
+        counts = list(extraction.count_grams(synth.corpus, synth.annotations, synth.alignments, full))
         expected = []
         for variant in variants:
             per_language = []
-            for language_counts in counts:
-                markers = extraction.extract_markers_for_language(language_counts.grams, config.with_variant(variant))
-                per_language.append(score({m.gram for m in markers}, gold[language_counts.language]))
+            for language, grams in counts:
+                markers = extraction.extract_markers_for_language(grams, config.with_variant(variant))
+                per_language.append(score({m.gram for m in markers}, gold[language]))
             expected.append(AblationRow(variant, macro_average(per_language)))
         assert rows == expected
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -14,11 +13,11 @@ from casemark.extraction import (
     build_candidate_counts,
     candidates_of_word,
     count_grams,
+    extract_markers_for_language,
     frequency_filter,
     inside_outside_filter,
     read_marker_file,
     run_pipeline,
-    select_markers,
     suffix_restrict,
     write_marker_file,
 )
@@ -28,26 +27,26 @@ words = st.text(alphabet="ab", min_size=1, max_size=6)
 word_sets = st.sets(words, min_size=1, max_size=12)
 
 
-def brute_force_candidates(word, max_len=None):
+def brute_force_candidates(word):
     wrapped = f"${word}$"
     out = set()
     for i in range(len(wrapped)):
         for j in range(i + 1, len(wrapped) + 1):
             gram = wrapped[i:j]
-            if set(gram) != {"$"} and (max_len is None or len(gram) <= max_len):
+            if set(gram) != {"$"}:
                 out.add(gram)
     return out
 
 
-def plain_gram_counts(relevant, irrelevant, max_len, theta):
+def plain_gram_counts(relevant, irrelevant, theta):
     """Reference: each gram of the relevant words, with the number of
     relevant / irrelevant types containing it, kept when the first reaches theta."""
     expected = {}
     for word in relevant:
-        for gram in brute_force_candidates(word, max_len):
-            inside = sum(gram in brute_force_candidates(w, max_len) for w in relevant)
+        for gram in brute_force_candidates(word):
+            inside = sum(gram in brute_force_candidates(w) for w in relevant)
             if inside >= theta:
-                expected[gram] = (inside, sum(gram in brute_force_candidates(w, max_len) for w in irrelevant))
+                expected[gram] = (inside, sum(gram in brute_force_candidates(w) for w in irrelevant))
     return expected
 
 
@@ -87,17 +86,15 @@ class TestCandidatesOfWord:
         assert candidates_of_word(word) == brute_force_candidates(word)
 
     def test_max_length_cap(self):
-        grams = candidates_of_word("ovibus", max_len=3)
+        # Grams are not capped short of the whole wrapped word.
+        grams = candidates_of_word("ovibus")
         assert "ibu" in grams and "us$" in grams
-        assert all(len(g) <= 3 for g in grams)
+        assert max(map(len, grams)) == len("$ovibus$")
 
     @settings(max_examples=300)
-    @given(st.text(alphabet="abéдü", max_size=7), st.none() | st.integers(1, 9))
-    def test_matches_definition_with_and_without_max_len(self, word, max_len):
-        expected = {
-            gram for gram in brute_force_candidates(word) if max_len is None or len(gram) <= max_len
-        }
-        assert candidates_of_word(word, max_len) == expected
+    @given(st.text(alphabet="abéдü", max_size=7))
+    def test_matches_definition_on_non_ascii_words(self, word):
+        assert candidates_of_word(word) == brute_force_candidates(word)
 
 
 class TestCandidateCounts:
@@ -115,27 +112,26 @@ class TestCandidateCounts:
         assert counts["a"] == (1, 0)
 
     @settings(max_examples=150)
-    @given(word_sets, st.sets(words, max_size=12), st.none() | st.integers(1, 4))
-    def test_matches_per_gram_loop(self, relevant, irrelevant, max_len):
+    @given(word_sets, st.sets(words, max_size=12))
+    def test_matches_per_gram_loop(self, relevant, irrelevant):
         expected = {}
         for word in relevant:
-            for gram in candidates_of_word(word, max_len):
-                inside = sum(gram in candidates_of_word(w, max_len) for w in relevant)
-                outside = sum(gram in candidates_of_word(w, max_len) for w in irrelevant)
+            for gram in candidates_of_word(word):
+                inside = sum(gram in candidates_of_word(w) for w in relevant)
+                outside = sum(gram in candidates_of_word(w) for w in irrelevant)
                 expected[gram] = (inside, outside)
-        assert build_candidate_counts(relevant, irrelevant, max_len) == expected
+        assert build_candidate_counts(relevant, irrelevant) == expected
 
     # Non-ASCII letters and the empty word (whose only grams hold no letter at all).
     @settings(max_examples=200, deadline=None)
     @given(
         st.sets(st.text(alphabet="aéжb", max_size=6), max_size=10),
         st.sets(st.text(alphabet="aéжb", max_size=6), max_size=10),
-        st.none() | st.integers(1, 9),
         st.integers(1, 5),
     )
-    def test_theta_floor_matches_plain_counts(self, relevant, irrelevant, max_len, theta):
-        expected = plain_gram_counts(relevant, irrelevant, max_len, theta)
-        assert build_candidate_counts(relevant, irrelevant, max_len, theta) == expected
+    def test_theta_floor_matches_plain_counts(self, relevant, irrelevant, theta):
+        expected = plain_gram_counts(relevant, irrelevant, theta)
+        assert build_candidate_counts(relevant, irrelevant, theta) == expected
 
     def test_theta_floor_keeps_whole_counts_of_the_kept_grams(self):
         counts = build_candidate_counts({"ab", "cb"}, {"db", "a"}, theta=2)
@@ -222,9 +218,8 @@ class TestInsideOutsideFilterMatchesPlainLoop:
     def lingua(self, synth):
         # Counted at theta=1: the tests below select at theta 1 and at the fixture's.
         config = PipelineConfig(theta=1, languages=("lingua",))
-        _fingerprint, counts = count_grams(synth.corpus, synth.annotations, synth.alignments, config)
-        (language_counts,) = counts
-        return language_counts.grams
+        ((_language, grams),) = count_grams(synth.corpus, synth.annotations, synth.alignments, config)
+        return grams
 
     @pytest.mark.parametrize("use_ratio_filter", [True, False])
     @pytest.mark.parametrize("use_p_filter", [True, False])
@@ -338,13 +333,6 @@ class TestRunPipeline:
         grams = result["lingua"].grams()
         assert any(not g.endswith("$") for g in grams)
 
-    def test_provenance_recorded(self, synth):
-        config = PipelineConfig(theta=synth.fixture.theta, languages=("lingua",))
-        result = run_pipeline(synth.corpus, synth.annotations, synth.alignments, config)
-        provenance = result["lingua"].provenance
-        assert provenance["config"]["theta"] == synth.fixture.theta
-        assert len(provenance["corpus_fingerprint"]) == 64
-
 
 class TestThetaFloor:
     """count_grams keeps only the grams reaching the config's theta, so its
@@ -353,27 +341,19 @@ class TestThetaFloor:
     @staticmethod
     def lingua_counts(synth, theta):
         config = PipelineConfig(theta=theta, languages=("lingua",))
-        (counts,) = count_grams(synth.corpus, synth.annotations, synth.alignments, config)[1]
-        return counts
+        ((language, grams),) = count_grams(synth.corpus, synth.annotations, synth.alignments, config)
+        assert language == "lingua"
+        return grams
 
     def test_counts_are_the_theta_reaching_part_of_full_counts(self, synth):
         theta = synth.fixture.theta
         full, floor = self.lingua_counts(synth, 1), self.lingua_counts(synth, theta)
-        assert (full.theta, floor.theta) == (1, theta)
-        assert floor.grams == {gram: pair for gram, pair in full.grams.items() if pair[0] >= theta}
-        assert len(floor.grams) < len(full.grams)
-        assert floor._replace(grams=None, theta=1) == full._replace(grams=None)
-
-    def test_select_markers_rejects_a_theta_below_the_counted_one(self, synth):
-        config = PipelineConfig(theta=synth.fixture.theta, languages=("lingua",))
-        fingerprint, counts = count_grams(synth.corpus, synth.annotations, synth.alignments, config)
-        counts = list(counts)
-        with pytest.raises(ConfigurationError, match="theta"):
-            select_markers(fingerprint, counts, config.with_variant("no_theta"))
-        higher = dataclasses.replace(config, theta=config.theta + 1)
-        assert select_markers(fingerprint, counts, higher) == run_pipeline(
-            synth.corpus, synth.annotations, synth.alignments, higher
-        )
+        assert floor == {gram: pair for gram, pair in full.items() if pair[0] >= theta}
+        assert len(floor) < len(full)
+        # The floor's counts select the same markers as a run at a higher theta.
+        higher = PipelineConfig(theta=theta + 1, languages=("lingua",))
+        expected = run_pipeline(synth.corpus, synth.annotations, synth.alignments, higher)["lingua"].markers
+        assert set(extract_markers_for_language(floor, higher)) == expected
 
 
 class TestMarkerFileRoundTrip:

@@ -1,0 +1,61 @@
+"""Guards for deletions: no module keeps an import it no longer uses, and
+every function the benchmark tracer wraps still exists.
+
+Both checks read source files with `ast` only; the tracer is not imported.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "casemark"
+TRACER = ROOT / "perfbench" / "tracer.py"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by the module's imports that no expression reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in imported if name not in used)
+
+
+def wrapped_functions() -> list[tuple[str, str]]:
+    """The (module, function) pairs of the tracer's WRAPPED tuple."""
+    for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "WRAPPED" for t in node.targets):
+            return [(module, function) for module, function, _how in ast.literal_eval(node.value)]
+    raise AssertionError(f"no WRAPPED assignment in {TRACER}")
+
+
+class TestUnusedImports:
+    @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+    def test_every_import_is_used(self, path):
+        assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+    def test_detects_an_unused_import(self):
+        source = "from typing import Optional, Sequence\nimport os.path\nx: Sequence[int] = ()\n"
+        assert unused_imports(source) == ["Optional", "os"]
+
+    def test_attribute_access_counts_as_a_use(self):
+        assert unused_imports("import os.path\nos.path.join('a')\n") == []
+
+
+class TestTracerTargets:
+    def test_wrapped_tuple_is_read(self):
+        assert ("extraction", "run_pipeline") in wrapped_functions()
+
+    @pytest.mark.parametrize("module, function", wrapped_functions())
+    def test_every_wrapped_function_exists(self, module, function):
+        assert callable(getattr(importlib.import_module(f"casemark.{module}"), function, None))
