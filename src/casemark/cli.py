@@ -1,9 +1,9 @@
 """Command-line front end.
 
-A YAML run configuration names the inputs; flags override individual keys.
-Subcommands: extract, silver, eval, ablate, analyze, project. All outputs are
-deterministic: re-running with identical config and inputs reproduces every
-file byte for byte.
+A YAML run configuration names the inputs; the flags a subcommand reads
+override individual keys. Subcommands: extract, silver, eval, ablate, analyze,
+project. All outputs are deterministic: re-running with identical config and
+inputs reproduces every file byte for byte.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Optional
 import yaml
 
 from . import analysis, evaluation, extraction, projection, silver
-from .corpus import atomic_open, corpus_fingerprint, load_alignment, load_corpus, load_np_annotation
+from .corpus import atomic_open, corpus_fingerprint, load_alignment, load_corpus, load_np_annotation, open_input
 from .errors import CasemarkError, ConfigurationError
 from .extraction import ABLATION_VARIANTS, POSITIONS, PipelineConfig
 
@@ -36,16 +36,12 @@ class RunConfig:
     verse_allowlist: Optional[frozenset[str]] = None
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     output_dir: Path = Path("out")
+    # None stands for <output_dir>/markers and <output_dir>/silver, resolved
+    # once the flags are applied (`--out` moves them).
     markers_dir: Optional[Path] = None
     silver_dir: Optional[Path] = None
     analysis_languages: Optional[list[str]] = None
     samples_per_group: int = DEFAULT_SAMPLES_PER_GROUP
-
-    def resolved_markers_dir(self) -> Path:
-        return self.markers_dir if self.markers_dir else self.output_dir / "markers"
-
-    def resolved_silver_dir(self) -> Path:
-        return self.silver_dir if self.silver_dir else self.output_dir / "silver"
 
 
 def _expand_paths(entries, base: Path) -> list[Path]:
@@ -99,8 +95,11 @@ def load_run_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"config file {path} does not exist")
-    with open(path, encoding="utf-8") as handle:
-        raw = yaml.safe_load(handle) or {}
+    with open_input(path) as handle:
+        try:
+            raw = yaml.safe_load(handle) or {}
+        except yaml.YAMLError as exc:
+            raise ConfigurationError(f"config file {path} is not valid YAML: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigurationError(f"config file {path} must hold a mapping at top level")
     base = path.parent
@@ -123,7 +122,7 @@ def load_run_config(path) -> RunConfig:
     if raw.get("verse_allowlist_file"):
         allow_path = base / raw["verse_allowlist_file"]
         _require_existing([allow_path], "verse allowlist file")
-        with open(allow_path, encoding="utf-8") as handle:
+        with open_input(allow_path) as handle:
             from_file = frozenset(line.strip() for line in handle if line.strip())
         allowlist = from_file if allowlist is None else allowlist | from_file
 
@@ -165,26 +164,18 @@ def load_run_config(path) -> RunConfig:
     )
 
 
-def _apply_overrides(config: RunConfig, args) -> RunConfig:
-    pipeline = config.pipeline
-    updates = {}
-    if args.theta is not None:
-        updates["theta"] = args.theta
-    if args.phi is not None:
-        updates["phi"] = args.phi
-    if args.chi is not None:
-        updates["chi"] = args.chi
-    if args.suffix_only is not None:
-        updates["positions"] = _positions(args.suffix_only)
-    if args.languages is not None:
-        updates["languages"] = tuple(lang for lang in args.languages.split(",") if lang)
-    if updates:
-        pipeline = dataclasses.replace(pipeline, **updates)
-    if getattr(args, "ablate", None):
-        pipeline = pipeline.with_variant(args.ablate)
-    config.pipeline = pipeline
-    if args.out is not None:
-        config.output_dir = Path(args.out)
+def _apply_overrides(config: RunConfig, flags: dict) -> RunConfig:
+    """Apply the parsed flags (argparse dests to values; consumed) to
+    `config`, then resolve the marker and silver directories."""
+    config.output_dir = Path(flags.pop("out", config.output_dir))
+    variant = flags.pop("ablate", "baseline")
+    if "suffix_only" in flags:
+        flags["positions"] = _positions(flags.pop("suffix_only"))
+    if "languages" in flags:
+        flags["languages"] = tuple(lang for lang in flags["languages"].split(",") if lang)
+    config.pipeline = dataclasses.replace(config.pipeline, **flags).with_variant(variant)
+    config.markers_dir = config.markers_dir or config.output_dir / "markers"
+    config.silver_dir = config.silver_dir or config.output_dir / "silver"
     return config
 
 
@@ -226,12 +217,11 @@ def _write_manifest(config: RunConfig, corpus, languages) -> None:
 def cmd_extract(config: RunConfig) -> int:
     corpus, annotations, alignments = _load_corpus_inputs(config)
     marker_sets = extraction.run_pipeline(corpus, annotations, alignments, config.pipeline)
-    markers_dir = config.resolved_markers_dir()
-    markers_dir.mkdir(parents=True, exist_ok=True)
+    config.markers_dir.mkdir(parents=True, exist_ok=True)
     failures = []
     for language in sorted(marker_sets):
         try:
-            extraction.write_marker_file(marker_sets[language], markers_dir / f"{language}.tsv")
+            extraction.write_marker_file(marker_sets[language], config.markers_dir / f"{language}.tsv")
         except OSError as exc:
             failures.append(f"{language}: {exc}")
     _write_manifest(config, corpus, marker_sets)
@@ -241,7 +231,6 @@ def cmd_extract(config: RunConfig) -> int:
 
 
 def cmd_silver(config: RunConfig) -> int:
-    silver_dir = config.resolved_silver_dir()
     languages = {
         lang: path
         for lang, path in sorted(config.paradigm_files.items())
@@ -251,7 +240,7 @@ def cmd_silver(config: RunConfig) -> int:
         print("silver: no paradigm files configured, nothing to build", file=sys.stderr)
         return 0
     _require_existing(languages.values(), "paradigm files")
-    silver_dir.mkdir(parents=True, exist_ok=True)
+    config.silver_dir.mkdir(parents=True, exist_ok=True)
     failures = []
     diagnostics = []
     for language, path in languages.items():
@@ -260,9 +249,9 @@ def cmd_silver(config: RunConfig) -> int:
         except CasemarkError as exc:
             failures.append(f"{language}: {exc}")
             continue
-        silver.write_silver_file(standard, silver_dir / f"{language}.txt")
+        silver.write_silver_file(standard, config.silver_dir / f"{language}.txt")
         diagnostics.append((language, standard.diagnostics))
-    with atomic_open(silver_dir / "diagnostics.tsv") as handle:
+    with atomic_open(config.silver_dir / "diagnostics.tsv") as handle:
         handle.write("language\tparadigms_used\tsuffixes_emitted\n")
         for language, diag in diagnostics:
             handle.write(f"{language}\t{diag['paradigms_used']}\t{diag['suffixes_emitted']}\n")
@@ -276,10 +265,10 @@ def _read_outputs(config: RunConfig, kind: str, wanted=None) -> dict:
     the config's directory for them, keyed by language (the file stem);
     only the languages `wanted` accepts, when it is given."""
     if kind == "markers":
-        directory, pattern, command = config.resolved_markers_dir(), "*.tsv", "extract"
+        directory, pattern, command = config.markers_dir, "*.tsv", "extract"
         reader = extraction.read_marker_file
     else:
-        directory, pattern, command = config.resolved_silver_dir(), "*.txt", "silver"
+        directory, pattern, command = config.silver_dir, "*.txt", "silver"
         reader = silver.read_silver_file
     if not directory.is_dir():
         raise ConfigurationError(f"{kind} directory {directory} does not exist (run `{command}` first?)")
@@ -353,13 +342,26 @@ def cmd_project(config: RunConfig) -> int:
     return 0
 
 
+_FLAGS = {
+    "--out": dict(help="output directory (overrides config)"),
+    "--languages": dict(help="comma-separated language allowlist"),
+    "--theta": dict(type=int, help="frequency threshold override"),
+    "--phi": dict(type=float, help="p-value threshold override"),
+    "--chi": dict(type=float, help="odds-ratio threshold override"),
+    "--suffix-only": dict(action=argparse.BooleanOptionalAction, help="keep word-final grams only, or all grams"),
+    "--ablate": dict(choices=ABLATION_VARIANTS, help="apply one ablation variant to the pipeline config"),
+}
+_SCOPE_FLAGS = ("--out", "--languages")
+_PIPELINE_FLAGS = (*_SCOPE_FLAGS, "--theta", "--phi", "--chi", "--suffix-only")
+
+# Each subcommand: its handler, its help line and the flags it reads.
 _COMMANDS = {
-    "extract": cmd_extract,
-    "silver": cmd_silver,
-    "eval": cmd_eval,
-    "ablate": cmd_ablate,
-    "analyze": cmd_analyze,
-    "project": cmd_project,
+    "extract": (cmd_extract, "run the extraction pipeline and write marker files", (*_PIPELINE_FLAGS, "--ablate")),
+    "silver": (cmd_silver, "build silver-standard suffix sets from paradigm files", _SCOPE_FLAGS),
+    "eval": (cmd_eval, "score marker files against silver standards", _SCOPE_FLAGS),
+    "ablate": (cmd_ablate, "run the ablation grid and write the variant table", _PIPELINE_FLAGS),
+    "analyze": (cmd_analyze, "group NPs by marker combination and export the cooccurrence matrix", ("--out",)),
+    "project": (cmd_project, "dump the projected parallel NP set", ("--out",)),
 }
 
 
@@ -369,40 +371,23 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Extract nominal case markers from a verse-parallel corpus.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("extract", "run the marker extraction pipeline and write marker files"),
-        ("silver", "build silver-standard suffix sets from paradigm files"),
-        ("eval", "score marker files against silver standards"),
-        ("ablate", "run the ablation grid and write the variant table"),
-        ("analyze", "group NPs by marker combination and export the cooccurrence matrix"),
-        ("project", "dump the projected parallel NP set"),
-    ]:
-        cmd = sub.add_parser(name, help=help_text)
+    for name, (_handler, help_text, flags) in _COMMANDS.items():
+        # A flag left out is absent from the parsed namespace, not None.
+        cmd = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         cmd.add_argument("--config", required=True, help="path to the YAML run configuration")
-        cmd.add_argument("--out", default=None, help="output directory (overrides config)")
-        cmd.add_argument("--languages", default=None, help="comma-separated language allowlist")
-        cmd.add_argument("--theta", type=int, default=None, help="frequency threshold override")
-        cmd.add_argument("--phi", type=float, default=None, help="p-value threshold override")
-        cmd.add_argument("--chi", type=float, default=None, help="odds-ratio threshold override")
-        cmd.add_argument("--suffix-only", dest="suffix_only", action="store_true", default=None)
-        cmd.add_argument("--no-suffix-only", dest="suffix_only", action="store_false")
-        cmd.add_argument(
-            "--ablate",
-            default=None,
-            choices=ABLATION_VARIANTS,
-            help="apply one ablation variant to the pipeline config",
-        )
+        for flag in flags:
+            cmd.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    flags = vars(_build_parser().parse_args(argv))
+    command, config_path = flags.pop("command"), flags.pop("config")
     try:
-        config = load_run_config(args.config)
-        config = _apply_overrides(config, args)
-        return _COMMANDS[args.command](config)
+        config = _apply_overrides(load_run_config(config_path), flags)
+        return _COMMANDS[command][0](config)
     except (CasemarkError, OSError) as exc:
-        print(f"casemark {args.command}: {exc}", file=sys.stderr)
+        print(f"casemark {command}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -2,7 +2,7 @@
 
 Reads per-version verse files, word-alignment files, and NP span annotation
 files, and restricts everything to the verses shared by all versions. Loaded
-structures are immutable and safe to share across workers.
+structures are immutable.
 
 File formats (UTF-8, one record per line, tab-separated):
 
@@ -116,13 +116,32 @@ class NpAnnotation:
                 if spans}
 
 
+@contextmanager
+def open_input(path):
+    """A UTF-8 text handle on the input file `path`. A byte sequence that is
+    not UTF-8 ends the block with a ParseError naming the file and the line."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            yield handle
+    except UnicodeDecodeError:
+        # The handle decodes in chunks, so the error's offset is not the
+        # file's: decode the whole file again to find the line.
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_no = data.count(b"\n", 0, exc.start) + 1
+            raise ParseError(path, line_no, f"not UTF-8 text (byte {data[exc.start]:#04x}: {exc.reason})") from None
+        raise
+
+
 def _normalize_token(token: str) -> str:
     return unicodedata.normalize("NFC", token)
 
 
 def _parse_verse_file(path) -> dict[str, Verse]:
     verses: dict[str, Verse] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open_input(path) as handle:
         for line_no, raw in enumerate(handle, 1):
             line = raw.rstrip("\n")
             if not line:
@@ -213,7 +232,7 @@ def load_alignment(path, corpus: ParallelCorpus) -> Alignment:
     from the file get no links. Indices are bounds-checked against both
     verses.
     """
-    with open(path, encoding="utf-8") as handle:
+    with open_input(path) as handle:
         lines = handle.read().splitlines()
     if not lines:
         raise ParseError(path, 1, "empty alignment file (missing header)")
@@ -279,7 +298,7 @@ def load_np_annotation(path, corpus: ParallelCorpus) -> NpAnnotation:
         raise CorpusError(f"annotation {path} references unknown version {version}")
     shared = set(corpus.shared_verses)
     spans: dict[str, tuple[NpSpan, ...]] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open_input(path) as handle:
         for line_no, raw in enumerate(handle, 1):
             line = raw.rstrip("\n")
             if not line:

@@ -23,58 +23,57 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .corpus import BOUNDARY, Alignment, ParallelCorpus, atomic_open
+from .corpus import BOUNDARY, Alignment, ParallelCorpus, atomic_open, open_input
 from .errors import ConfigurationError, ParseError, UndefinedOddsError
 from .projection import NpAnnotation, alignments_by_pair, build_inside_outside, partition_word_types
 from .stats import ExactTest
 
-ABLATION_VARIANTS = ("baseline", "no_theta", "no_phi", "no_chi", "middle", "beginning")
+# Each ablation variant of a baseline config, as the fields it replaces.
+_VARIANT_FIELDS = {
+    "baseline": {},
+    "no_theta": {"theta": 1},
+    "no_phi": {"phi": None},
+    "no_chi": {"chi": None},
+    "middle": {"positions": frozenset({"final", "internal"})},
+    "beginning": {"positions": frozenset({"final", "initial"})},
+}
+ABLATION_VARIANTS = tuple(_VARIANT_FIELDS)
 POSITIONS = frozenset({"final", "initial", "internal"})
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Thresholds and stage toggles for one extraction run.
+    """Thresholds for one extraction run.
 
-    `positions` is the set of gram positions the positional filter keeps:
-    word-final only by default; the middle/beginning ablations add
-    word-internal / word-initial grams, and all three disable the filter.
+    `phi` or `chi` set to None switches that test off. `positions` is the
+    set of gram positions the positional filter keeps: word-final only by
+    default; the middle/beginning ablations add word-internal / word-initial
+    grams, and all three disable the filter.
     """
 
     theta: int = 97
-    phi: float = 0.08
-    chi: float = 0.34
+    phi: Optional[float] = 0.08
+    chi: Optional[float] = 0.34
     positions: frozenset[str] = frozenset({"final"})
-    use_p_filter: bool = True
-    use_ratio_filter: bool = True
     languages: Optional[tuple[str, ...]] = None
     exclude_languages: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.theta < 1:
             raise ConfigurationError(f"theta must be >= 1, got {self.theta}")
-        if not 0.0 < self.phi < 1.0:
+        if self.phi is not None and not 0.0 < self.phi < 1.0:
             raise ConfigurationError(f"phi must lie in (0, 1), got {self.phi}")
-        if self.chi < 0.0:
+        if self.chi is not None and self.chi < 0.0:
             raise ConfigurationError(f"chi must be >= 0, got {self.chi}")
         if not self.positions or not self.positions <= POSITIONS:
             raise ConfigurationError(f"positions must be a non-empty subset of {sorted(POSITIONS)}")
 
     def with_variant(self, variant: str) -> "PipelineConfig":
         """Config for one ablation variant of this baseline."""
-        if variant == "baseline":
-            return self
-        if variant == "no_theta":
-            return dataclasses.replace(self, theta=1)
-        if variant == "no_phi":
-            return dataclasses.replace(self, use_p_filter=False)
-        if variant == "no_chi":
-            return dataclasses.replace(self, use_ratio_filter=False)
-        if variant == "middle":
-            return dataclasses.replace(self, positions=frozenset({"final", "internal"}))
-        if variant == "beginning":
-            return dataclasses.replace(self, positions=frozenset({"final", "initial"}))
-        raise ConfigurationError(f"unknown ablation variant {variant!r} (expected one of {ABLATION_VARIANTS})")
+        if variant not in _VARIANT_FIELDS:
+            raise ConfigurationError(f"unknown ablation variant {variant!r} (expected one of {ABLATION_VARIANTS})")
+        fields = _VARIANT_FIELDS[variant]
+        return dataclasses.replace(self, **fields) if fields else self
 
     def wants_language(self, language: str) -> bool:
         if language in self.exclude_languages:
@@ -84,8 +83,9 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class CandidateMarker:
-    """A boundary-marked gram with its type-containment counts and, when the
-    exact-test stage ran, its p-value and odds ratio."""
+    """A boundary-marked gram with its type-containment counts, p-value and
+    odds ratio; the ratio is None where it is undefined (kept only when the
+    ratio test is off), and a marker file may give either statistic as NA."""
 
     gram: str
     inside_count: int
@@ -166,15 +166,15 @@ def frequency_filter(counts: Mapping[str, tuple[int, int]], theta: int) -> set[s
 def inside_outside_filter(
     candidates: Iterable[str],
     counts: Mapping[str, tuple[int, int]],
-    phi: float,
-    chi: float,
-    use_p_filter: bool = True,
-    use_ratio_filter: bool = True,
+    phi: Optional[float],
+    chi: Optional[float],
 ) -> dict[str, ExactTestResult]:
-    """Keep candidates with p < phi and odds ratio > chi (both strict).
+    """Keep candidates with p < phi and odds ratio > chi (both strict); a
+    threshold of None keeps every candidate at that test.
 
-    Returns the survivors mapped to their test results. Candidates whose odds
-    ratio is undefined (0/0) are dropped when the ratio test is active.
+    Returns the survivors mapped to their test results; the p-value is
+    computed for every candidate the ratio test keeps. Candidates whose odds
+    ratio is undefined (0/0) are dropped unless `chi` is None.
     """
     candidate_set = sorted(set(candidates))
     inside_total = sum(counts[c][0] for c in candidate_set)
@@ -187,13 +187,13 @@ def inside_outside_filter(
         try:
             ratio = test.odds_ratio(inside_c, outside_c)
         except UndefinedOddsError:
-            if use_ratio_filter:
+            if chi is not None:
                 continue
             ratio = None
-        if use_ratio_filter and not ratio > chi:
+        if chi is not None and not ratio > chi:
             continue
         p_value = test.p_value(inside_c, outside_c)
-        if use_p_filter and not p_value < phi:
+        if phi is not None and not p_value < phi:
             continue
         kept[gram] = ExactTestResult(p_value=p_value, odds_ratio=ratio)
     return kept
@@ -217,17 +217,7 @@ def extract_markers_for_language(
     """Select one language's markers from its gram counts: the frequency
     threshold, then the exact test, then the positional filter."""
     surviving = frequency_filter(counts, config.theta)
-    if config.use_p_filter or config.use_ratio_filter:
-        tested = inside_outside_filter(
-            surviving,
-            counts,
-            config.phi,
-            config.chi,
-            use_p_filter=config.use_p_filter,
-            use_ratio_filter=config.use_ratio_filter,
-        )
-    else:
-        tested = dict.fromkeys(surviving, (None, None))
+    tested = inside_outside_filter(surviving, counts, config.phi, config.chi)
     return [
         CandidateMarker(gram, *counts[gram], *tested[gram])
         for gram in sorted(tested)
@@ -297,7 +287,7 @@ def write_marker_file(marker_set: MarkerSet, path) -> None:
 def read_marker_file(path) -> MarkerSet:
     """Inverse of write_marker_file; the language is the file stem."""
     markers = []
-    with open(path, encoding="utf-8") as handle:
+    with open_input(path) as handle:
         for line_no, raw in enumerate(handle, 1):
             line = raw.rstrip("\n")
             if not line:

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import BOUNDARY, atomic_open
+from .corpus import BOUNDARY, atomic_open, open_input
 from .errors import ParseError
 
 NOMINAL_POS = ("N", "ADJ")
@@ -37,7 +37,7 @@ def parse_paradigms(path) -> dict[str, list[ParadigmEntry]]:
     """Parse a paradigm TSV into entries grouped by lemma; blank lines are
     skipped, short lines are parse errors."""
     paradigms: dict[str, list[ParadigmEntry]] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open_input(path) as handle:
         for line_no, raw in enumerate(handle, 1):
             line = raw.rstrip("\n")
             if not line.strip():
@@ -128,5 +128,5 @@ def write_silver_file(standard: SilverStandard, path) -> None:
 
 
 def read_silver_file(path) -> frozenset[str]:
-    with open(path, encoding="utf-8") as handle:
+    with open_input(path) as handle:
         return frozenset(line.strip() for line in handle if line.strip())

@@ -42,7 +42,7 @@ def world(tmp_path):
             f'alignment_files: ["{alignment}"]',
             f'annotation_files: ["{annotation}"]',
             f'paradigm_files: {{latin: "{paradigms}"}}',
-            "pipeline: {theta: 1, use_p_filter: false, use_ratio_filter: false}",
+            "pipeline: {theta: 1, phi: null, chi: null}",
             f'output_dir: "{out}"',
         ],
     )

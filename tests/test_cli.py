@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -333,6 +334,122 @@ class TestConfigShapes:
         assert "bad pipeline config" in err and "max_gram_length" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key", ["use_p_filter", "use_ratio_filter"])
+    def test_filter_switches_are_no_longer_accepted(self, tmp_path, capsys, key):
+        # `phi: null` and `chi: null` switch the tests off instead.
+        config = write_lines(tmp_path / "c.yaml", [f"pipeline: {{{key}: false}}"])
+        assert main(["extract", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "bad pipeline config" in err and key in err
+        assert "Traceback" not in err
+
+    def test_malformed_yaml_exits_2_without_traceback(self, tmp_path, capsys):
+        config = write_lines(tmp_path / "c.yaml", ["verse_files: [a"])
+        assert main(["project", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"config file {config} is not valid YAML" in err
+        assert "Traceback" not in err
+
+
+class TestNonUtf8Input:
+    """An input file holding a byte that is not UTF-8 is a data error that
+    names the file, never a traceback: exit 2, or exit 1 for a paradigm file,
+    where `silver` reports the language and goes on with the others."""
+
+    @pytest.fixture
+    def world(self, tmp_path):
+        verse_files = tiny_corpus_files(
+            tmp_path, {"english-e1.txt": {"v1": "the houses", "v2": "good deeds"}, "latin-l1.txt": {"v1": "domibus"}},
+        )
+        (tmp_path / "markers").mkdir()
+        (tmp_path / "silver").mkdir()
+        files = {
+            "verse": verse_files[1],
+            "alignment": write_lines(tmp_path / "english-latin.tsv", ["#\tenglish-e1\tlatin-l1", "v1\t1-0"]),
+            "annotation": write_lines(tmp_path / "english-e1.np", ["v1\t0:2"]),
+            "paradigm": write_lines(tmp_path / "latin.tsv", ["dom\tdomus\tN;NOM;SG", "dom\tdomibus\tN;DAT;PL"]),
+            "allowlist": write_lines(tmp_path / "allow.txt", ["v1", "v2"]),
+            "marker": write_lines(tmp_path / "markers" / "latin.tsv", ["ibus$\t1\t0\t0.5\tinf"]),
+            "silver": write_lines(tmp_path / "silver" / "latin.txt", ["ibus$"]),
+        }
+        files["config"] = write_lines(
+            tmp_path / "run.yaml",
+            [
+                "verse_files:",
+                *[f'  - "{p}"' for p in verse_files],
+                f'alignment_files: ["{files["alignment"]}"]',
+                f'annotation_files: ["{files["annotation"]}"]',
+                f'paradigm_files: {{latin: "{files["paradigm"]}"}}',
+                f'verse_allowlist_file: "{files["allowlist"].name}"',
+                f'output_dir: "{tmp_path / "out"}"',
+                'markers_dir: "markers"',
+                'silver_dir: "silver"',
+            ],
+        )
+        for command in ("project", "eval", "silver"):
+            assert main([command, "--config", str(files["config"])]) == 0, command
+        return files
+
+    @pytest.mark.parametrize(
+        "kind, command, exit_code",
+        [
+            ("verse", "project", 2),
+            ("alignment", "project", 2),
+            ("annotation", "project", 2),
+            ("marker", "eval", 2),
+            ("silver", "eval", 2),
+            ("paradigm", "silver", 1),
+            ("allowlist", "project", 2),
+            ("config", "project", 2),
+        ],
+    )
+    def test_exits_naming_the_file(self, world, capsys, kind, command, exit_code):
+        path = world[kind]
+        path.write_bytes(b"\xff" + path.read_bytes())
+        capsys.readouterr()
+        assert main([command, "--config", str(world["config"])]) == exit_code
+        err = capsys.readouterr().err
+        assert f"{path}:1: not UTF-8 text" in err
+        assert "Traceback" not in err
+
+
+class TestFlagsPerSubcommand:
+    """Each subcommand accepts exactly the flags it reads; any other flag is
+    an argparse usage error."""
+
+    FLAGS = {
+        "--out": ["--out", "elsewhere"],
+        "--languages": ["--languages", "lingua"],
+        "--theta": ["--theta", "3"],
+        "--phi": ["--phi", "0.5"],
+        "--chi": ["--chi", "9"],
+        "--suffix-only": ["--suffix-only"],
+        "--no-suffix-only": ["--no-suffix-only"],
+        "--ablate": ["--ablate", "middle"],
+    }
+    PIPELINE = {"--out", "--languages", "--theta", "--phi", "--chi", "--suffix-only", "--no-suffix-only"}
+    ACCEPTED = {
+        "extract": PIPELINE | {"--ablate"},
+        "ablate": PIPELINE,
+        "silver": {"--out", "--languages"},
+        "eval": {"--out", "--languages"},
+        "analyze": {"--out"},
+        "project": {"--out"},
+    }
+
+    @pytest.mark.parametrize("command, flag", list(itertools.product(ACCEPTED, FLAGS)))
+    def test_only_the_flags_the_command_reads(self, tmp_path, capsys, command, flag):
+        # The config does not exist: an accepted flag gets as far as reading it.
+        argv = [command, "--config", str(tmp_path / "absent.yaml"), *self.FLAGS[flag]]
+        if flag in self.ACCEPTED[command]:
+            assert main(argv) == 2
+            assert "does not exist" in capsys.readouterr().err
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestMarkerFileBytes:
     """The marker files of the synthetic fixture, pinned by SHA-256. They
@@ -350,13 +467,45 @@ class TestMarkerFileBytes:
             "lingua.tsv": "4f81bc0366f5c4535255499f44cda83b4339dad65f494302d5b4fc53c7756cc0",
             "tercia.tsv": "21693ade67e02cd58b0067b21bea0789aed27803f4e7ea07fbc6bbce3843e604",
         },
+        ("--ablate", "no_phi"): {
+            "english.tsv": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "lingua.tsv": "3a4a8c7b48fe4237f51e54925f58977e8f6d5aff2ae87efaeec9e80dc4525c93",
+            "tercia.tsv": "572667c9aeb18aaf3e4ea56375bfc787a2e95023bd29885a0018cd647ac5df67",
+        },
+        ("--ablate", "no_chi"): {
+            "english.tsv": "257bcdf4648183a80587e602116c761cb5867b59a5efc6421ab0040235d500c6",
+            "lingua.tsv": "90b1dca8cfc16d6bef67da559c787a553d596e3ad7bc2fa0a8862853b85b06cb",
+            "tercia.tsv": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        },
+        ("--theta", "1", "--ablate", "no_phi"): {
+            "english.tsv": "57cefd840fb23c9ec33faba4e0546e84148f2d7d75f3dfad476fcb069cb09467",
+            "lingua.tsv": "4a93c468717bd71eca5012147790f3fe47ebd2abeb750157d534dff49e49cd87",
+            "tercia.tsv": "cde558bf31f7a132d7553900e7f0f50a0ab8dc860de67ef51898ad97ad1f0ac6",
+        },
+        ("--theta", "1", "--no-suffix-only", "--ablate", "no_chi"): {
+            "english.tsv": "d87ddb74123c486a7356628e4f50348a180a86163530810bf3491719e42202dc",
+            "lingua.tsv": "0f19829f574244b1059e51d6d1e2aec059256e81d7b0eedc5bc89863f68457d0",
+            "tercia.tsv": "976792bf2c0b41d14f56a914808fa858a20b5da3c850b8b98d92c2e65e9e4b95",
+        },
     }
+
+    @staticmethod
+    def digests(config, out, flags):
+        argv = ["extract", "--config", str(config), "--out", str(out), "--languages", "english,lingua,tercia", *flags]
+        assert main(argv) == 0
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted((out / "markers").glob("*.tsv"))}
 
     @pytest.mark.parametrize("flags", list(EXPECTED))
     def test_sha256_of_each_marker_file(self, workdir, tmp_path, flags):
         config, _out = workdir
-        out = tmp_path / "pinned"
-        argv = ["extract", "--config", str(config), "--out", str(out), "--languages", "english,lingua,tercia", *flags]
-        assert main(argv) == 0
-        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted((out / "markers").glob("*.tsv"))}
-        assert digests == self.EXPECTED[flags]
+        assert self.digests(config, tmp_path / "pinned", flags) == self.EXPECTED[flags]
+
+    @pytest.mark.parametrize("flags", [flags for flags in EXPECTED if "--ablate" in flags])
+    def test_null_threshold_is_the_ablation_variant(self, workdir, tmp_path, flags):
+        # `phi: null` (`chi: null`) in the YAML writes the bytes of `--ablate no_phi` (`no_chi`).
+        config, _out = workdir
+        *other_flags, _ablate, variant = flags
+        key = variant.removeprefix("no_")
+        nulled = tmp_path / "nulled.yaml"
+        nulled.write_text(config.read_text(encoding="utf-8").replace("pipeline:\n", f"pipeline:\n  {key}: null\n"))
+        assert self.digests(nulled, tmp_path / "pinned", other_flags) == self.EXPECTED[flags]

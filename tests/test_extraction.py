@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -183,15 +184,18 @@ class TestInsideOutsideFilter:
         grams = set(counts)
         baseline = inside_outside_filter(grams, counts, 0.01, 0.5)
         assert set(baseline) == {"good"}
-        no_p = inside_outside_filter(grams, counts, 0.01, 0.5, use_p_filter=False)
+        no_p = inside_outside_filter(grams, counts, None, 0.5)
         assert set(no_p) == {"good", "meh"}
-        no_r = inside_outside_filter(grams, counts, 0.01, 0.5, use_ratio_filter=False)
+        no_r = inside_outside_filter(grams, counts, 0.01, None)
         assert set(no_r) == {"good", "noise"}
+        # With the p test off, the p-value is still reported.
+        assert no_p["meh"].p_value > 0.01
 
 
-def plain_inside_outside_filter(candidates, counts, phi, chi, use_p_filter, use_ratio_filter):
+def plain_inside_outside_filter(candidates, counts, phi, chi):
     """The exact-test stage as one table-at-a-time Fisher test and odds ratio
-    per candidate, the ratio test checked after the p-value test."""
+    per candidate, the ratio test checked after the p-value test; a None
+    threshold switches its test off."""
     inside_total = sum(counts[g][0] for g in candidates)
     outside_total = sum(counts[g][1] for g in candidates)
     kept = {}
@@ -202,12 +206,12 @@ def plain_inside_outside_filter(candidates, counts, phi, chi, use_p_filter, use_
         try:
             ratio = odds_ratio(table)
         except UndefinedOddsError:
-            if use_ratio_filter:
+            if chi is not None:
                 continue
             ratio = None
-        if use_p_filter and not p_value < phi:
+        if phi is not None and not p_value < phi:
             continue
-        if use_ratio_filter and not ratio > chi:
+        if chi is not None and not ratio > chi:
             continue
         kept[gram] = (p_value, ratio)
     return kept
@@ -221,22 +225,22 @@ class TestInsideOutsideFilterMatchesPlainLoop:
         ((_language, grams),) = count_grams(synth.corpus, synth.annotations, synth.alignments, config)
         return grams
 
-    @pytest.mark.parametrize("use_ratio_filter", [True, False])
-    @pytest.mark.parametrize("use_p_filter", [True, False])
+    @pytest.mark.parametrize("chi", [0.34, None])
+    @pytest.mark.parametrize("phi", [0.08, None])
     @pytest.mark.parametrize("theta", ["fixture", 1])
-    def test_same_survivors_and_statistics(self, synth, lingua, theta, use_p_filter, use_ratio_filter):
+    def test_same_survivors_and_statistics(self, synth, lingua, theta, phi, chi):
         theta = synth.fixture.theta if theta == "fixture" else theta
         candidates = frequency_filter(lingua, theta)
-        kept = inside_outside_filter(candidates, lingua, 0.08, 0.34, use_p_filter, use_ratio_filter)
-        expected = plain_inside_outside_filter(candidates, lingua, 0.08, 0.34, use_p_filter, use_ratio_filter)
+        kept = inside_outside_filter(candidates, lingua, phi, chi)
+        expected = plain_inside_outside_filter(candidates, lingua, phi, chi)
         assert {gram: tuple(result) for gram, result in kept.items()} == expected
         assert kept
 
     def test_ratio_filter_drops_grams_the_p_value_test_keeps(self, lingua):
         # So the odds-first skip is exercised by the comparison above.
         candidates = frequency_filter(lingua, 1)
-        no_ratio = plain_inside_outside_filter(candidates, lingua, 0.08, 0.34, True, False)
-        both = plain_inside_outside_filter(candidates, lingua, 0.08, 0.34, True, True)
+        no_ratio = plain_inside_outside_filter(candidates, lingua, 0.08, None)
+        both = plain_inside_outside_filter(candidates, lingua, 0.08, 0.34)
         assert set(both) < set(no_ratio)
 
 
@@ -260,8 +264,8 @@ class TestPipelineConfig:
         config = PipelineConfig()
         assert config.with_variant("baseline") is config
         assert config.with_variant("no_theta").theta == 1
-        assert not config.with_variant("no_phi").use_p_filter
-        assert not config.with_variant("no_chi").use_ratio_filter
+        assert config.with_variant("no_phi") == dataclasses.replace(config, phi=None)
+        assert config.with_variant("no_chi") == dataclasses.replace(config, chi=None)
         assert config.with_variant("middle").positions == {"final", "internal"}
         assert config.with_variant("beginning").positions == {"final", "initial"}
         for variant in ("baseline", "no_theta", "no_phi", "no_chi"):
@@ -276,6 +280,7 @@ class TestPipelineConfig:
             PipelineConfig(phi=0.0)
         with pytest.raises(ConfigurationError):
             PipelineConfig(chi=-0.1)
+        PipelineConfig(phi=None, chi=None)  # both tests off
         with pytest.raises(ConfigurationError):
             PipelineConfig(positions=frozenset())
         with pytest.raises(ConfigurationError):
