@@ -365,24 +365,30 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="casemark",
         description="Extract nominal case markers from a verse-parallel corpus.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, (_handler, help_text, flags) in _COMMANDS.items():
         # A flag left out is absent from the parsed namespace, not None.
-        cmd = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        cmd = commands[name] = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         cmd.add_argument("--config", required=True, help="path to the YAML run configuration")
         for flag in flags:
             cmd.add_argument(flag, **_FLAGS[flag])
-    return parser
+    return parser, commands
 
 
 def main(argv=None) -> int:
-    flags = vars(_build_parser().parse_args(argv))
+    parser, commands = _build_parser()
+    parsed, unknown = parser.parse_known_args(argv)
+    flags = vars(parsed)
     command, config_path = flags.pop("command"), flags.pop("config")
+    if unknown:  # reported with the usage line of the subcommand, which lists its flags
+        commands[command].error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         config = _apply_overrides(load_run_config(config_path), flags)
         return _COMMANDS[command][0](config)

@@ -11,6 +11,15 @@ and counts each language's grams that reach the config's frequency threshold
 (no other setting affects counting), and `extract_markers_for_language`
 selects markers from those counts for any config with at least that
 threshold.
+
+Counting above a threshold of one cuts only the grams that can reach it out
+of the words. A gram that theta NP-relevant types contain has each of its
+3-character windows in theta of them, so each window occurs at least theta
+times in those words. One pass counts the windows of all the words joined;
+then each word gives its grams shorter than a window, and the longer grams
+made only of windows that reached theta. Occurrences bound containment from
+above, so no gram that reaches theta is missed, and each kept gram's
+containment counts are then taken exactly, inside and outside.
 """
 
 from __future__ import annotations
@@ -136,6 +145,41 @@ def candidates_of_word(word: str) -> set[str]:
     return set(map(wrapped.__getitem__, _gram_slices(len(wrapped))))
 
 
+# Window length of the frequency bound (see the module docstring); windows
+# of 2 or 4 characters made counting slower.
+_WINDOW = 3
+
+
+@lru_cache(maxsize=4096)  # one immutable entry per pattern; corpora show a few hundred
+def _frequent_slices(frequent_at: bytes) -> tuple[slice, ...]:
+    """The slices of `_gram_slices` of a wrapped word whose windows are all
+    frequent, where the window starting at i is frequent iff `frequent_at[i]`:
+    every slice shorter than a window, and the longer ones inside a run of
+    consecutive frequent windows."""
+    return tuple(s for s in _gram_slices(len(frequent_at) + 2) if all(frequent_at[s.start : s.stop - _WINDOW + 1]))
+
+
+def _joined(words: list[str]) -> tuple[str, list[str]]:
+    """`$w1$w2$...$`, the wrapped words sharing their boundaries, and its
+    windows in order. Each window of a wrapped word is one of these; windows
+    across two words only add occurrences, so counts stay upper bounds."""
+    text = BOUNDARY + BOUNDARY.join(words) + BOUNDARY
+    starts = range(len(text) - _WINDOW + 1)
+    return text, list(map(text.__getitem__, map(slice, starts, range(_WINDOW, len(text) + 1))))
+
+
+def _grams_within(words: list[str], joined: tuple[str, list[str]], frequent: set[str]) -> Iterator[set[str]]:
+    """Per word, the grams of `candidates_of_word(word)` whose windows are
+    all in `frequent`; `joined` is `_joined(words)`."""
+    text, windows = joined
+    is_frequent = bytes(map(frequent.__contains__, windows))
+    start = 0  # where the word's leading boundary sits in `text`
+    for word in words:
+        end = start + len(word)  # a word of n characters has n windows
+        yield set(map(text[start : end + 2].__getitem__, _frequent_slices(is_frequent[start:end])))
+        start = end + 1
+
+
 def build_candidate_counts(
     np_relevant: Iterable[str],
     np_irrelevant: Iterable[str],
@@ -147,12 +191,23 @@ def build_candidate_counts(
 
     A word type contributes at most one to each count per gram; grams seen
     only in NP-irrelevant words are not in the domain, and the outside side
-    is counted for the kept grams only.
+    is counted for the kept grams only. Above theta=1, only grams whose
+    windows all occur theta times among the NP-relevant words are cut out of
+    the words (see `_WINDOW`); the others cannot reach theta.
     """
-    inside = Counter(chain.from_iterable(map(candidates_of_word, np_relevant)))
+    if theta > 1:
+        np_relevant, np_irrelevant = list(np_relevant), list(np_irrelevant)
+        relevant = _joined(np_relevant)
+        frequent = {window for window, count in Counter(relevant[1]).items() if count >= theta}
+        inside_grams = _grams_within(np_relevant, relevant, frequent)
+        outside_grams = _grams_within(np_irrelevant, _joined(np_irrelevant), frequent)
+    else:  # every window is frequent at theta=1, and the plain cut is cheaper
+        inside_grams = map(candidates_of_word, np_relevant)
+        outside_grams = map(candidates_of_word, np_irrelevant)
+    inside = Counter(chain.from_iterable(inside_grams))
     if theta > 1:  # at theta=1 every gram stays, and a copy would only cost memory
         inside = {gram: count for gram, count in inside.items() if count >= theta}
-    outside = Counter(filter(inside.__contains__, chain.from_iterable(map(candidates_of_word, np_irrelevant))))
+    outside = Counter(filter(inside.__contains__, chain.from_iterable(outside_grams)))
     return {gram: (count, outside[gram]) for gram, count in inside.items()}
 
 

@@ -448,7 +448,10 @@ class TestFlagsPerSubcommand:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
-            assert "unrecognized arguments" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "unrecognized arguments" in err
+            # The usage line is the subcommand's own, which lists the flags it takes.
+            assert err.startswith(f"usage: casemark {command} ")
 
 
 class TestMarkerFileBytes:
@@ -509,3 +512,46 @@ class TestMarkerFileBytes:
         nulled = tmp_path / "nulled.yaml"
         nulled.write_text(config.read_text(encoding="utf-8").replace("pipeline:\n", f"pipeline:\n  {key}: null\n"))
         assert self.digests(nulled, tmp_path / "pinned", other_flags) == self.EXPECTED[flags]
+
+
+class TestMarkerFileWithUndefinedOdds:
+    """A marker file holding `NA` odds ratios, pinned by SHA-256. In the
+    target language no NP-irrelevant type shares a letter with an NP-relevant
+    one, so every candidate's table is [a, b; 0, 0]: the odds ratio is 0/0 and
+    the p-value 1, and only a run with both tests off writes such grams."""
+
+    EXPECTED = {
+        "english.tsv": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "lingua.tsv": "64ed1ef5f892a3c4f3218d3bc340e058d6ba98184c735307c8dcfacfba458e3e",
+    }
+
+    def test_sha256_of_each_marker_file(self, tmp_path):
+        verse_files = tiny_corpus_files(
+            tmp_path,
+            {
+                "english-e1.txt": {"v1": "the dog barks", "v2": "a cat sleeps", "v3": "the cow eats"},
+                "lingua-l1.txt": {"v1": "kanu bibo", "v2": "tanu obi", "v3": "sanu ibo"},
+            },
+        )
+        links = [f"{verse}\t1-0 2-1" for verse in ("v1", "v2", "v3")]
+        alignment = write_lines(tmp_path / "align.tsv", ["#\tenglish-e1\tlingua-l1", *links])
+        annotation = write_lines(tmp_path / "english-e1.np", ["v1\t0:2", "v2\t0:2", "v3\t0:2"])
+        out = tmp_path / "out"
+        config = write_lines(
+            tmp_path / "run.yaml",
+            [
+                "verse_files:",
+                *[f'  - "{p}"' for p in verse_files],
+                f'alignment_files: ["{alignment}"]',
+                f'annotation_files: ["{annotation}"]',
+                "pipeline:",
+                "  theta: 2",
+                "  phi: null",
+                f'output_dir: "{out}"',
+            ],
+        )
+        assert main(["extract", "--config", str(config), "--ablate", "no_chi"]) == 0
+        markers = sorted((out / "markers").glob("*.tsv"))
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in markers} == self.EXPECTED
+        # The pinned bytes: `anu$`, `nu$` and `u$`, each `3 0 1.0 NA`.
+        assert (out / "markers" / "lingua.tsv").read_text(encoding="utf-8").count("\t1.0\tNA\n") == 3

@@ -42,13 +42,20 @@ def brute_force_candidates(word):
 def plain_gram_counts(relevant, irrelevant, theta):
     """Reference: each gram of the relevant words, with the number of
     relevant / irrelevant types containing it, kept when the first reaches theta."""
+    relevant_grams = [brute_force_candidates(w) for w in relevant]
+    irrelevant_grams = [brute_force_candidates(w) for w in irrelevant]
     expected = {}
-    for word in relevant:
-        for gram in brute_force_candidates(word):
-            inside = sum(gram in brute_force_candidates(w) for w in relevant)
+    for grams in relevant_grams:
+        for gram in grams:
+            inside = sum(gram in other for other in relevant_grams)
             if inside >= theta:
-                expected[gram] = (inside, sum(gram in brute_force_candidates(w) for w in irrelevant))
+                expected[gram] = (inside, sum(gram in other for other in irrelevant_grams))
     return expected
+
+
+def window_occurrences(words, window):
+    """Occurrences of `window` in the boundary-wrapped words, overlaps included."""
+    return sum(f"${w}$"[i : i + len(window)] == window for w in words for i in range(len(w) + 2))
 
 
 class TestCandidatesOfWord:
@@ -137,6 +144,37 @@ class TestCandidateCounts:
     def test_theta_floor_keeps_whole_counts_of_the_kept_grams(self):
         counts = build_candidate_counts({"ab", "cb"}, {"db", "a"}, theta=2)
         assert counts == {"b": (2, 1), "b$": (2, 1)}
+
+    # The frequency bound (windows of three characters) against the plain
+    # count: a two-letter alphabet repeats windows inside a word, so a
+    # window's occurrences exceed the number of types containing it.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sets(st.text(alphabet="ab", max_size=12), max_size=30),
+        st.sets(st.text(alphabet="ab", max_size=12), max_size=30),
+        st.integers(2, 12),
+    )
+    def test_window_bound_matches_plain_counts(self, relevant, irrelevant, theta):
+        expected = plain_gram_counts(relevant, irrelevant, theta)
+        assert build_candidate_counts(relevant, irrelevant, theta) == expected
+
+    def test_window_occurring_theta_times_in_fewer_types_is_cut(self):
+        relevant, irrelevant = {"aaaa", "xyz", "xyzw"}, {"xyzv", "aaab"}
+        # `aaa` occurs twice, both times in one type: the bound keeps it and
+        # the exact count drops it. `xyz` occurs exactly twice, in two types.
+        assert window_occurrences(relevant, "aaa") == 2
+        assert window_occurrences(relevant, "xyz") == 2
+        counts = build_candidate_counts(relevant, irrelevant, theta=2)
+        assert "aaa" not in counts and "a" not in counts
+        assert counts["xyz"] == (2, 1) and counts["$xyz"] == (2, 1)
+        assert counts == plain_gram_counts(relevant, irrelevant, 2)
+
+    def test_long_gram_inside_a_run_of_frequent_windows(self):
+        relevant, irrelevant = {"xovibusa", "yovibusb", "ovibus"}, {"zovibusz"}
+        counts = build_candidate_counts(relevant, irrelevant, theta=3)
+        # The windows of `ovibus` all occur three times; those around it once.
+        assert counts["ovibus"] == (3, 1)
+        assert counts == plain_gram_counts(relevant, irrelevant, 3)
 
 
 class TestFrequencyFilter:

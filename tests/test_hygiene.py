@@ -1,18 +1,24 @@
-"""Guards for deletions: no module keeps an import it no longer uses, and
-every function the benchmark tracer wraps still exists.
+"""Guards for deletions and drift: no module keeps an import it no longer
+uses, every function the benchmark tracer wraps still exists, and the
+README's table of flags per subcommand matches the parser.
 
-Both checks read source files with `ast` only; the tracer is not imported.
+The first two checks read source files with `ast` only; the tracer is not
+imported.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
+from casemark import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "casemark"
 TRACER = ROOT / "perfbench" / "tracer.py"
+README = ROOT / "README.md"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -59,3 +65,33 @@ class TestTracerTargets:
     @pytest.mark.parametrize("module, function", wrapped_functions())
     def test_every_wrapped_function_exists(self, module, function):
         assert callable(getattr(importlib.import_module(f"casemark.{module}"), function, None))
+
+
+def readme_flag_table() -> dict[str, set[str]]:
+    """The README's "subcommand | flags" table: each subcommand named in a
+    row's first cell mapped to the backticked flags of its second cell."""
+    lines = iter(README.read_text(encoding="utf-8").splitlines())
+    for line in lines:
+        if line.startswith("| subcommand | flags"):
+            break
+    else:
+        raise AssertionError(f"no subcommand | flags table in {README}")
+    next(lines)  # the | --- | --- | rule
+    table = {}
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        commands, flags = line.strip("|").split("|")
+        for command in re.findall(r"`([^`]+)`", commands):
+            table[command] = set(re.findall(r"`(--[^`]+)`", flags))
+    return table
+
+
+class TestReadmeFlagTable:
+    def test_matches_the_parser(self):
+        expected = {}
+        for command, (_handler, _help, flags) in cli._COMMANDS.items():
+            expected[command] = set(flags)
+            if "--suffix-only" in flags:  # one BooleanOptionalAction, two spellings
+                expected[command].add("--no-suffix-only")
+        assert readme_flag_table() == expected
