@@ -276,7 +276,16 @@ def _read_outputs(config: RunConfig, kind: str, wanted=None) -> dict:
 
 
 def _load_scorable(config: RunConfig):
-    predicted = _read_outputs(config, "markers", config.pipeline.wants_language)
+    # Marker files of languages that the last extract's manifest does not list are stale.
+    manifest, extracted = config.output_dir / "manifest.json", None
+    if manifest.exists():
+        try:
+            with open_input(manifest) as handle:
+                extracted = frozenset(json.load(handle)["languages"])
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise ConfigurationError(f"manifest {manifest} lists no languages: {exc!r}") from None
+    wanted = config.pipeline.wants_language
+    predicted = _read_outputs(config, "markers", lambda lang: wanted(lang) and (extracted is None or lang in extracted))
     gold = _read_outputs(config, "silver", config.pipeline.wants_language)
     shared = sorted(set(predicted) & set(gold))
     if not shared:
@@ -315,11 +324,9 @@ def cmd_ablate(config: RunConfig) -> int:
 
 def cmd_analyze(config: RunConfig) -> int:
     corpus, annotations, alignments = _load_corpus_inputs(config)
-    marker_sets = _read_outputs(config, "markers")
+    marker_sets = _read_outputs(config, "markers", set(config.analysis_languages or corpus.languages()).__contains__)
     parallel_nps = projection.build_parallel_np_set(corpus, annotations, alignments)
-    languages = config.analysis_languages
-    if languages is None:
-        languages = sorted(set(marker_sets) & set(corpus.languages()))
+    languages = config.analysis_languages or sorted(marker_sets)
     missing = [lang for lang in languages if lang not in marker_sets]
     if missing:
         raise ConfigurationError(f"no marker files for analysis languages: {', '.join(missing)}")

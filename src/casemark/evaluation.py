@@ -11,7 +11,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import Alignment, ParallelCorpus
 from .errors import ConfigurationError
-from .extraction import ABLATION_VARIANTS, PipelineConfig, count_grams, extract_markers_for_language
+from .extraction import ABLATION_VARIANTS, PipelineConfig, count_grams, extract_markers_per_config
 from .projection import NpAnnotation
 
 
@@ -78,8 +78,8 @@ def run_ablation(
     variants: Sequence[str] = ABLATION_VARIANTS,
 ) -> list[AblationRow]:
     """Count grams once, at the lowest theta of the variants, select markers
-    per variant from those counts, and macro-average each variant against
-    the same silver standards."""
+    for all variants at once from those counts (one exact test per theta),
+    and macro-average each variant against the same silver standards."""
     scorable = sorted(gold_by_language)
     if not scorable:
         raise ConfigurationError("nothing to evaluate: no silver standards given")
@@ -90,10 +90,8 @@ def run_ablation(
     per_language: dict[str, dict[str, PRF]] = {}
     for language, grams in count_grams(corpus, annotations, alignments, wanted):
         gold = set(gold_by_language[language])
-        per_variant = per_language[language] = {}
-        for variant in variants:
-            markers = extract_markers_for_language(grams, config.with_variant(variant))
-            per_variant[variant] = score({m.gram for m in markers}, gold)
+        selected = extract_markers_per_config(grams, [config.with_variant(variant) for variant in variants])
+        per_language[language] = {v: score({m.gram for m in markers}, gold) for v, markers in zip(variants, selected)}
     for language in scorable:
         if language not in per_language:
             raise ConfigurationError(f"no extraction output for silver language {language!r}")

@@ -8,9 +8,9 @@ against all other candidates, and a restriction to word-final grams.
 
 The work splits at the config boundary: `count_grams` projects the corpus
 and counts each language's grams that reach the config's frequency threshold
-(no other setting affects counting), and `extract_markers_for_language`
-selects markers from those counts for any config with at least that
-threshold.
+(no other setting affects counting), and `extract_markers_per_config`
+selects markers from those counts for any configs with at least that
+threshold, sharing one exact test among the configs of each threshold.
 
 Counting above a threshold of one cuts only the grams that can reach it out
 of the words. A gram that theta NP-relevant types contain has each of its
@@ -218,6 +218,26 @@ def frequency_filter(counts: Mapping[str, tuple[int, int]], theta: int) -> set[s
     return {gram for gram, (inside, _outside) in counts.items() if inside >= theta}
 
 
+def _odds_ratio(test: ExactTest, counts: tuple[int, int]) -> Optional[float]:
+    """The odds ratio of a gram's `counts` under `test`; None where it is 0/0."""
+    try:
+        return test.odds_ratio(*counts)
+    except UndefinedOddsError:
+        return None
+
+
+def _exact_test_survivors(test: ExactTest, ratios: dict, counts, phi, chi) -> dict[str, ExactTestResult]:
+    """Grams of `ratios` (gram: odds ratio) with ratio > chi, then p < phi (None
+    keeps all); a gram the cheap ratio drops needs no p-value."""
+    kept: dict[str, ExactTestResult] = {}
+    for gram, ratio in ratios.items():
+        if chi is None or (ratio is not None and ratio > chi):
+            p_value = test.p_value(*counts[gram])
+            if phi is None or p_value < phi:
+                kept[gram] = ExactTestResult(p_value, ratio)
+    return kept
+
+
 def inside_outside_filter(
     candidates: Iterable[str],
     counts: Mapping[str, tuple[int, int]],
@@ -232,26 +252,9 @@ def inside_outside_filter(
     ratio is undefined (0/0) are dropped unless `chi` is None.
     """
     candidate_set = sorted(set(candidates))
-    inside_total = sum(counts[c][0] for c in candidate_set)
-    outside_total = sum(counts[c][1] for c in candidate_set)
-    test = ExactTest(inside_total, outside_total)
-    kept: dict[str, ExactTestResult] = {}
-    for gram in candidate_set:
-        inside_c, outside_c = counts[gram]
-        # The odds ratio is cheap: a gram it drops needs no exact test.
-        try:
-            ratio = test.odds_ratio(inside_c, outside_c)
-        except UndefinedOddsError:
-            if chi is not None:
-                continue
-            ratio = None
-        if chi is not None and not ratio > chi:
-            continue
-        p_value = test.p_value(inside_c, outside_c)
-        if phi is not None and not p_value < phi:
-            continue
-        kept[gram] = ExactTestResult(p_value=p_value, odds_ratio=ratio)
-    return kept
+    test = ExactTest(sum(counts[c][0] for c in candidate_set), sum(counts[c][1] for c in candidate_set))
+    ratios = {gram: _odds_ratio(test, counts[gram]) for gram in candidate_set}
+    return _exact_test_survivors(test, ratios, counts, phi, chi)
 
 
 def suffix_restrict(grams: Iterable[str]) -> set[str]:
@@ -265,19 +268,36 @@ def _position(gram: str) -> str:
     return "initial" if gram.startswith(BOUNDARY) else "internal"
 
 
+def extract_markers_per_config(
+    counts: Mapping[str, tuple[int, int]],
+    configs: Sequence[PipelineConfig],
+) -> list[list[CandidateMarker]]:
+    """`extract_markers_for_language` for each config. A gram's statistics
+    depend only on its counts and the totals of the theta survivors, so per
+    distinct theta one exact test serves every config, and odds ratios are
+    taken once, for the grams whose position some config keeps: the
+    positional filter runs before the test, not after it."""
+    selected: dict[int, list[CandidateMarker]] = {}
+    for theta in {config.theta for config in configs}:
+        survivors = frequency_filter(counts, theta)
+        test = ExactTest(sum(counts[g][0] for g in survivors), sum(counts[g][1] for g in survivors))
+        at_theta = {i: config for i, config in enumerate(configs) if config.theta == theta}
+        positions = frozenset().union(*(config.positions for config in at_theta.values()))
+        ratios = {gram: _odds_ratio(test, counts[gram]) for gram in survivors if _position(gram) in positions}
+        for i, config in at_theta.items():
+            own = {gram: ratio for gram, ratio in ratios.items() if _position(gram) in config.positions}
+            kept = _exact_test_survivors(test, own, counts, config.phi, config.chi)
+            selected[i] = [CandidateMarker(gram, *counts[gram], *kept[gram]) for gram in sorted(kept)]
+    return [selected[i] for i in range(len(configs))]
+
+
 def extract_markers_for_language(
     counts: Mapping[str, tuple[int, int]],
     config: PipelineConfig,
 ) -> list[CandidateMarker]:
     """Select one language's markers from its gram counts: the frequency
     threshold, then the exact test, then the positional filter."""
-    surviving = frequency_filter(counts, config.theta)
-    tested = inside_outside_filter(surviving, counts, config.phi, config.chi)
-    return [
-        CandidateMarker(gram, *counts[gram], *tested[gram])
-        for gram in sorted(tested)
-        if _position(gram) in config.positions
-    ]
+    return extract_markers_per_config(counts, [config])[0]
 
 
 def count_grams(

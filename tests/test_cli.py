@@ -169,6 +169,35 @@ class TestEvalCommand:
         assert main(["silver", "--config", str(config)]) == 0
         assert main(["eval", "--config", str(config), "--languages", "tercia"]) == 2
 
+    def test_scores_only_the_languages_of_the_last_extract(self, workdir):
+        # lingua's marker file is left from the first extract; the manifest
+        # of the second lists tercia only.
+        config, out = workdir
+        both = ["--languages", "lingua,tercia"]
+        assert main(["silver", "--config", str(config)]) == 0
+        write_lines(out / "silver" / "tercia.txt", ["a$", "um$"])
+        assert main(["extract", "--config", str(config), *both]) == 0
+        assert main(["extract", "--config", str(config), "--languages", "tercia"]) == 0
+        assert (out / "markers" / "lingua.tsv").exists()
+        assert main(["eval", "--config", str(config), *both]) == 0
+        results = (out / "eval" / "results.tsv").read_text(encoding="utf-8")
+        assert [line.split("\t")[0] for line in results.splitlines()] == ["language", "tercia", "average"]
+        assert not (out / "eval" / "diff" / "lingua.tsv").exists()
+        # Without a manifest, every marker file is scored, as before.
+        (out / "manifest.json").unlink()
+        assert main(["eval", "--config", str(config), *both]) == 0
+        results = (out / "eval" / "results.tsv").read_text(encoding="utf-8")
+        assert [line.split("\t")[0] for line in results.splitlines()] == ["language", "lingua", "tercia", "average"]
+
+    @pytest.mark.parametrize("manifest", ["{", "[]", '{"languages": 5}', "{}"])
+    def test_manifest_without_languages_exits_2(self, workdir, capsys, manifest):
+        config, out = workdir
+        assert main(["extract", "--config", str(config)]) == 0
+        assert main(["silver", "--config", str(config)]) == 0
+        (out / "manifest.json").write_text(manifest, encoding="utf-8")
+        assert main(["eval", "--config", str(config)]) == 2
+        assert "manifest" in capsys.readouterr().err
+
 
 class TestAblateCommand:
     def test_grid_written(self, workdir):
@@ -183,6 +212,20 @@ class TestAblateCommand:
         ]
         assert lines[1] == "baseline\t1.0000\t1.0000\t1.0000"
 
+    # The whole table, pinned by SHA-256 (hashes taken before the variants
+    # shared one exact test per theta).
+    EXPECTED = {
+        (): "57c2927c0f34da99984e1f8fe7fbae4dd026babd359377639910665bcfefcf37",
+        ("--theta", "1"): "2fa0c56fbf5068d134b9a99a52112b5a5e3c8c2191c91a930ae7387f9758c60e",
+    }
+
+    @pytest.mark.parametrize("flags", list(EXPECTED))
+    def test_sha256_of_the_table(self, workdir, flags):
+        config, out = workdir
+        assert main(["silver", "--config", str(config)]) == 0
+        assert main(["ablate", "--config", str(config), *flags]) == 0
+        assert hashlib.sha256((out / "ablation" / "ablation.tsv").read_bytes()).hexdigest() == self.EXPECTED[flags]
+
 
 class TestAnalyzeAndProject:
     def test_analyze_outputs(self, workdir):
@@ -192,6 +235,18 @@ class TestAnalyzeAndProject:
         assert (out / "analysis" / "groups.txt").read_text(encoding="utf-8").startswith("group\t")
         for name in ("matrix.tsv", "rows.txt", "cols.txt"):
             assert (out / "analysis" / name).exists()
+
+    @pytest.mark.parametrize("analysis, malformed", [([], "zzz.tsv"), (["analysis:", "  languages: [lingua]"], "tercia.tsv")])
+    def test_analyze_reads_only_the_marker_files_it_groups(self, workdir, tmp_path, analysis, malformed):
+        config, out = workdir
+        assert main(["extract", "--config", str(config)]) == 0
+        assert main(["analyze", "--config", str(config)]) == 0
+        groups = (out / "analysis" / "groups.txt").read_bytes()
+        write_lines(out / "markers" / malformed, ["not a marker line"])
+        # Grouped: analysis.languages when set, else the corpus languages.
+        limited = write_lines(tmp_path / "limited.yaml", [config.read_text(encoding="utf-8"), *analysis])
+        assert main(["analyze", "--config", str(limited)]) == 0
+        assert (out / "analysis" / "groups.txt").read_bytes() == groups
 
     def test_project_dumps_parallel_nps(self, workdir):
         config, out = workdir

@@ -19,6 +19,7 @@ from casemark.evaluation import (
 )
 from casemark import extraction
 from casemark.extraction import ABLATION_VARIANTS, PipelineConfig, run_pipeline
+from casemark.stats import ExactTest
 
 gram_sets = st.sets(st.sampled_from(["a$", "b$", "c$", "d$", "e$"]), max_size=5)
 
@@ -171,6 +172,44 @@ class TestRunAblation:
                 per_language.append(score({m.gram for m in markers}, gold[language]))
             expected.append(AblationRow(variant, macro_average(per_language)))
         assert rows == expected
+
+    def test_one_exact_test_per_theta_and_p_values_only_in_kept_positions(self, synth, monkeypatch):
+        built = []
+
+        class Recording(ExactTest):
+            def __init__(self, row1, row2):
+                super().__init__(row1, row2)
+                self.requested = set()
+                built.append(self)
+
+            def p_value(self, a, c):
+                self.requested.add((a, c))
+                return super().p_value(a, c)
+
+        monkeypatch.setattr(extraction, "ExactTest", Recording)
+        config = PipelineConfig(theta=synth.fixture.theta)
+        gold = {"lingua": synth.fixture.gold, "tercia": {"um$", "a$"}}
+        run_ablation(synth.corpus, synth.annotations, synth.alignments, config, gold)
+        monkeypatch.undo()
+
+        # Per language and distinct theta of the grid: the row totals of the
+        # theta survivors, and the (a, c) of the survivors in a position that
+        # some variant at that theta keeps.
+        variants = [config.with_variant(variant) for variant in ABLATION_VARIANTS]
+        full = dataclasses.replace(config, theta=1, languages=tuple(sorted(gold)))
+        allowed = {}
+        for _language, grams in extraction.count_grams(synth.corpus, synth.annotations, synth.alignments, full):
+            for theta in {variant.theta for variant in variants}:
+                survivors = extraction.frequency_filter(grams, theta)
+                rows = (sum(grams[g][0] for g in survivors), sum(grams[g][1] for g in survivors))
+                positions = set().union(*(variant.positions for variant in variants if variant.theta == theta))
+                allowed[rows] = {grams[g] for g in survivors if extraction._position(g) in positions}
+        assert len(allowed) == 2 * len(gold)
+        assert sorted((test.row1, test.row2) for test in built) == sorted(allowed)
+        for test in built:
+            assert test.requested <= allowed[test.row1, test.row2]
+        # At theta 1 only word-final grams are kept, and some of them are tested.
+        assert all(test.requested for test in built)
 
     def test_empty_gold_rejected(self, synth):
         config = PipelineConfig(theta=synth.fixture.theta)

@@ -2,7 +2,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casemark import extraction
@@ -15,6 +15,7 @@ from casemark.extraction import (
     candidates_of_word,
     count_grams,
     extract_markers_for_language,
+    extract_markers_per_config,
     frequency_filter,
     inside_outside_filter,
     read_marker_file,
@@ -280,6 +281,79 @@ class TestInsideOutsideFilterMatchesPlainLoop:
         no_ratio = plain_inside_outside_filter(candidates, lingua, 0.08, None)
         both = plain_inside_outside_filter(candidates, lingua, 0.08, 0.34)
         assert set(both) < set(no_ratio)
+
+
+def position_of(gram):
+    if gram.endswith("$"):
+        return "final"
+    return "initial" if gram.startswith("$") else "internal"
+
+
+def plain_selection(counts, config):
+    """Reference for one config: the theta cut, the plain exact-test loop on
+    every survivor, then the positional filter."""
+    kept = plain_inside_outside_filter(sorted(frequency_filter(counts, config.theta)), counts, config.phi, config.chi)
+    return [
+        CandidateMarker(gram, *counts[gram], *kept[gram])
+        for gram in sorted(kept)
+        if position_of(gram) in config.positions
+    ]
+
+
+configs_with_repeated_thetas = st.lists(
+    st.builds(
+        PipelineConfig,
+        theta=st.sampled_from([1, 2, 5]),
+        phi=st.sampled_from([None, 0.08, 0.5]),
+        chi=st.sampled_from([None, 0.0, 0.34, 2.0]),
+        positions=st.sets(st.sampled_from(["final", "initial", "internal"]), min_size=1).map(frozenset),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestSelectionPerConfigMatchesPlainReference:
+    """`extract_markers_per_config` shares one exact test per theta among its
+    configs and filters positions before the test; config by config it must
+    select what the plain stages select, in their original order."""
+
+    @pytest.fixture(scope="class")
+    def lingua_with_reference(self, synth):
+        config = PipelineConfig(theta=1, languages=("lingua",))
+        ((_language, grams),) = count_grams(synth.corpus, synth.annotations, synth.alignments, config)
+        return grams, {}
+
+    @settings(max_examples=40, deadline=None)
+    @given(configs=configs_with_repeated_thetas)
+    def test_on_the_fixture_counts(self, lingua_with_reference, configs):
+        counts, reference = lingua_with_reference
+        for config, selected in zip(configs, extract_markers_per_config(counts, configs)):
+            key = (config.theta, config.phi, config.chi, config.positions)
+            if key not in reference:  # the plain loop is slow at theta 1, so each config runs once
+                reference[key] = plain_selection(counts, config)
+            assert selected == reference[key]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        counts=st.dictionaries(
+            st.text(alphabet="ab$", min_size=1, max_size=4),
+            st.tuples(st.integers(1, 12), st.integers(0, 12)),
+            max_size=12,
+        ),
+        outside_empty=st.booleans(),
+        configs=configs_with_repeated_thetas,
+    )
+    # An undefined odds ratio is kept only with both tests off (its p-value is 1).
+    @example(counts={"a$": (3, 0), "$b": (2, 0)}, outside_empty=False, configs=[
+        PipelineConfig(theta=1, phi=None, chi=None), PipelineConfig(theta=1, phi=None), PipelineConfig(theta=2, chi=None),
+    ])
+    def test_on_random_counts(self, counts, outside_empty, configs):
+        if outside_empty:  # every table is [a, b; 0, 0], so every odds ratio is 0/0
+            counts = {gram: (inside, 0) for gram, (inside, _outside) in counts.items()}
+        selected = extract_markers_per_config(counts, configs)
+        assert selected == [plain_selection(counts, config) for config in configs]
+        assert [extract_markers_for_language(counts, config) for config in configs] == selected
 
 
 class TestSuffixRestrict:
