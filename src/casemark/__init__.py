@@ -20,7 +20,6 @@ from .projection import (
     build_inside_outside,
     build_parallel_np_set,
     partition_word_types,
-    project_span,
 )
 from .silver import SilverStandard, build_silver
 from .stats import ContingencyTable, ExactTest, fisher_exact_two_sided, odds_ratio
@@ -58,7 +57,6 @@ __all__ = [
     "macro_average",
     "odds_ratio",
     "partition_word_types",
-    "project_span",
     "run_pipeline",
     "score",
 ]

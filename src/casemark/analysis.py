@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -28,11 +29,13 @@ class MarkerCombinationGroup:
 @dataclass(frozen=True)
 class CooccurrenceMatrix:
     """Sparse counts of word forms (rows, tagged `language:form`) occurring
-    in parallel NPs (columns)."""
+    in parallel NPs (columns). Rows and columns are sorted as whole strings;
+    `cells` holds one `(row_index, col_index, count)` triple per nonzero
+    cell, in row-major order."""
 
     rows: tuple[str, ...]
     cols: tuple[str, ...]
-    cells: Mapping[tuple[int, int], int]
+    cells: tuple[tuple[int, int, int], ...]
     col_text: Mapping[str, str]
 
 
@@ -65,6 +68,7 @@ def group_by_marker_combination(
     ordered = tuple(sorted(languages))
     # Per language: its versions in sorted order, and each head word's marker, looked up once.
     per_language = [(language, corpus.versions_of(language), marker_sets[language], {}) for language in ordered]
+    verses_of = corpus.versions
     buckets: dict[GroupKey, list[ParallelNp]] = defaultdict(list)
     for pnp in parallel_nps:
         key = []
@@ -73,7 +77,7 @@ def group_by_marker_combination(
             for version in versions:
                 indices = pnp.projections.get(version)
                 if indices is not None:
-                    word = corpus.verse(version, pnp.verse)[indices[-1]]
+                    word = verses_of[version][pnp.verse][indices[-1]]
                     if word not in known:
                         known[word] = assign_marker(word, marker_set)
                     marker = known[word]
@@ -99,43 +103,49 @@ def build_cooccurrence_matrix(
     """Count how often each word form occurs inside each parallel NP.
 
     Rows cover the projected spans and the source span; NPs from different
-    source editions stay distinct columns.
+    source editions stay distinct columns. Each row lists the positions of
+    the NPs it occurs in, once per occurrence, and becomes its cells once
+    rows and columns are sorted.
     """
-    counts: dict[tuple[str, str], int] = Counter()
+    versions = corpus.versions
+    col_ids: list[str] = []
     col_text: dict[str, str] = {}
-    for pnp in parallel_nps:
+    row_positions: dict[str, list[int]] = defaultdict(list)
+    for position, pnp in enumerate(parallel_nps):
+        verse_id, (source_version, source_span), projections = pnp
         col = pnp.np_id
-        source_version, source_span = pnp.source
-        source_tokens = corpus.verse(source_version, pnp.verse)
-        col_text[col] = " ".join(source_tokens[i] for i in source_span.token_indices)
-        rows = list(pnp.projections.items())
-        rows.append((source_version, source_span.token_indices))
-        for version, indices in rows:
-            tokens = corpus.verse(version, pnp.verse)
+        col_ids.append(col)
+        source_tokens = versions[source_version][verse_id]
+        col_text[col] = " ".join([source_tokens[i] for i in source_span.token_indices])
+        for version, indices in (*projections.items(), (source_version, source_span.token_indices)):
+            tokens = versions[version][verse_id]
             for index in indices:
-                counts[(f"{version.language}:{tokens[index]}", col)] += 1
-    rows = tuple(sorted({row for row, _col in counts}))
+                row_positions[f"{version.language}:{tokens[index]}"].append(position)
+    rows = tuple(sorted(row_positions))
     cols = tuple(sorted(col_text))
-    row_index = {row: i for i, row in enumerate(rows)}
     col_index = {col: i for i, col in enumerate(cols)}
-    cells = {(row_index[row], col_index[col]): n for (row, col), n in counts.items()}
-    return CooccurrenceMatrix(rows=rows, cols=cols, cells=cells, col_text=col_text)
+    col_of = [col_index[col] for col in col_ids]
+    cells: list[tuple[int, int, int]] = []
+    for row_i, row in enumerate(rows):
+        run = sorted(map(col_of.__getitem__, row_positions[row]))
+        if len(set(run)) == len(run):  # the usual row: each NP once, so every count is 1
+            cells.extend(zip(repeat(row_i), run, repeat(1)))
+        else:  # Counter keeps the sorted order of first occurrences
+            cells.extend((row_i, col, count) for col, count in Counter(run).items())
+    return CooccurrenceMatrix(rows=rows, cols=cols, cells=tuple(cells), col_text=col_text)
 
 
 def export_matrix(matrix: CooccurrenceMatrix, out_dir) -> None:
-    """Write `matrix.tsv` triplets plus `rows.txt` / `cols.txt` sidecars in a
-    fixed deterministic order."""
+    """Write `matrix.tsv` triplets plus `rows.txt` / `cols.txt` sidecars in
+    the matrix's own (sorted) order."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with atomic_open(out_dir / "rows.txt") as handle:
-        for row in matrix.rows:
-            handle.write(row + "\n")
+        handle.write("".join([f"{row}\n" for row in matrix.rows]))
     with atomic_open(out_dir / "cols.txt") as handle:
-        for col in matrix.cols:
-            handle.write(f"{col}\t{matrix.col_text.get(col, '')}\n")
+        handle.write("".join([f"{col}\t{matrix.col_text.get(col, '')}\n" for col in matrix.cols]))
     with atomic_open(out_dir / "matrix.tsv") as handle:
-        for (row_i, col_i) in sorted(matrix.cells):
-            handle.write(f"{row_i}\t{col_i}\t{matrix.cells[(row_i, col_i)]}\n")
+        handle.write("".join([f"{row_i}\t{col_i}\t{count}\n" for row_i, col_i, count in matrix.cells]))
 
 
 def render_group_report(

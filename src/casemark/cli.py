@@ -140,6 +140,10 @@ def load_run_config(path) -> RunConfig:
 
     analysis_raw = raw.get("analysis") or {}
     _check_shapes(analysis_raw, {"languages": (list, str), "samples_per_group": int}, "analysis.")
+    analysis_languages = analysis_raw.get("languages") or None
+    repeated = sorted({lang for lang in analysis_languages or () if analysis_languages.count(lang) > 1})
+    if repeated:
+        raise ConfigurationError(f"config key analysis.languages repeats {', '.join(repeated)}")
 
     def _resolve(value):
         if value is None:
@@ -159,7 +163,7 @@ def load_run_config(path) -> RunConfig:
         output_dir=out_dir,
         markers_dir=_resolve(raw.get("markers_dir")),
         silver_dir=_resolve(raw.get("silver_dir")),
-        analysis_languages=list(analysis_raw["languages"]) if analysis_raw.get("languages") else None,
+        analysis_languages=analysis_languages,
         samples_per_group=int(analysis_raw.get("samples_per_group", DEFAULT_SAMPLES_PER_GROUP)),
     )
 

@@ -9,17 +9,16 @@ the links of each verse's NP tokens as a whole, not span by span.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress
-from typing import Collection, Mapping, Optional, Sequence
+from typing import Collection, Mapping, NamedTuple, Optional, Sequence
 
-from .corpus import Alignment, NpAnnotation, NpSpan, ParallelCorpus, Verse, VersionId, atomic_open
+from .corpus import Alignment, NpAnnotation, NpSpan, ParallelCorpus, VersionId, atomic_open
 from .errors import ConfigurationError
 
 
-@dataclass(frozen=True)
-class ParallelNp:
+class ParallelNp(NamedTuple):
     """One source-edition NP together with its nonempty projections: per
     target version, the sorted token indices in the same verse."""
 
@@ -29,8 +28,8 @@ class ParallelNp:
 
     @property
     def np_id(self) -> str:
-        indices = ",".join(str(i) for i in self.source[1].token_indices)
-        return f"{self.verse}|{self.source[0]}|{indices}"
+        version, span = self.source
+        return f"{self.verse}|{version}|{','.join(map(str, span.token_indices))}"
 
 
 @dataclass(frozen=True)
@@ -92,19 +91,6 @@ def alignments_by_pair(
     return by_pair
 
 
-def project_span(span: NpSpan, alignment: Alignment, target_verse: Verse) -> Optional[NpSpan]:
-    """Target indices aligned to any token of the span, in target word order.
-
-    Returns None when no span token carries an alignment link.
-    """
-    linked = linked_targets(alignment.links.get(span.verse, ()), span.token_indices)
-    if linked and max(linked) >= len(target_verse):
-        raise ConfigurationError(
-            f"alignment {alignment.source_version}->{alignment.target_version} points outside verse {span.verse!r}"
-        )
-    return NpSpan(span.verse, tuple(sorted(linked))) if linked else None
-
-
 def build_parallel_np_set(
     corpus: ParallelCorpus,
     annotations: Sequence[NpAnnotation],
@@ -126,17 +112,17 @@ def build_parallel_np_set(
             if not spans:
                 continue
             # Source token -> span positions (spans may overlap): one pass over each target's links projects all.
-            owners: dict[int, list[int]] = defaultdict(list)
+            owners: dict[int, list[int]] = {}
             for position, span in enumerate(spans):
                 for index in span.token_indices:
-                    owners[index].append(position)
+                    owners.setdefault(index, []).append(position)
             projections: list[dict[VersionId, tuple[int, ...]]] = [{} for _ in spans]
             for target, links in pairs:
                 flat = links.get(verse_id, ())
-                hits: dict[int, set[int]] = defaultdict(set)
+                hits: dict[int, set[int]] = {}
                 for i, j in zip(flat[0::2], flat[1::2]):
                     for position in owners.get(i, ()):
-                        hits[position].add(j)
+                        hits.setdefault(position, set()).add(j)
                 for position, indices in hits.items():
                     projections[position][target] = tuple(sorted(indices))
             result.extend(ParallelNp(verse_id, (source, span), p) for span, p in zip(spans, projections))
@@ -196,12 +182,10 @@ def partition_word_types(counts: InsideOutsideCounts) -> WordPartition:
 def dump_parallel_nps(parallel_nps: Sequence[ParallelNp], corpus: ParallelCorpus, path) -> None:
     """Write the parallel NP set as inspectable lines:
     `<verse-id>\\t<version>\\t<idx,idx,...>\\t<surface text>`, source line first."""
+    versions = corpus.versions
     with atomic_open(path) as handle:
-        for pnp in parallel_nps:
-            rows = [(pnp.source[0], pnp.source[1].token_indices)]
-            rows.extend(sorted(pnp.projections.items()))
-            for version, token_indices in rows:
-                tokens = corpus.verse(version, pnp.verse)
-                surface = " ".join(tokens[i] for i in token_indices)
-                indices = ",".join(str(i) for i in token_indices)
-                handle.write(f"{pnp.verse}\t{version}\t{indices}\t{surface}\n")
+        for verse_id, (source, span), projections in parallel_nps:
+            for version, token_indices in ((source, span.token_indices), *sorted(projections.items())):
+                tokens = versions[version][verse_id]
+                surface = " ".join([tokens[i] for i in token_indices])
+                handle.write(f"{verse_id}\t{version}\t{','.join(map(str, token_indices))}\t{surface}\n")

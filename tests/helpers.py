@@ -1,6 +1,10 @@
-"""Small shared builders for corpus-level tests."""
+"""Small shared builders and references for corpus-level tests."""
 
 from pathlib import Path
+
+from casemark.corpus import NpSpan
+from casemark.errors import ConfigurationError
+from casemark.projection import linked_targets
 
 
 def write_lines(path, lines):
@@ -15,3 +19,16 @@ def tiny_corpus_files(root, versions):
         lines = [f"{vid}\t{text}" for vid, text in verses.items()]
         paths.append(write_lines(Path(root) / filename, lines))
     return paths
+
+
+def project_span(span, alignment, target_verse):
+    """Reference projection of one span on its own: the target indices
+    aligned to any of its tokens, in target word order, or None when no span
+    token carries a link. A link past the end of the target verse raises
+    ConfigurationError."""
+    linked = linked_targets(alignment.links.get(span.verse, ()), span.token_indices)
+    if linked and max(linked) >= len(target_verse):
+        raise ConfigurationError(
+            f"alignment {alignment.source_version}->{alignment.target_version} points outside verse {span.verse!r}"
+        )
+    return NpSpan(span.verse, tuple(sorted(linked))) if linked else None

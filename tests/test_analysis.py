@@ -186,7 +186,7 @@ class TestCooccurrenceMatrix:
             "english:deeds", "english:good", "latin:bonis", "latin:operibus", "russian:делами", "russian:добрыми"
         )
         assert len(matrix.cols) == 1
-        assert set(matrix.cells.values()) == {1}
+        assert {count for _row, _col, count in matrix.cells} == {1}
 
     def test_absent_word_has_no_row(self):
         corpus, pnps, _markers = world()
@@ -198,7 +198,7 @@ class TestCooccurrenceMatrix:
         corpus, pnps, _markers = world()
         matrix = build_cooccurrence_matrix(pnps, corpus)
         sums = Counter()
-        for (row_i, _col_i), count in matrix.cells.items():
+        for row_i, _col_i, count in matrix.cells:
             sums[matrix.rows[row_i]] += count
         brute = Counter()
         for pnp in pnps:
@@ -337,3 +337,81 @@ class TestGroupingMatchesSortedProjections:
         pnp = ParallelNp("v1", (ENG, NpSpan("v1", (0,))), {LAT2: (0,), LAT: (0,)})
         groups = group_by_marker_combination([pnp], corpus, {"latin": marker_set("latin", {"is$", "ibus$"})}, ["latin"])
         assert groups[0].key == (("latin", "is$"),)
+
+
+ENG2 = VersionId("english", "e2")
+OLD_A, OLD_B, NORSE = VersionId("old", "a"), VersionId("old", "b"), VersionId("old-norse", "a")
+FORMS = ("a", "b", "ab", "b:a")
+
+
+def indices_of(draw, tokens):
+    return tuple(sorted(draw(st.sets(st.integers(0, len(tokens) - 1), min_size=1))))
+
+
+@st.composite
+def matrix_worlds(draw):
+    """Parallel NPs from two english editions into `old` (two editions) and
+    `old-norse`, over a few forms, in random order; an NP may repeat. Every
+    world holds the NP of verse `v0`, whose source span holds `the` twice and
+    which projects onto `x` in both `old` editions, so some cells count 2.
+    Row names of `old-norse` sort before those of `old` only as whole
+    strings, since `-` sorts below `:`."""
+    verse_ids = [f"v{i}" for i in range(draw(st.integers(1, 11)))]
+    sources, targets = (ENG, ENG2), (OLD_A, OLD_B, NORSE)
+    versions = {
+        version: {vid: tuple(draw(st.lists(st.sampled_from(FORMS), min_size=1, max_size=4))) for vid in verse_ids[1:]}
+        for version in (*sources, *targets)
+    }
+    for version in sources:
+        versions[version]["v0"] = ("the", "the")
+    for version in targets:
+        versions[version]["v0"] = ("x",)
+    corpus = ParallelCorpus(versions=versions, shared_verses=tuple(verse_ids))
+    pnps = [ParallelNp("v0", (ENG, NpSpan("v0", (0, 1))), {OLD_A: (0,), OLD_B: (0,), NORSE: (0,)})]
+    for _ in range(draw(st.integers(0, 12))):
+        verse = draw(st.sampled_from(verse_ids))
+        source = draw(st.sampled_from(sources))
+        span = NpSpan(verse, indices_of(draw, versions[source][verse]))
+        projections = {
+            target: indices_of(draw, versions[target][verse]) for target in targets if draw(st.booleans())
+        }
+        pnps.append(ParallelNp(verse, (source, span), projections))
+    if draw(st.booleans()):
+        pnps.append(draw(st.sampled_from(pnps)))
+    return corpus, draw(st.permutations(pnps))
+
+
+def brute_force_export(pnps, corpus):
+    """Reference: one Counter over `(language:form, np_id)`, then the three
+    files written from its sorted keys."""
+    counts = Counter()
+    col_text = {}
+    for pnp in pnps:
+        source, span = pnp.source
+        col_text[pnp.np_id] = " ".join(corpus.verse(source, pnp.verse)[i] for i in span.token_indices)
+        for version, indices in [*pnp.projections.items(), (source, span.token_indices)]:
+            for i in indices:
+                counts[f"{version.language}:{corpus.verse(version, pnp.verse)[i]}", pnp.np_id] += 1
+    rows = sorted({row for row, _col in counts})
+    cols = sorted(col_text)
+    cells = sorted((rows.index(row), cols.index(col), n) for (row, col), n in counts.items())
+    return {
+        "rows.txt": "".join(f"{row}\n" for row in rows),
+        "cols.txt": "".join(f"{col}\t{col_text[col]}\n" for col in cols),
+        "matrix.tsv": "".join(f"{r}\t{c}\t{n}\n" for r, c, n in cells),
+    }, cells
+
+
+class TestCooccurrenceMatrixMatchesCounter:
+    @settings(max_examples=100, deadline=None)
+    @given(world=matrix_worlds())
+    def test_random_worlds(self, world, tmp_path_factory):
+        corpus, pnps = world
+        expected, cells = brute_force_export(pnps, corpus)
+        matrix = build_cooccurrence_matrix(pnps, corpus)
+        assert list(matrix.cells) == cells
+        assert max(count for _row, _col, count in matrix.cells) >= 2
+        assert matrix.rows.index("old-norse:x") < matrix.rows.index("old:x")
+        out = tmp_path_factory.mktemp("matrix")
+        export_matrix(matrix, out)
+        assert {name: (out / name).read_text(encoding="utf-8") for name in expected} == expected

@@ -14,41 +14,6 @@ import casemark
 from casemark.cli import load_run_config, main
 from casemark.errors import ConfigurationError
 
-LINGUA_PARADIGM = [
-    "sator\tsator\tN;NOM;SG",
-    "sator\tsator\tN;VOC;SG",
-    "sator\tsatorum\tN;GEN;PL",
-    "sator\tsatoribus\tN;DAT;PL",
-]
-
-
-@pytest.fixture
-def workdir(synth, tmp_path):
-    """Config + inputs wired against the session synthetic corpus."""
-    root = synth.fixture.root
-    write_lines(root / "lingua.paradigms.tsv", LINGUA_PARADIGM)
-    out = tmp_path / "out"
-    config = tmp_path / "run.yaml"
-    write_lines(
-        config,
-        [
-            "verse_files:",
-            *[f'  - "{p}"' for p in synth.fixture.verse_files],
-            "alignment_files:",
-            *[f'  - "{p}"' for p in synth.fixture.alignment_files],
-            "annotation_files:",
-            *[f'  - "{p}"' for p in synth.fixture.annotation_files],
-            "paradigm_files:",
-            f'  lingua: "{root / "lingua.paradigms.tsv"}"',
-            "pipeline:",
-            f"  theta: {synth.fixture.theta}",
-            '  languages: ["lingua"]',
-            f'output_dir: "{out}"',
-            "jobs: 1",
-        ],
-    )
-    return config, out
-
 
 class TestExtract:
     def test_writes_marker_files_and_manifest(self, workdir):
@@ -248,11 +213,49 @@ class TestAnalyzeAndProject:
         assert main(["analyze", "--config", str(limited)]) == 0
         assert (out / "analysis" / "groups.txt").read_bytes() == groups
 
+    def test_repeated_analysis_language_exits_2(self, workdir, tmp_path, capsys):
+        config, out = workdir
+        assert main(["extract", "--config", str(config)]) == 0
+        repeated = write_lines(
+            tmp_path / "repeated.yaml", [config.read_text(encoding="utf-8"), "analysis:", "  languages: [lingua, lingua]"]
+        )
+        assert main(["analyze", "--config", str(repeated)]) == 2
+        assert "analysis.languages repeats lingua" in capsys.readouterr().err
+        assert not (out / "analysis").exists()
+
     def test_project_dumps_parallel_nps(self, workdir):
         config, out = workdir
         assert main(["project", "--config", str(config)]) == 0
         dump = (out / "nps" / "parallel_nps.tsv").read_text(encoding="utf-8")
         assert dump.count("\n") == 3000  # 1000 NPs x (source + 2 projections)
+
+
+class TestAnalysisFileBytes:
+    """The `analyze` and `project` outputs of the synthetic fixture, pinned
+    by SHA-256 (hashes taken before the matrix was counted row by row).
+    `groups.txt` depends on the marker files; the matrix and the NP dump do
+    not."""
+
+    MATRIX = {
+        "analysis/rows.txt": "3b5845bbe304c08fda7e91027bbb425fb3da717ea9b42df41cc8678f522d76cd",
+        "analysis/cols.txt": "568e82419e8f6b824d593c3d30260b3fe6dfccf8d8052d9159b7253a59b106ef",
+        "analysis/matrix.tsv": "2548f36858c956fe12523fc00ffb33c5eb0f4dd1116c6e912cb14553f82f8fb3",
+        "nps/parallel_nps.tsv": "08a339b7e07ca714722cdc7af4a8f237f0589eb88bd0b110beb7934d78f7c215",
+    }
+    GROUPS = {
+        (): "f7138e50017b63060e90365297ff55ed57fe2cc3231b08e21f5186de93363b09",
+        ("--languages", "english,lingua,tercia", "--theta", "1", "--no-suffix-only"):
+            "6856203e5d5cd27e8ab0a23e01fec95f8d796a103996de9592ea93218ce90351",
+    }
+
+    @pytest.mark.parametrize("flags", list(GROUPS))
+    def test_sha256_of_each_file(self, workdir, flags):
+        config, out = workdir
+        assert main(["extract", "--config", str(config), *flags]) == 0
+        assert main(["analyze", "--config", str(config)]) == 0
+        assert main(["project", "--config", str(config)]) == 0
+        expected = {"analysis/groups.txt": self.GROUPS[flags], **self.MATRIX}
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in expected} == expected
 
 
 class TestHashSeedIndependence:

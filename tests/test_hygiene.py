@@ -1,18 +1,24 @@
 """Guards for deletions and drift: no module keeps an import it no longer
-uses, every function the benchmark tracer wraps still exists, and the
-README's table of flags per subcommand matches the parser.
+uses, every function the benchmark tracer wraps still exists, a traced
+`analyze` and `project` still run, and the README's table of flags per
+subcommand matches the parser.
 
-The first two checks read source files with `ast` only; the tracer is not
-imported.
+The first two checks read source files with `ast` only; the tracer is never
+imported, only run in a subprocess.
 """
 
 import ast
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import casemark
 from casemark import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -65,6 +71,34 @@ class TestTracerTargets:
     @pytest.mark.parametrize("module, function", wrapped_functions())
     def test_every_wrapped_function_exists(self, module, function):
         assert callable(getattr(importlib.import_module(f"casemark.{module}"), function, None))
+
+
+class TestTracedCommands:
+    """The benchmark traces each command by wrapping the layer functions from
+    outside and reading counts off their results, so a change of what those
+    functions return can break a traced run alone."""
+
+    @staticmethod
+    def traced(tmp_path, config, out, command) -> dict:
+        spans = tmp_path / f"{command}.json"
+        src = str(Path(casemark.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, str(TRACER), "--spans", str(spans), "--", command, "--config", str(config), "--out", str(out)]
+        run = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stdout + run.stderr
+        return {span[1]: span[7] for span in json.loads(spans.read_text(encoding="utf-8"))["spans"]}
+
+    def test_analyze_and_project(self, workdir, tmp_path):
+        config, out = workdir
+        assert cli.main(["extract", "--config", str(config)]) == 0
+        analyze = self.traced(tmp_path, config, out, "analyze")
+        matrix_lines = (out / "analysis" / "matrix.tsv").read_bytes().splitlines()
+        assert analyze["analysis.build_cooccurrence_matrix"] == {"cells": len(matrix_lines)}
+        project = self.traced(tmp_path, config, out, "project")
+        nps = project["projection.build_parallel_np_set"]
+        # One dump line per NP and one per projection.
+        dump_lines = (out / "nps" / "parallel_nps.tsv").read_bytes().splitlines()
+        assert nps["nps"] + nps["hits"] == len(dump_lines)
 
 
 def readme_flag_table() -> dict[str, set[str]]:

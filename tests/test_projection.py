@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import tiny_corpus_files, write_lines
+from helpers import project_span, tiny_corpus_files, write_lines
 
 from casemark.corpus import (
     Alignment,
@@ -26,7 +26,6 @@ from casemark.projection import (
     build_parallel_np_set,
     dump_parallel_nps,
     partition_word_types,
-    project_span,
 )
 
 ENG = VersionId("english", "e1")
