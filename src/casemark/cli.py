@@ -140,6 +140,9 @@ def load_run_config(path) -> RunConfig:
 
     analysis_raw = raw.get("analysis") or {}
     _check_shapes(analysis_raw, {"languages": (list, str), "samples_per_group": int}, "analysis.")
+    samples = analysis_raw.get("samples_per_group", DEFAULT_SAMPLES_PER_GROUP)
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 0:
+        raise ConfigurationError(f"config key analysis.samples_per_group must be an integer >= 0, got {samples!r}")
     analysis_languages = analysis_raw.get("languages") or None
     repeated = sorted({lang for lang in analysis_languages or () if analysis_languages.count(lang) > 1})
     if repeated:
@@ -164,7 +167,7 @@ def load_run_config(path) -> RunConfig:
         markers_dir=_resolve(raw.get("markers_dir")),
         silver_dir=_resolve(raw.get("silver_dir")),
         analysis_languages=analysis_languages,
-        samples_per_group=int(analysis_raw.get("samples_per_group", DEFAULT_SAMPLES_PER_GROUP)),
+        samples_per_group=samples,
     )
 
 

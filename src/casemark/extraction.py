@@ -10,7 +10,9 @@ The work splits at the config boundary: `count_grams` projects the corpus
 and counts each language's grams that reach the config's frequency threshold
 (no other setting affects counting), and `extract_markers_per_config`
 selects markers from those counts for any configs with at least that
-threshold, sharing one exact test among the configs of each threshold.
+threshold, sharing one exact test among the configs of each threshold. A
+gram's statistics depend only on its (inside, outside) pair and the row
+totals, and most grams share a pair, so selection works per pair, not per gram.
 
 Counting above a threshold of one cuts only the grams that can reach it out
 of the words. A gram that theta NP-relevant types contain has each of its
@@ -28,7 +30,7 @@ import dataclasses
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, compress
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -68,11 +70,13 @@ class PipelineConfig:
     exclude_languages: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.theta < 1:
-            raise ConfigurationError(f"theta must be >= 1, got {self.theta}")
+        if isinstance(self.theta, bool) or not isinstance(self.theta, int) or self.theta < 1:
+            raise ConfigurationError(f"theta must be an integer >= 1, got {self.theta!r}")
+        if any(isinstance(v, bool) or not isinstance(v, (int, float, type(None))) for v in (self.phi, self.chi)):
+            raise ConfigurationError(f"phi and chi must be numbers or null, got {self.phi!r} and {self.chi!r}")
         if self.phi is not None and not 0.0 < self.phi < 1.0:
             raise ConfigurationError(f"phi must lie in (0, 1), got {self.phi}")
-        if self.chi is not None and self.chi < 0.0:
+        if self.chi is not None and not self.chi >= 0.0:
             raise ConfigurationError(f"chi must be >= 0, got {self.chi}")
         if not self.positions or not self.positions <= POSITIONS:
             raise ConfigurationError(f"positions must be a non-empty subset of {sorted(POSITIONS)}")
@@ -218,24 +222,26 @@ def frequency_filter(counts: Mapping[str, tuple[int, int]], theta: int) -> set[s
     return {gram for gram, (inside, _outside) in counts.items() if inside >= theta}
 
 
-def _odds_ratio(test: ExactTest, counts: tuple[int, int]) -> Optional[float]:
-    """The odds ratio of a gram's `counts` under `test`; None where it is 0/0."""
-    try:
-        return test.odds_ratio(*counts)
-    except UndefinedOddsError:
-        return None
-
-
-def _exact_test_survivors(test: ExactTest, ratios: dict, counts, phi, chi) -> dict[str, ExactTestResult]:
-    """Grams of `ratios` (gram: odds ratio) with ratio > chi, then p < phi (None
-    keeps all); a gram the cheap ratio drops needs no p-value."""
-    kept: dict[str, ExactTestResult] = {}
-    for gram, ratio in ratios.items():
+def _select(grams: Iterable[str], counts, test: ExactTest, ratios: dict, phi, chi) -> dict[str, ExactTestResult]:
+    """The grams, sorted, whose (inside, outside) pair has odds ratio > chi,
+    then p < phi (a None threshold keeps all), mapped to their results. Each
+    distinct pair is tested once: `ratios` caches its odds ratio under `test`
+    (None where 0/0), and a pair the cheap ratio drops needs no p-value."""
+    grams = list(grams)
+    pairs = list(map(counts.__getitem__, grams))
+    passing: dict[tuple[int, int], ExactTestResult] = {}
+    for pair in set(pairs):
+        if pair not in ratios:
+            try:
+                ratios[pair] = test.odds_ratio(*pair)
+            except UndefinedOddsError:
+                ratios[pair] = None
+        ratio = ratios[pair]
         if chi is None or (ratio is not None and ratio > chi):
-            p_value = test.p_value(*counts[gram])
+            p_value = test.p_value(*pair)
             if phi is None or p_value < phi:
-                kept[gram] = ExactTestResult(p_value, ratio)
-    return kept
+                passing[pair] = ExactTestResult(p_value, ratio)
+    return {gram: passing[counts[gram]] for gram in sorted(compress(grams, map(passing.__contains__, pairs)))}
 
 
 def inside_outside_filter(
@@ -244,17 +250,12 @@ def inside_outside_filter(
     phi: Optional[float],
     chi: Optional[float],
 ) -> dict[str, ExactTestResult]:
-    """Keep candidates with p < phi and odds ratio > chi (both strict); a
-    threshold of None keeps every candidate at that test.
-
-    Returns the survivors mapped to their test results; the p-value is
-    computed for every candidate the ratio test keeps. Candidates whose odds
-    ratio is undefined (0/0) are dropped unless `chi` is None.
-    """
-    candidate_set = sorted(set(candidates))
-    test = ExactTest(sum(counts[c][0] for c in candidate_set), sum(counts[c][1] for c in candidate_set))
-    ratios = {gram: _odds_ratio(test, counts[gram]) for gram in candidate_set}
-    return _exact_test_survivors(test, ratios, counts, phi, chi)
+    """The candidates with odds ratio > chi and p < phi (both strict; a None
+    threshold keeps every candidate at that test), mapped to their test
+    results. An undefined (0/0) odds ratio fails any chi that is set."""
+    grams = set(candidates)
+    test = ExactTest(sum(counts[gram][0] for gram in grams), sum(counts[gram][1] for gram in grams))
+    return _select(grams, counts, test, {}, phi, chi)
 
 
 def suffix_restrict(grams: Iterable[str]) -> set[str]:
@@ -262,32 +263,37 @@ def suffix_restrict(grams: Iterable[str]) -> set[str]:
     return {gram for gram in grams if gram.endswith(BOUNDARY)}
 
 
-def _position(gram: str) -> str:
-    if gram.endswith(BOUNDARY):
-        return "final"
-    return "initial" if gram.startswith(BOUNDARY) else "internal"
+def _by_position(grams: set[str], positions: frozenset[str]) -> dict[str, set[str]]:
+    """The grams in each of `positions`: final ones end in the boundary,
+    initial ones only start with it, and internal ones are the rest."""
+    split = {"final": suffix_restrict(grams)}
+    if positions & {"initial", "internal"}:
+        split["initial"] = {gram for gram in grams if gram.startswith(BOUNDARY)} - split["final"]
+        split["internal"] = grams - split["final"] - split["initial"]
+    return split
 
 
 def extract_markers_per_config(
     counts: Mapping[str, tuple[int, int]],
     configs: Sequence[PipelineConfig],
 ) -> list[list[CandidateMarker]]:
-    """`extract_markers_for_language` for each config. A gram's statistics
-    depend only on its counts and the totals of the theta survivors, so per
-    distinct theta one exact test serves every config, and odds ratios are
-    taken once, for the grams whose position some config keeps: the
-    positional filter runs before the test, not after it."""
+    """`extract_markers_for_language` for each config. Per distinct theta,
+    one exact test on the totals of the theta survivors serves every config,
+    and each config tests the distinct (inside, outside) pairs of its grams:
+    an odds ratio once per pair and theta, a p-value only for a pair that
+    passes chi. The positional filter runs before the test, not after it."""
+    histogram = Counter(counts.values())  # grams per (inside, outside) pair, for the row totals
     selected: dict[int, list[CandidateMarker]] = {}
     for theta in {config.theta for config in configs}:
         survivors = frequency_filter(counts, theta)
-        test = ExactTest(sum(counts[g][0] for g in survivors), sum(counts[g][1] for g in survivors))
+        rows = [(a * grams, c * grams) for (a, c), grams in histogram.items() if a >= theta]
+        test, ratios = ExactTest(sum(a for a, _c in rows), sum(c for _a, c in rows)), {}
         at_theta = {i: config for i, config in enumerate(configs) if config.theta == theta}
-        positions = frozenset().union(*(config.positions for config in at_theta.values()))
-        ratios = {gram: _odds_ratio(test, counts[gram]) for gram in survivors if _position(gram) in positions}
+        by_position = _by_position(survivors, frozenset().union(*(config.positions for config in at_theta.values())))
         for i, config in at_theta.items():
-            own = {gram: ratio for gram, ratio in ratios.items() if _position(gram) in config.positions}
-            kept = _exact_test_survivors(test, own, counts, config.phi, config.chi)
-            selected[i] = [CandidateMarker(gram, *counts[gram], *kept[gram]) for gram in sorted(kept)]
+            grams = chain.from_iterable(map(by_position.__getitem__, config.positions))
+            kept = _select(grams, counts, test, ratios, config.phi, config.chi)
+            selected[i] = [CandidateMarker(gram, *counts[gram], *result) for gram, result in kept.items()]
     return [selected[i] for i in range(len(configs))]
 
 

@@ -21,6 +21,14 @@ def tiny_corpus_files(root, versions):
     return paths
 
 
+def position_of(gram):
+    """Reference for a gram's position in its word: "final" when it ends in
+    the boundary, else "initial" when it starts with it, else "internal"."""
+    if gram.endswith("$"):
+        return "final"
+    return "initial" if gram.startswith("$") else "internal"
+
+
 def project_span(span, alignment, target_verse):
     """Reference projection of one span on its own: the target indices
     aligned to any of its tokens, in target word order, or None when no span

@@ -409,6 +409,47 @@ class TestConfigShapes:
         assert "Traceback" not in err
 
 
+class TestConfigValues:
+    """A YAML value of the right type but outside its domain is a
+    configuration error (exit 2) that names the key; no output is written."""
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("pipeline: {theta: 31.5}", "theta must be an integer >= 1, got 31.5"),
+            ("pipeline: {theta: true}", "theta must be an integer >= 1, got True"),
+            ("pipeline: {theta: '97'}", "theta must be an integer >= 1, got '97'"),
+            ("pipeline: {chi: true}", "phi and chi must be numbers or null"),
+            ("pipeline: {phi: true}", "phi and chi must be numbers or null"),
+            ("pipeline: {chi: '0.3'}", "phi and chi must be numbers or null"),
+            ("pipeline: {chi: .nan}", "chi must be >= 0, got nan"),
+            ("analysis: {samples_per_group: -2}", "analysis.samples_per_group must be an integer >= 0, got -2"),
+            ("analysis: {samples_per_group: true}", "analysis.samples_per_group must be an integer >= 0, got True"),
+            ("analysis: {samples_per_group: null}", "analysis.samples_per_group must be an integer >= 0, got None"),
+        ],
+    )
+    def test_exits_2_naming_the_key(self, tmp_path, capsys, line, message):
+        config = write_lines(tmp_path / "c.yaml", [line])
+        assert main(["extract", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_samples_per_group_writes_the_group_headers_only(self, workdir, tmp_path):
+        config, out = workdir
+        assert main(["extract", "--config", str(config)]) == 0
+        assert main(["analyze", "--config", str(config)]) == 0
+        sampled = (out / "analysis" / "groups.txt").read_text(encoding="utf-8").splitlines()
+        headers_only = write_lines(
+            tmp_path / "zero.yaml", [config.read_text(encoding="utf-8"), "analysis:", "  samples_per_group: 0"]
+        )
+        assert main(["analyze", "--config", str(headers_only)]) == 0
+        groups = (out / "analysis" / "groups.txt").read_text(encoding="utf-8").splitlines()
+        assert groups == [line for line in sampled if line.startswith("group\t")]
+        assert len(groups) < len(sampled)
+
+
 class TestNonUtf8Input:
     """An input file holding a byte that is not UTF-8 is a data error that
     names the file, never a traceback: exit 2, or exit 1 for a paradigm file,

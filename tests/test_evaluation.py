@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import position_of
+
 from casemark.errors import ConfigurationError
 from casemark.evaluation import (
     PRF,
@@ -203,7 +205,7 @@ class TestRunAblation:
                 survivors = extraction.frequency_filter(grams, theta)
                 rows = (sum(grams[g][0] for g in survivors), sum(grams[g][1] for g in survivors))
                 positions = set().union(*(variant.positions for variant in variants if variant.theta == theta))
-                allowed[rows] = {grams[g] for g in survivors if extraction._position(g) in positions}
+                allowed[rows] = {grams[g] for g in survivors if position_of(g) in positions}
         assert len(allowed) == 2 * len(gold)
         assert sorted((test.row1, test.row2) for test in built) == sorted(allowed)
         for test in built:

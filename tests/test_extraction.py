@@ -5,9 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import position_of
+
 from casemark import extraction
 from casemark.errors import ConfigurationError, UndefinedOddsError
 from casemark.extraction import (
+    ABLATION_VARIANTS,
     CandidateMarker,
     MarkerSet,
     PipelineConfig,
@@ -23,7 +26,7 @@ from casemark.extraction import (
     suffix_restrict,
     write_marker_file,
 )
-from casemark.stats import ContingencyTable, fisher_exact_two_sided, odds_ratio
+from casemark.stats import ContingencyTable, ExactTest, fisher_exact_two_sided, odds_ratio
 
 words = st.text(alphabet="ab", min_size=1, max_size=6)
 word_sets = st.sets(words, min_size=1, max_size=12)
@@ -283,12 +286,6 @@ class TestInsideOutsideFilterMatchesPlainLoop:
         assert set(both) < set(no_ratio)
 
 
-def position_of(gram):
-    if gram.endswith("$"):
-        return "final"
-    return "initial" if gram.startswith("$") else "internal"
-
-
 def plain_selection(counts, config):
     """Reference for one config: the theta cut, the plain exact-test loop on
     every survivor, then the positional filter."""
@@ -348,12 +345,48 @@ class TestSelectionPerConfigMatchesPlainReference:
     @example(counts={"a$": (3, 0), "$b": (2, 0)}, outside_empty=False, configs=[
         PipelineConfig(theta=1, phi=None, chi=None), PipelineConfig(theta=1, phi=None), PipelineConfig(theta=2, chi=None),
     ])
+    # One pair (3, 1), odds ratio 2.0, held by a final, an initial and an
+    # internal gram: it passes chi 0.5 and fails chi 2.0, so a result kept
+    # for one position or config must not reach another.
+    @example(
+        counts={"a$": (3, 1), "$b": (3, 1), "ab": (3, 1), "b$": (1, 4), "$a": (2, 0)},
+        outside_empty=False,
+        configs=[
+            PipelineConfig(theta=1, phi=None, chi=0.5),
+            PipelineConfig(theta=1, phi=None, chi=None, positions={"initial"}),
+            PipelineConfig(theta=1, phi=0.9, chi=2.0, positions={"initial", "internal"}),
+            PipelineConfig(theta=2, phi=None, chi=0.5, positions={"internal"}),
+        ],
+    )
     def test_on_random_counts(self, counts, outside_empty, configs):
         if outside_empty:  # every table is [a, b; 0, 0], so every odds ratio is 0/0
             counts = {gram: (inside, 0) for gram, (inside, _outside) in counts.items()}
         selected = extract_markers_per_config(counts, configs)
         assert selected == [plain_selection(counts, config) for config in configs]
         assert [extract_markers_for_language(counts, config) for config in configs] == selected
+
+
+class TestSelectionPerPair:
+    def test_one_odds_ratio_per_distinct_pair_and_theta(self, synth, monkeypatch):
+        config = PipelineConfig(theta=1, languages=("lingua",))
+        ((_language, counts),) = count_grams(synth.corpus, synth.annotations, synth.alignments, config)
+        calls = []
+        odds = ExactTest.odds_ratio
+
+        def recording(test, a, c):
+            calls.append((test.row1, test.row2, a, c))
+            return odds(test, a, c)
+
+        monkeypatch.setattr(ExactTest, "odds_ratio", recording)
+        configs = [PipelineConfig(theta=synth.fixture.theta).with_variant(variant) for variant in ABLATION_VARIANTS]
+        extract_markers_per_config(counts, configs)
+        monkeypatch.undo()
+
+        assert len(calls) == len(set(calls))
+        thetas = {config.theta for config in configs}
+        assert len({(row1, row2) for row1, row2, _a, _c in calls}) == len(thetas) == 2
+        pairs = {theta: {counts[gram] for gram in frequency_filter(counts, theta)} for theta in thetas}
+        assert len(calls) <= sum(map(len, pairs.values())) < len(counts)
 
 
 class TestSuffixRestrict:
@@ -393,6 +426,11 @@ class TestPipelineConfig:
         with pytest.raises(ConfigurationError):
             PipelineConfig(chi=-0.1)
         PipelineConfig(phi=None, chi=None)  # both tests off
+        PipelineConfig(theta=1, phi=1e-3, chi=0)  # an integer chi is a number
+        for bad in (dict(theta=31.5), dict(theta=True), dict(theta=97.0), dict(theta="97"), dict(chi=True),
+                    dict(phi=True), dict(chi="0.34"), dict(chi=math.nan), dict(phi=math.nan)):
+            with pytest.raises(ConfigurationError):
+                PipelineConfig(**bad)
         with pytest.raises(ConfigurationError):
             PipelineConfig(positions=frozenset())
         with pytest.raises(ConfigurationError):
