@@ -115,6 +115,8 @@ def load_run_config(path) -> RunConfig:
     if unknown:
         raise ConfigurationError(f"unknown config keys: {', '.join(sorted(unknown))}")
     _check_shapes(raw, shapes)
+    if "output_dir" in raw and raw["output_dir"] is None:
+        raise ConfigurationError("config key output_dir must be of type str, got None")
 
     allowlist = None
     if raw.get("verse_allowlist") is not None:
@@ -132,7 +134,10 @@ def load_run_config(path) -> RunConfig:
         pipeline_raw["languages"] = tuple(pipeline_raw["languages"])
     if "exclude_languages" in pipeline_raw:
         pipeline_raw["exclude_languages"] = tuple(pipeline_raw["exclude_languages"] or ())
-    positions = _positions(pipeline_raw.pop("suffix_only", True))
+    suffix_only = pipeline_raw.pop("suffix_only", True)
+    if not isinstance(suffix_only, bool):
+        raise ConfigurationError(f"config key pipeline.suffix_only must be true or false, got {suffix_only!r}")
+    positions = _positions(suffix_only)
     try:
         pipeline = PipelineConfig(**pipeline_raw, positions=positions)
     except TypeError as exc:

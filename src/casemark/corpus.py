@@ -4,7 +4,8 @@ Reads per-version verse files, word-alignment files, and NP span annotation
 files, and restricts everything to the verses shared by all versions. Loaded
 structures are immutable.
 
-File formats (UTF-8, one record per line, tab-separated):
+File formats (UTF-8, one record per line, tab-separated; a line ends only at
+a newline, and a verse id appears at most once per file):
 
 * verse file       ``<verse-id>\\t<token token ...>``; the filename encodes the
   version as ``<language>-<edition>.<ext>`` (last hyphen separates the two).
@@ -135,40 +136,58 @@ def open_input(path):
         raise
 
 
-def _normalize_token(token: str) -> str:
-    return unicodedata.normalize("NFC", token)
+def read_lines(path) -> list[str]:
+    """The lines of the input file `path`. A line ends only at a newline
+    (`\\n`, `\\r\\n` or `\\r`); other line-break characters, such as U+2028
+    or a form feed, stay inside it."""
+    with open_input(path) as handle:
+        return handle.read().split("\n")
+
+
+def _records(path, lines: Iterable[str], payload_name: str, verses: Optional[Mapping[str, Verse]] = None,
+             first_line: int = 1, bare_ids: bool = True):
+    """`(line number, verse id, payload)` for each nonblank
+    `<verse-id>\\t<payload>` line of `lines`, numbered from `first_line`.
+    With `bare_ids`, a line holding a verse id alone has the payload "".
+    Raises ParseError for a wrong field count (naming the payload
+    `payload_name`), an empty verse id or a verse id seen before in the
+    file. Given a version's `verses`, the lines of other verses are checked
+    but not yielded."""
+    seen = set()
+    for line_no, line in enumerate(lines, first_line):
+        if not line:
+            continue
+        verse_id, tab, text = line.partition("\t")
+        if "\t" in text or not (tab or bare_ids):
+            fields = line.count("\t") + 1
+            raise ParseError(path, line_no, f"expected <verse-id>\\t<{payload_name}>, got {fields} fields")
+        if not verse_id:
+            raise ParseError(path, line_no, "empty verse id")
+        if verse_id in seen:
+            raise ParseError(path, line_no, f"duplicate verse id {verse_id!r}")
+        seen.add(verse_id)
+        if verses is None or verse_id in verses:
+            yield line_no, verse_id, text
 
 
 def _parse_verse_file(path) -> dict[str, Verse]:
     verses: dict[str, Verse] = {}
-    with open_input(path) as handle:
-        for line_no, raw in enumerate(handle, 1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(path, line_no, f"expected <verse-id>\\t<tokens>, got {len(parts)} fields")
-            verse_id, text = parts
-            if not verse_id:
-                raise ParseError(path, line_no, "empty verse id")
-            if verse_id in verses:
-                raise ParseError(path, line_no, f"duplicate verse id {verse_id!r}")
-            tokens = text.split(" ")
-            # A clean line has no empty token, no boundary character and no
-            # other whitespace, so splitting on any whitespace gives the same
-            # tokens; only a line that fails this is searched for the culprit.
-            if BOUNDARY in text or text.split() != tokens:
-                for token in tokens:
-                    if not token:
-                        raise ParseError(path, line_no, "empty token (double or trailing space?)")
-                    if BOUNDARY in token:
-                        raise ParseError(path, line_no, f"token {token!r} contains reserved character {BOUNDARY!r}")
-                    if any(ch.isspace() for ch in token):
-                        raise ParseError(path, line_no, f"token {token!r} contains whitespace")
-            if not unicodedata.is_normalized("NFC", text):
-                tokens = [_normalize_token(token) for token in tokens]
-            verses[verse_id] = tuple(tokens)
+    for line_no, verse_id, text in _records(path, read_lines(path), "tokens", bare_ids=False):
+        tokens = text.split(" ")
+        # A clean line has no empty token, no boundary character and no
+        # other whitespace, so splitting on any whitespace gives the same
+        # tokens; only a line that fails this is searched for the culprit.
+        if BOUNDARY in text or text.split() != tokens:
+            for token in tokens:
+                if not token:
+                    raise ParseError(path, line_no, "empty token (double or trailing space?)")
+                if BOUNDARY in token:
+                    raise ParseError(path, line_no, f"token {token!r} contains reserved character {BOUNDARY!r}")
+                if any(ch.isspace() for ch in token):
+                    raise ParseError(path, line_no, f"token {token!r} contains whitespace")
+        if not unicodedata.is_normalized("NFC", text):
+            tokens = [unicodedata.normalize("NFC", token) for token in tokens]
+        verses[verse_id] = tuple(tokens)
     return verses
 
 
@@ -232,11 +251,8 @@ def load_alignment(path, corpus: ParallelCorpus) -> Alignment:
     from the file get no links. Indices are bounds-checked against both
     verses.
     """
-    with open_input(path) as handle:
-        lines = handle.read().splitlines()
-    if not lines:
-        raise ParseError(path, 1, "empty alignment file (missing header)")
-    header = lines[0].split("\t")
+    lines = iter(read_lines(path))
+    header = next(lines).split("\t")
     if len(header) != 3 or header[0] != "#":
         raise ParseError(path, 1, "expected header '#\\t<source-version>\\t<target-version>'")
     try:
@@ -247,20 +263,10 @@ def load_alignment(path, corpus: ParallelCorpus) -> Alignment:
     for version in (source, target):
         if version not in corpus.versions:
             raise CorpusError(f"alignment {path} references unknown version {version}")
-    shared = set(corpus.shared_verses)
     source_verses = corpus.versions[source]
     target_verses = corpus.versions[target]
     links: dict[str, tuple[int, ...]] = {}
-    for line_no, line in enumerate(lines[1:], 2):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) > 2:
-            raise ParseError(path, line_no, f"expected <verse-id>\\t<links>, got {len(parts)} fields")
-        verse_id = parts[0]
-        if verse_id not in shared:
-            continue
-        text = parts[1] if len(parts) == 2 else ""
+    for line_no, verse_id, text in _records(path, lines, "links", source_verses, first_line=2):
         src_len = len(source_verses[verse_id])
         tgt_len = len(target_verses[verse_id])
         flat = tuple(map(int, text.replace("-", " ").split())) if _CLEAN_LINKS.fullmatch(text) else None
@@ -296,41 +302,28 @@ def load_np_annotation(path, corpus: ParallelCorpus) -> NpAnnotation:
     version = VersionId.from_filename(path)
     if version not in corpus.versions:
         raise CorpusError(f"annotation {path} references unknown version {version}")
-    shared = set(corpus.shared_verses)
+    verses = corpus.versions[version]
     spans: dict[str, tuple[NpSpan, ...]] = {}
-    with open_input(path) as handle:
-        for line_no, raw in enumerate(handle, 1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) > 2:
-                raise ParseError(path, line_no, f"expected <verse-id>\\t<spans>, got {len(parts)} fields")
-            verse_id = parts[0]
-            if verse_id not in shared:
-                continue
-            if verse_id in spans:
-                raise ParseError(path, line_no, f"duplicate verse id {verse_id!r}")
-            verse_len = len(corpus.verse(version, verse_id))
-            ranges = []
-            span_text = parts[1] if len(parts) == 2 else ""
-            for chunk in span_text.split():
-                left, sep, right = chunk.partition(":")
-                if not sep or not _is_index(left) or not _is_index(right):
-                    raise ParseError(path, line_no, f"bad span {chunk!r} (expected <start>:<end>)")
-                start, end = int(left), int(right)
-                if start >= end:
-                    raise CorpusError(f"{path}: verse {verse_id!r} has empty span {start}:{end}")
-                if end > verse_len:
-                    raise CorpusError(
-                        f"{path}: verse {verse_id!r} span {start}:{end} out of bounds (verse has {verse_len} tokens)"
-                    )
-                ranges.append((start, end))
-            ranges.sort()
-            for (s1, e1), (s2, _e2) in zip(ranges, ranges[1:]):
-                if s2 < e1:
-                    raise CorpusError(f"{path}: verse {verse_id!r} has overlapping spans {s1}:{e1} and {s2}:{_e2}")
-            spans[verse_id] = tuple(NpSpan.from_range(verse_id, s, e) for s, e in ranges)
+    for line_no, verse_id, span_text in _records(path, read_lines(path), "spans", verses):
+        verse_len = len(verses[verse_id])
+        ranges = []
+        for chunk in span_text.split():
+            left, sep, right = chunk.partition(":")
+            if not sep or not _is_index(left) or not _is_index(right):
+                raise ParseError(path, line_no, f"bad span {chunk!r} (expected <start>:<end>)")
+            start, end = int(left), int(right)
+            if start >= end:
+                raise CorpusError(f"{path}: verse {verse_id!r} has empty span {start}:{end}")
+            if end > verse_len:
+                raise CorpusError(
+                    f"{path}: verse {verse_id!r} span {start}:{end} out of bounds (verse has {verse_len} tokens)"
+                )
+            ranges.append((start, end))
+        ranges.sort()
+        for (s1, e1), (s2, _e2) in zip(ranges, ranges[1:]):
+            if s2 < e1:
+                raise CorpusError(f"{path}: verse {verse_id!r} has overlapping spans {s1}:{e1} and {s2}:{_e2}")
+        spans[verse_id] = tuple(NpSpan.from_range(verse_id, s, e) for s, e in ranges)
     for verse_id in corpus.shared_verses:
         spans.setdefault(verse_id, ())
     return NpAnnotation(version=version, spans=spans)

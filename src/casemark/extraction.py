@@ -34,7 +34,7 @@ from itertools import chain, compress
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .corpus import BOUNDARY, Alignment, ParallelCorpus, atomic_open, open_input
+from .corpus import BOUNDARY, Alignment, ParallelCorpus, atomic_open, read_lines
 from .errors import ConfigurationError, ParseError, UndefinedOddsError
 from .projection import NpAnnotation, alignments_by_pair, build_inside_outside, partition_word_types
 from .stats import ExactTest
@@ -368,29 +368,27 @@ def write_marker_file(marker_set: MarkerSet, path) -> None:
 def read_marker_file(path) -> MarkerSet:
     """Inverse of write_marker_file; the language is the file stem."""
     markers = []
-    with open_input(path) as handle:
-        for line_no, raw in enumerate(handle, 1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise ParseError(path, line_no, f"expected 5 fields, got {len(parts)}")
-            gram, inside_text, outside_text, p_text, r_text = parts
-            try:
-                inside_c = int(inside_text)
-                outside_c = int(outside_text)
-                p_value = None if p_text == "NA" else float(p_text)
-                ratio = None if r_text == "NA" else float(r_text)
-            except ValueError as exc:
-                raise ParseError(path, line_no, str(exc)) from None
-            markers.append(
-                CandidateMarker(
-                    gram=gram,
-                    inside_count=inside_c,
-                    outside_count=outside_c,
-                    p_value=p_value,
-                    odds_ratio=ratio,
-                )
+    for line_no, line in enumerate(read_lines(path), 1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 5:
+            raise ParseError(path, line_no, f"expected 5 fields, got {len(parts)}")
+        gram, inside_text, outside_text, p_text, r_text = parts
+        try:
+            inside_c = int(inside_text)
+            outside_c = int(outside_text)
+            p_value = None if p_text == "NA" else float(p_text)
+            ratio = None if r_text == "NA" else float(r_text)
+        except ValueError as exc:
+            raise ParseError(path, line_no, str(exc)) from None
+        markers.append(
+            CandidateMarker(
+                gram=gram,
+                inside_count=inside_c,
+                outside_count=outside_c,
+                p_value=p_value,
+                odds_ratio=ratio,
             )
+        )
     return MarkerSet(language=Path(path).stem, markers=frozenset(markers))

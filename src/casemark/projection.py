@@ -66,16 +66,21 @@ def alignments_by_pair(
     """The links from each annotated edition into each unannotated version
     (of `language`, when given), targets in sorted order.
 
-    Raises ConfigurationError for a duplicate annotation, a missing
-    (source, target) alignment, or a link from an NP verse past the end of
-    its target verse.
+    Raises ConfigurationError for a duplicate annotation, a duplicate or a
+    missing (source, target) alignment, or a link from an NP verse past the
+    end of its target verse.
     """
     sources = [annotation.version for annotation in annotations]
     for position, source in enumerate(sources):
         if source in sources[:position]:
             raise ConfigurationError(f"duplicate annotation for version {source}")
     targets = sorted(v for v in corpus.versions if v not in sources and (language is None or v.language == language))
-    given = {(alignment.source_version, alignment.target_version): alignment for alignment in alignments}
+    given = {}
+    for alignment in alignments:
+        pair = alignment.source_version, alignment.target_version
+        if pair in given:
+            raise ConfigurationError(f"duplicate alignment for pair {pair[0]} -> {pair[1]}")
+        given[pair] = alignment
     by_pair = {}
     for annotation in annotations:
         source = annotation.version

@@ -8,12 +8,13 @@ suffix set for the language.
 
 from __future__ import annotations
 
+import os
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import BOUNDARY, atomic_open, open_input
+from .corpus import BOUNDARY, atomic_open, read_lines
 from .errors import ParseError
 
 NOMINAL_POS = ("N", "ADJ")
@@ -37,22 +38,20 @@ def parse_paradigms(path) -> dict[str, list[ParadigmEntry]]:
     """Parse a paradigm TSV into entries grouped by lemma; blank lines are
     skipped, short lines are parse errors."""
     paradigms: dict[str, list[ParadigmEntry]] = {}
-    with open_input(path) as handle:
-        for line_no, raw in enumerate(handle, 1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) < 3:
-                raise ParseError(path, line_no, f"expected at least 3 columns, got {len(parts)}")
-            lemma = unicodedata.normalize("NFC", parts[0])
-            form = unicodedata.normalize("NFC", parts[1])
-            features = tuple(tag for tag in parts[2].split(";") if tag)
-            if not lemma or not form:
-                raise ParseError(path, line_no, "empty lemma or form")
-            if not features:
-                raise ParseError(path, line_no, "empty feature string")
-            paradigms.setdefault(lemma, []).append(ParadigmEntry(lemma, form, features))
+    for line_no, line in enumerate(read_lines(path), 1):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) < 3:
+            raise ParseError(path, line_no, f"expected at least 3 columns, got {len(parts)}")
+        lemma = unicodedata.normalize("NFC", parts[0])
+        form = unicodedata.normalize("NFC", parts[1])
+        features = tuple(tag for tag in parts[2].split(";") if tag)
+        if not lemma or not form:
+            raise ParseError(path, line_no, "empty lemma or form")
+        if not features:
+            raise ParseError(path, line_no, "empty feature string")
+        paradigms.setdefault(lemma, []).append(ParadigmEntry(lemma, form, features))
     return paradigms
 
 
@@ -66,20 +65,6 @@ def filter_pos(paradigms: Mapping[str, Sequence[ParadigmEntry]]) -> dict[str, li
     return kept
 
 
-def _longest_common_prefix(words: Iterable[str]) -> str:
-    iterator = iter(sorted(set(words)))
-    prefix = next(iterator, "")
-    for word in iterator:
-        limit = min(len(prefix), len(word))
-        i = 0
-        while i < limit and prefix[i] == word[i]:
-            i += 1
-        prefix = prefix[:i]
-        if not prefix:
-            break
-    return prefix
-
-
 def induce_root(forms: Sequence[str], nominative_singular: str) -> str:
     """Root of a paradigm: forms occurring only once are pruned as outliers
     (all forms stay when nothing survives), the longest common prefix of the
@@ -89,7 +74,7 @@ def induce_root(forms: Sequence[str], nominative_singular: str) -> str:
     pruned = [form for form in forms if multiplicity[form] > 1]
     if not pruned:
         pruned = list(forms)
-    prefix = _longest_common_prefix(pruned)
+    prefix = os.path.commonprefix(pruned)
     if len(prefix) > len(nominative_singular):
         return prefix
     return nominative_singular
@@ -128,5 +113,4 @@ def write_silver_file(standard: SilverStandard, path) -> None:
 
 
 def read_silver_file(path) -> frozenset[str]:
-    with open_input(path) as handle:
-        return frozenset(line.strip() for line in handle if line.strip())
+    return frozenset(filter(None, map(str.strip, read_lines(path))))

@@ -426,6 +426,10 @@ class TestConfigValues:
             ("analysis: {samples_per_group: -2}", "analysis.samples_per_group must be an integer >= 0, got -2"),
             ("analysis: {samples_per_group: true}", "analysis.samples_per_group must be an integer >= 0, got True"),
             ("analysis: {samples_per_group: null}", "analysis.samples_per_group must be an integer >= 0, got None"),
+            ("pipeline: {suffix_only: 'false'}", "pipeline.suffix_only must be true or false, got 'false'"),
+            ("pipeline: {suffix_only: null}", "pipeline.suffix_only must be true or false, got None"),
+            ("pipeline: {suffix_only: 0}", "pipeline.suffix_only must be true or false, got 0"),
+            ("pipeline: {suffix_only: 1}", "pipeline.suffix_only must be true or false, got 1"),
         ],
     )
     def test_exits_2_naming_the_key(self, tmp_path, capsys, line, message):
@@ -433,6 +437,15 @@ class TestConfigValues:
         assert main(["extract", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["extract", "silver", "eval", "ablate", "analyze", "project"])
+    def test_null_output_dir_exits_2_in_every_subcommand(self, tmp_path, capsys, command):
+        config = write_lines(tmp_path / "c.yaml", ["output_dir: null"])
+        assert main([command, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "config key output_dir must be of type str, got None" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -509,6 +522,50 @@ class TestNonUtf8Input:
         assert main([command, "--config", str(world["config"])]) == exit_code
         err = capsys.readouterr().err
         assert f"{path}:1: not UTF-8 text" in err
+        assert "Traceback" not in err
+
+
+class TestRepeatedVerseId:
+    """A verse id may appear once per file in each of the three corpus
+    formats; a repeat is a data error (exit 2) naming the file and line."""
+
+    @pytest.mark.parametrize(
+        "kind, lines",
+        [
+            ("verse", ["v1\tdomibus", "v2\tdomus", "v1\tdomus"]),
+            ("alignment", ["#\tenglish-e1\tlatin-l1", "v1\t1-0", "v1\t0-0"]),
+            ("annotation", ["v1\t0:2", "v2\t0:1", "v1\t1:2"]),
+        ],
+    )
+    def test_exits_2_naming_the_line(self, tmp_path, capsys, kind, lines):
+        verse_files = tiny_corpus_files(
+            tmp_path,
+            {
+                "english-e1.txt": {"v1": "the houses", "v2": "good deeds"},
+                "latin-l1.txt": {"v1": "domibus", "v2": "domus"},
+            },
+        )
+        paths = {
+            "verse": verse_files[1],
+            "alignment": write_lines(tmp_path / "english-latin.tsv", ["#\tenglish-e1\tlatin-l1", "v1\t1-0"]),
+            "annotation": write_lines(tmp_path / "english-e1.np", ["v1\t0:2"]),
+        }
+        config = write_lines(
+            tmp_path / "run.yaml",
+            [
+                "verse_files:",
+                *[f'  - "{p}"' for p in verse_files],
+                f'alignment_files: ["{paths["alignment"]}"]',
+                f'annotation_files: ["{paths["annotation"]}"]',
+                f'output_dir: "{tmp_path / "out"}"',
+            ],
+        )
+        assert main(["project", "--config", str(config)]) == 0
+        write_lines(paths[kind], lines)
+        capsys.readouterr()
+        assert main(["project", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"{paths[kind]}:3: duplicate verse id 'v1'" in err
         assert "Traceback" not in err
 
 

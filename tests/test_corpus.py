@@ -230,6 +230,8 @@ MUTATED_LINKS = [
     "0-0\u20031-2",
     "0-0\x1c1-2",
     "0-0\u20281-2",
+    "0-0\u20291-2",
+    "0-0\x851-2",
     "0-0\r1-2",
     "0-0\t1-2",
     "2-0",
@@ -281,6 +283,101 @@ class TestWholeLineCheck:
     def test_random_mutations(self, pieces):
         with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as monkeypatch:
             self.check(Path(root), monkeypatch, "".join(pieces))
+
+
+# Characters that str.splitlines() takes for line breaks but that do not end
+# a line of an input file.
+INNER_BREAKS = ["\u2028", "\x85", "\x0b", "\x0c"]
+
+
+class TestRecordReader:
+    """One reader splits the lines of the verse, alignment and annotation
+    files: a line ends only at a newline, and a verse id appears once."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        versions = {
+            "alpha-a1.txt": {"v1": "a b", "v2": "c", "v3": "d"},
+            "beta-b1.txt": {"v1": "x y z", "v2": "p", "v3": "q"},
+        }
+        return load_corpus(tiny_corpus_files(tmp_path, versions))
+
+    @pytest.mark.parametrize("brk", INNER_BREAKS)
+    def test_inner_line_break_keeps_every_link(self, tmp_path, corpus, brk):
+        path = tmp_path / "align.tsv"
+        path.write_text(f"#\talpha-a1\tbeta-b1\nv1\t0-0{brk}1-2\nv2\t0-0\n", encoding="utf-8")
+        assert load_alignment(path, corpus).links == {"v1": (0, 0, 1, 2), "v2": (0, 0), "v3": ()}
+
+    @pytest.mark.parametrize("brk", INNER_BREAKS)
+    def test_inner_line_break_keeps_every_span(self, tmp_path, corpus, brk):
+        path = tmp_path / "alpha-a1.np"
+        path.write_text(f"v1\t0:1{brk}1:2\n", encoding="utf-8")
+        spans = load_np_annotation(path, corpus).spans
+        assert [span.token_indices for span in spans["v1"]] == [(0,), (1,)]
+
+    @pytest.mark.parametrize("brk", INNER_BREAKS)
+    def test_later_error_names_its_line_in_the_file(self, tmp_path, corpus, brk):
+        align = tmp_path / "align.tsv"
+        align.write_text(f"#\talpha-a1\tbeta-b1\nv1\t0-0{brk}1-2\nv2\t0:0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(f"{align}:3: bad link '0:0'")):
+            load_alignment(align, corpus)
+        annotation = tmp_path / "alpha-a1.np"
+        annotation.write_text(f"v1\t0:1{brk}1:2\n\nv2\t0-1\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(f"{annotation}:3: bad span '0-1'")):
+            load_np_annotation(annotation, corpus)
+        verses = tmp_path / "gamma-g1.txt"
+        verses.write_text(f"v1\ta\nv2\tb{brk}c\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(f"{verses}:2: token {'b' + brk + 'c'!r} contains whitespace")):
+            load_corpus([verses, tmp_path / "beta-b1.txt"])
+
+    def test_windows_and_old_mac_line_ends(self, tmp_path, corpus):
+        path = tmp_path / "align.tsv"
+        path.write_bytes(b"#\talpha-a1\tbeta-b1\r\nv1\t0-0 1-2\rv2\t0-0\r\n")
+        assert load_alignment(path, corpus).links == {"v1": (0, 0, 1, 2), "v2": (0, 0), "v3": ()}
+
+    def test_repeated_verse_id_in_an_alignment(self, tmp_path, corpus):
+        path = write_lines(tmp_path / "align.tsv", ["#\talpha-a1\tbeta-b1", "v1\t0-0", "v2\t0-0", "v1\t1-2"])
+        with pytest.raises(ParseError, match=re.escape(f"{path}:4: duplicate verse id 'v1'")):
+            load_alignment(path, corpus)
+
+    def test_repeat_outside_the_shared_verses_is_an_error_too(self, tmp_path, corpus):
+        for path, lines in [
+            (tmp_path / "align.tsv", ["#\talpha-a1\tbeta-b1", "v9\t0-0", "v9\t0-0"]),
+            (tmp_path / "alpha-a1.np", ["v9\t0:1", "v9\t0:1"]),
+        ]:
+            write_lines(path, lines)
+            loader = load_alignment if path.suffix == ".tsv" else load_np_annotation
+            with pytest.raises(ParseError, match=re.escape(f"{path}:{len(lines)}: duplicate verse id 'v9'")):
+                loader(path, corpus)
+
+    @pytest.mark.parametrize(
+        "name, lines, message",
+        [
+            ("align.tsv", ["#\talpha-a1\tbeta-b1", "\t0-0"], ":2: empty verse id"),
+            ("align.tsv", ["#\talpha-a1\tbeta-b1", "v1\t0-0\t1-1"], ":2: expected <verse-id>\\t<links>, got 3 fields"),
+            ("align.tsv", [], ":1: expected header"),
+            ("alpha-a1.np", ["\t0:1"], ":1: empty verse id"),
+            ("alpha-a1.np", ["v1\t0:1\t1:2"], ":1: expected <verse-id>\\t<spans>, got 3 fields"),
+        ],
+    )
+    def test_malformed_records(self, tmp_path, corpus, name, lines, message):
+        path = tmp_path / name
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        loader = load_alignment if name.endswith(".tsv") else load_np_annotation
+        with pytest.raises(ParseError, match=re.escape(f"{path}{message}")):
+            loader(path, corpus)
+
+    def test_bare_verse_id_has_no_links_or_spans(self, tmp_path, corpus):
+        align = write_lines(tmp_path / "align.tsv", ["#\talpha-a1\tbeta-b1", "v1", "v2\t0-0"])
+        assert load_alignment(align, corpus).links == {"v1": (), "v2": (0, 0), "v3": ()}
+        annotation = write_lines(tmp_path / "alpha-a1.np", ["v1", "v2\t0:1"])
+        assert load_np_annotation(annotation, corpus).spans["v1"] == ()
+
+    def test_bare_verse_id_in_a_verse_file(self, tmp_path):
+        path = write_lines(tmp_path / "alpha-a1.txt", ["v1\ta", "v2"])
+        other = tiny_corpus_files(tmp_path, {"beta-b1.txt": {"v1": "x"}})[0]
+        with pytest.raises(ParseError, match=re.escape(f"{path}:2: expected <verse-id>\\t<tokens>, got 1 fields")):
+            load_corpus([path, other])
 
 
 class TestLoadNpAnnotation:

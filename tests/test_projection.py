@@ -121,6 +121,18 @@ class TestBuildParallelNpSet:
         with pytest.raises(ConfigurationError, match="missing alignment"):
             build_parallel_np_set(corpus, annotations, alignments[:-1])
 
+    def test_duplicate_alignment_is_configuration_error(self, tmp_path):
+        # A second file for (e2, tercia) links "a" instead of "runs": which
+        # one projects must not depend on the order of the files.
+        corpus, annotations, alignments = build_two_edition_world(tmp_path)
+        path = write_lines(tmp_path / "again.align", ["#\tenglish-e2\ttercia-t1", "v1\t0-0"])
+        again = load_alignment(path, corpus)
+        for given in ([*alignments, again], [again, *alignments]):
+            with pytest.raises(ConfigurationError, match="duplicate alignment for pair english-e2 -> tercia-t1"):
+                build_parallel_np_set(corpus, annotations, given)
+            with pytest.raises(ConfigurationError, match="duplicate alignment for pair english-e2 -> tercia-t1"):
+                build_inside_outside(corpus, annotations, given, "tercia")
+
     def test_deterministic(self, tmp_path):
         corpus, annotations, alignments = build_two_edition_world(tmp_path)
         first = build_parallel_np_set(corpus, annotations, alignments)
