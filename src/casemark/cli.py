@@ -228,6 +228,9 @@ def _write_manifest(config: RunConfig, corpus, languages) -> None:
 
 def cmd_extract(config: RunConfig) -> int:
     corpus, annotations, alignments = _load_corpus_inputs(config)
+    unknown = sorted(set(config.pipeline.languages or ()) - set(corpus.languages()))
+    if unknown:  # a typo would otherwise select nothing and still exit 0
+        raise ConfigurationError(f"no verse files for languages: {', '.join(unknown)}")
     marker_sets = extraction.run_pipeline(corpus, annotations, alignments, config.pipeline)
     config.markers_dir.mkdir(parents=True, exist_ok=True)
     failures = []

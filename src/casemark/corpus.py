@@ -77,7 +77,14 @@ class NpSpan:
 
     @classmethod
     def from_range(cls, verse: str, start: int, end: int) -> "NpSpan":
-        return cls(verse, tuple(range(start, end)))
+        """The span of `range(start, end)`; a valid range skips the checks of
+        `__post_init__`, which it passes by construction."""
+        if not 0 <= start < end:
+            return cls(verse, tuple(range(start, end)))
+        span = object.__new__(cls)
+        object.__setattr__(span, "verse", verse)  # as the frozen dataclass's own __init__ does
+        object.__setattr__(span, "token_indices", tuple(range(start, end)))
+        return span
 
 
 @dataclass(frozen=True)
@@ -333,9 +340,7 @@ def corpus_fingerprint(corpus: ParallelCorpus) -> str:
     """Content hash of the corpus, stable across load order."""
     digest = hashlib.sha256()
     for version in sorted(corpus.versions):
+        verses = corpus.versions[version]
         digest.update(str(version).encode("utf-8"))
-        for verse_id in corpus.shared_verses:
-            digest.update(verse_id.encode("utf-8"))
-            digest.update(" ".join(corpus.versions[version][verse_id]).encode("utf-8"))
-            digest.update(b"\n")
+        digest.update("".join([f"{v}{' '.join(verses[v])}\n" for v in corpus.shared_verses]).encode("utf-8"))
     return digest.hexdigest()

@@ -31,6 +31,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, compress
+from operator import add
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -150,7 +151,7 @@ def candidates_of_word(word: str) -> set[str]:
 
 
 # Window length of the frequency bound (see the module docstring); windows
-# of 2 or 4 characters made counting slower.
+# of 2 or 4 characters made counting slower. `_joined` hard-codes it.
 _WINDOW = 3
 
 
@@ -168,8 +169,7 @@ def _joined(words: list[str]) -> tuple[str, list[str]]:
     windows in order. Each window of a wrapped word is one of these; windows
     across two words only add occurrences, so counts stay upper bounds."""
     text = BOUNDARY + BOUNDARY.join(words) + BOUNDARY
-    starts = range(len(text) - _WINDOW + 1)
-    return text, list(map(text.__getitem__, map(slice, starts, range(_WINDOW, len(text) + 1))))
+    return text, list(map(add, map(add, text, text[1:]), text[2:]))
 
 
 def _grams_within(words: list[str], joined: tuple[str, list[str]], frequent: set[str]) -> Iterator[set[str]]:
@@ -320,12 +320,12 @@ def count_grams(
     and counted only when the returned iterator reaches it, so a caller that
     finishes one language before the next holds one language's counts.
     """
-    alignments_by_pair(corpus, annotations, alignments)
+    by_pair = alignments_by_pair(corpus, annotations, alignments)
     languages = [lang for lang in corpus.languages() if config.wants_language(lang)]
 
     def per_language() -> Iterator[tuple[str, dict[str, tuple[int, int]]]]:
         for language in languages:
-            partition = partition_word_types(build_inside_outside(corpus, annotations, alignments, language))
+            partition = partition_word_types(build_inside_outside(corpus, annotations, by_pair, language))
             yield language, build_candidate_counts(partition.np_relevant, partition.np_irrelevant, config.theta)
 
     return per_language()

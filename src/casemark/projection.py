@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress
-from typing import Collection, Mapping, NamedTuple, Optional, Sequence
+from typing import Collection, Mapping, NamedTuple, Sequence
 
 from .corpus import Alignment, NpAnnotation, NpSpan, ParallelCorpus, VersionId, atomic_open
 from .errors import ConfigurationError
@@ -61,10 +61,9 @@ def alignments_by_pair(
     corpus: ParallelCorpus,
     annotations: Sequence[NpAnnotation],
     alignments: Sequence[Alignment],
-    language: Optional[str] = None,
 ) -> dict[tuple[VersionId, VersionId], Mapping[str, tuple[int, ...]]]:
-    """The links from each annotated edition into each unannotated version
-    (of `language`, when given), targets in sorted order.
+    """The links from each annotated edition into each unannotated version,
+    targets in sorted order.
 
     Raises ConfigurationError for a duplicate annotation, a duplicate or a
     missing (source, target) alignment, or a link from an NP verse past the
@@ -74,7 +73,7 @@ def alignments_by_pair(
     for position, source in enumerate(sources):
         if source in sources[:position]:
             raise ConfigurationError(f"duplicate annotation for version {source}")
-    targets = sorted(v for v in corpus.versions if v not in sources and (language is None or v.language == language))
+    targets = sorted(v for v in corpus.versions if v not in sources)
     given = {}
     for alignment in alignments:
         pair = alignment.source_version, alignment.target_version
@@ -137,18 +136,18 @@ def build_parallel_np_set(
 def build_inside_outside(
     corpus: ParallelCorpus,
     annotations: Sequence[NpAnnotation],
-    alignments: Sequence[Alignment],
+    by_pair: Mapping[tuple[VersionId, VersionId], Mapping[str, tuple[int, ...]]],
     language: str,
 ) -> InsideOutsideCounts:
     """Count, over all annotated copies, the tokens of `language` falling
-    inside versus outside projected NPs.
+    inside versus outside projected NPs; `by_pair` holds the checked links
+    as `alignments_by_pair` returns them.
 
     Each annotated edition is one copy. It marks, per verse, its own NP
     tokens when it is of `language` (identity projection), and in every
     unannotated version of `language` the tokens linked to them. Within a
     copy a token counts once, as inside iff it is marked.
     """
-    by_pair = alignments_by_pair(corpus, annotations, alignments, language)
     inside: Counter = Counter()
     total: Counter = Counter()
     for annotation in annotations:

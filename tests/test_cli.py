@@ -40,6 +40,21 @@ class TestExtract:
         assert (out / "markers" / "tercia.tsv").exists()
         assert not (out / "markers" / "lingua.tsv").exists()
 
+    @pytest.mark.parametrize("languages", ["nosuch", "lingua,nosuch"])
+    def test_language_without_verse_files_exits_2_naming_it(self, workdir, capsys, languages):
+        config, out = workdir
+        assert main(["extract", "--config", str(config), "--languages", languages]) == 2
+        assert capsys.readouterr().err == "casemark extract: no verse files for languages: nosuch\n"
+        assert not out.exists()
+
+    def test_pipeline_language_without_verse_files_exits_2_naming_it(self, workdir, tmp_path, capsys):
+        config, out = workdir
+        text = config.read_text(encoding="utf-8").replace('languages: ["lingua"]', 'languages: ["lingua", "klingon"]')
+        typo = write_lines(tmp_path / "typo.yaml", [text])
+        assert main(["extract", "--config", str(typo)]) == 2
+        assert capsys.readouterr().err == "casemark extract: no verse files for languages: klingon\n"
+        assert not out.exists()
+
     def test_ablate_flag_applies_variant(self, workdir):
         config, out = workdir
         assert main(["extract", "--config", str(config), "--ablate", "no_phi"]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -435,6 +436,39 @@ class TestNpSpan:
     def test_negative_index_is_reported_before_ordering(self):
         with pytest.raises(CorpusError, match="negative token index"):
             NpSpan("v", (3, -1))
+
+    @given(st.integers(0, 50), st.integers(1, 20))
+    def test_from_range_equals_the_constructor(self, start, length):
+        span = NpSpan.from_range("v1", start, start + length)
+        expected = NpSpan("v1", tuple(range(start, start + length)))
+        assert span == expected and hash(span) == hash(expected) and vars(span) == vars(expected)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            span.verse = "v2"
+
+    @pytest.mark.parametrize(
+        "start, end, message", [(2, 2, "empty span"), (3, 1, "empty span"), (-1, 2, "negative token index")]
+    )
+    def test_from_range_raises_the_constructor_errors(self, start, end, message):
+        with pytest.raises(CorpusError, match=message) as from_range:
+            NpSpan.from_range("v1", start, end)
+        with pytest.raises(CorpusError) as constructor:
+            NpSpan("v1", tuple(range(start, end)))
+        assert str(from_range.value) == str(constructor.value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 8), unique=True, max_size=8), st.randoms(use_true_random=False))
+    def test_loaded_spans_equal_constructed_spans(self, cuts, rng):
+        cuts.sort()
+        ranges = list(zip(cuts[0::2], cuts[1::2]))
+        rng.shuffle(ranges)  # the loader sorts them
+        with tempfile.TemporaryDirectory() as root:
+            verses = {"alpha-a1.txt": {"v1": "a b c d e f g h"}, "beta-b1.txt": {"v1": "x"}}
+            corpus = load_corpus(tiny_corpus_files(Path(root), verses))
+            path = write_lines(Path(root) / "alpha-a1.np", ["v1\t" + " ".join(f"{s}:{e}" for s, e in ranges)])
+            spans = load_np_annotation(path, corpus).spans["v1"]
+        expected = tuple(NpSpan("v1", tuple(range(s, e))) for s, e in sorted(ranges))
+        assert spans == expected
+        assert [(hash(span), vars(span)) for span in spans] == [(hash(span), vars(span)) for span in expected]
 
 
 class TestVerseLineErrors:

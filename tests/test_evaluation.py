@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from casemark.evaluation import (
     run_ablation,
     score,
 )
-from casemark import extraction
+from casemark import extraction, projection
 from casemark.extraction import ABLATION_VARIANTS, PipelineConfig, run_pipeline
 from casemark.stats import ExactTest
 
@@ -116,19 +117,24 @@ class TestRunAblation:
         assert by_variant["middle"].precision < by_variant["baseline"].precision
 
     def test_counts_once_and_matches_pipeline_per_variant(self, synth, monkeypatch):
-        calls = {"alignments_by_pair": 0, "build_inside_outside": 0, "build_candidate_counts": 0}
+        calls = Counter()
 
-        def counted(name):
-            original = getattr(extraction, name)
+        def counted(module, name):
+            original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return original(*args, **kwargs)
 
-            monkeypatch.setattr(extraction, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
 
-        for name in calls:
-            counted(name)
+        # Both bindings of the input check: extraction's, and projection's,
+        # through which a projection function would check the inputs again.
+        for module, name in [
+            (extraction, "alignments_by_pair"), (projection, "alignments_by_pair"),
+            (extraction, "build_inside_outside"), (extraction, "build_candidate_counts"),
+        ]:
+            counted(module, name)
         config = PipelineConfig(theta=synth.fixture.theta)
         gold = {"lingua": synth.fixture.gold, "tercia": {"um$", "a$"}}
         rows = run_ablation(synth.corpus, synth.annotations, synth.alignments, config, gold)
@@ -136,6 +142,13 @@ class TestRunAblation:
         # projected and counted once, not once per variant.
         assert calls == {
             "alignments_by_pair": 1, "build_inside_outside": len(gold), "build_candidate_counts": len(gold)
+        }
+        calls.clear()
+        languages = synth.corpus.languages()
+        assert len(languages) >= 2
+        run_pipeline(synth.corpus, synth.annotations, synth.alignments, config)
+        assert calls == {
+            "alignments_by_pair": 1, "build_inside_outside": len(languages), "build_candidate_counts": len(languages)
         }
 
         monkeypatch.undo()

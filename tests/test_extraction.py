@@ -181,6 +181,16 @@ class TestCandidateCounts:
         assert counts == plain_gram_counts(relevant, irrelevant, 3)
 
 
+class TestJoinedWindows:
+    # An astral character, a combining mark, Cyrillic letters and empty words.
+    @settings(max_examples=200)
+    @given(st.lists(st.text(alphabet="a\U00010330\u0301жя", max_size=5), max_size=8))
+    def test_windows_are_the_three_character_slices(self, words):
+        text, windows = extraction._joined(words)
+        assert text == "$" + "$".join(words) + "$"
+        assert windows == [text[i : i + 3] for i in range(len(text) - 2)]
+
+
 class TestFrequencyFilter:
     def test_boundary_inclusive(self):
         assert frequency_filter({"x": (97, 0)}, 97) == {"x"}

@@ -22,6 +22,7 @@ from casemark.extraction import PipelineConfig, count_grams
 from casemark.projection import (
     InsideOutsideCounts,
     ParallelNp,
+    alignments_by_pair,
     build_inside_outside,
     build_parallel_np_set,
     dump_parallel_nps,
@@ -131,7 +132,7 @@ class TestBuildParallelNpSet:
             with pytest.raises(ConfigurationError, match="duplicate alignment for pair english-e2 -> tercia-t1"):
                 build_parallel_np_set(corpus, annotations, given)
             with pytest.raises(ConfigurationError, match="duplicate alignment for pair english-e2 -> tercia-t1"):
-                build_inside_outside(corpus, annotations, given, "tercia")
+                alignments_by_pair(corpus, annotations, given)
 
     def test_deterministic(self, tmp_path):
         corpus, annotations, alignments = build_two_edition_world(tmp_path)
@@ -165,7 +166,7 @@ class TestProjectionPaths:
         with pytest.raises(ConfigurationError, match="points outside verse 'v1'"):
             build_parallel_np_set(corpus, [annotation], alignments)
         with pytest.raises(ConfigurationError, match="points outside verse 'v1'"):
-            build_inside_outside(corpus, [annotation], alignments, "lingua")
+            alignments_by_pair(corpus, [annotation], alignments)
         with pytest.raises(ConfigurationError, match="points outside verse 'v1'"):
             project_span(annotation.spans["v1"][0], alignments[0], corpus.verse(TGT, "v1"))
 
@@ -201,7 +202,7 @@ def single_copy_counts(spans_by_copy, verse_tokens=("a", "b", "c"), language="li
         alignment_with({(0, j) for j in indices}, source=eng, target=target)
         for eng, indices in zip(eng_versions, spans_by_copy)
     ]
-    return build_inside_outside(corpus, annotations, alignments, language)
+    return build_inside_outside(corpus, annotations, alignments_by_pair(corpus, annotations, alignments), language)
 
 
 class TestInsideOutside:
@@ -229,21 +230,24 @@ class TestInsideOutside:
         )
         annotation = NpAnnotation(eng, {"v1": (NpSpan("v1", (0, 1)), NpSpan("v1", (1,)))})
         alignment = alignment_with([(0, 0), (1, 1), (1, 1)], source=eng, target=target)
-        counts = build_inside_outside(corpus, [annotation], [alignment], "lingua")
+        by_pair = alignments_by_pair(corpus, [annotation], [alignment])
+        counts = build_inside_outside(corpus, [annotation], by_pair, "lingua")
         assert counts.inside == Counter({"a": 1, "b": 1})
         assert counts.outside == Counter()
-        english = build_inside_outside(corpus, [annotation], [alignment], "english")
+        english = build_inside_outside(corpus, [annotation], by_pair, "english")
         assert (english.inside, english.outside) == (Counter({"x": 1, "y": 1}), Counter())
 
     def test_conservation_on_synthetic_corpus(self, synth):
+        by_pair = alignments_by_pair(synth.corpus, synth.annotations, synth.alignments)
         for language in ("lingua", "tercia"):
-            counts = build_inside_outside(synth.corpus, synth.annotations, synth.alignments, language)
+            counts = build_inside_outside(synth.corpus, synth.annotations, by_pair, language)
             version = synth.corpus.versions_of(language)[0]
             expected = len(synth.annotations) * sum(map(len, synth.corpus.versions[version].values()))
             assert sum(counts.inside.values()) + sum(counts.outside.values()) == expected
 
     def test_identity_projection_for_source_language(self, synth):
-        counts = build_inside_outside(synth.corpus, synth.annotations, synth.alignments, "english")
+        by_pair = alignments_by_pair(synth.corpus, synth.annotations, synth.alignments)
+        counts = build_inside_outside(synth.corpus, synth.annotations, by_pair, "english")
         # "the" and nouns sit inside every NP span; verbs never do
         assert counts.outside["the"] == 0
         assert counts.inside["verb0"] == 0
@@ -406,8 +410,9 @@ class TestInsideOutsideMatchesPerTokenLoop:
     def test_random_worlds(self, world):
         corpus, annotations, alignments = world
         pnps = build_parallel_np_set(corpus, annotations, alignments)
+        by_pair = alignments_by_pair(corpus, annotations, alignments)
         for language in ("english", "lingua"):
-            counts = build_inside_outside(corpus, annotations, alignments, language)
+            counts = build_inside_outside(corpus, annotations, by_pair, language)
             inside, outside = per_token_inside_outside(corpus, pnps, language, [ENG, ENG2])
             assert counts.inside == inside
             assert counts.outside == outside
@@ -417,8 +422,9 @@ class TestInsideOutsideMatchesPerTokenLoop:
     def test_synthetic_corpus(self, synth):
         sources = sorted(a.version for a in synth.annotations)
         pnps = build_parallel_np_set(synth.corpus, synth.annotations, synth.alignments)
+        by_pair = alignments_by_pair(synth.corpus, synth.annotations, synth.alignments)
         for language in synth.corpus.languages():
-            counts = build_inside_outside(synth.corpus, synth.annotations, synth.alignments, language)
+            counts = build_inside_outside(synth.corpus, synth.annotations, by_pair, language)
             inside, outside = per_token_inside_outside(synth.corpus, pnps, language, sources)
             assert (counts.inside, counts.outside) == (inside, outside)
             assert 0 not in counts.outside.values()
