@@ -13,7 +13,7 @@ from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-from .corpus import BOUNDARY, ParallelCorpus, atomic_open
+from .corpus import BOUNDARY, ParallelCorpus, write_output
 from .extraction import MarkerSet
 from .projection import ParallelNp
 
@@ -139,13 +139,9 @@ def export_matrix(matrix: CooccurrenceMatrix, out_dir) -> None:
     """Write `matrix.tsv` triplets plus `rows.txt` / `cols.txt` sidecars in
     the matrix's own (sorted) order."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with atomic_open(out_dir / "rows.txt") as handle:
-        handle.write("".join([f"{row}\n" for row in matrix.rows]))
-    with atomic_open(out_dir / "cols.txt") as handle:
-        handle.write("".join([f"{col}\t{matrix.col_text.get(col, '')}\n" for col in matrix.cols]))
-    with atomic_open(out_dir / "matrix.tsv") as handle:
-        handle.write("".join([f"{row_i}\t{col_i}\t{count}\n" for row_i, col_i, count in matrix.cells]))
+    write_output(out_dir / "rows.txt", "".join([f"{row}\n" for row in matrix.rows]))
+    write_output(out_dir / "cols.txt", "".join([f"{col}\t{matrix.col_text.get(col, '')}\n" for col in matrix.cols]))
+    write_output(out_dir / "matrix.tsv", "".join([f"{row}\t{col}\t{count}\n" for row, col, count in matrix.cells]))
 
 
 def render_group_report(

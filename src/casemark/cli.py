@@ -20,7 +20,7 @@ from typing import Optional
 import yaml
 
 from . import analysis, evaluation, extraction, projection, silver
-from .corpus import atomic_open, corpus_fingerprint, load_alignment, load_corpus, load_np_annotation, open_input
+from .corpus import corpus_fingerprint, load_alignment, load_corpus, load_np_annotation, open_input, write_output
 from .errors import CasemarkError, ConfigurationError
 from .extraction import ABLATION_VARIANTS, POSITIONS, PipelineConfig
 
@@ -209,6 +209,20 @@ def _load_corpus_inputs(config: RunConfig):
     return corpus, annotations, alignments
 
 
+def _select(config: RunConfig, available, what: str) -> list[str]:
+    """The languages of `available`, those with `what`, that the run selects,
+    sorted. A language the selection names that is not available, or a
+    selection of none of them, is a configuration error: a typo would
+    otherwise select nothing and still exit 0."""
+    missing = sorted(set(config.pipeline.languages or ()) - set(available))
+    if missing:
+        raise ConfigurationError(f"no {what} for languages: {', '.join(missing)}")
+    selected = sorted(filter(config.pipeline.wants_language, available))
+    if available and not selected:
+        raise ConfigurationError(f"the language selection selects none of the languages with {what}")
+    return selected
+
+
 def _write_manifest(config: RunConfig, corpus, languages) -> None:
     inputs = {}
     for path in [*config.verse_files, *config.alignment_files, *config.annotation_files]:
@@ -217,29 +231,26 @@ def _write_manifest(config: RunConfig, corpus, languages) -> None:
         "pipeline": dataclasses.asdict(config.pipeline),
         "inputs": inputs,
         "corpus_fingerprint": corpus_fingerprint(corpus),
-        "languages": sorted(languages),
+        "languages": languages,
     }
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    with atomic_open(config.output_dir / "manifest.json") as handle:
-        # default=sorted writes the positions set as a sorted list.
-        json.dump(manifest, handle, sort_keys=True, indent=2, default=sorted)
-        handle.write("\n")
+    # default=sorted writes the positions set as a sorted list.
+    text = json.dumps(manifest, sort_keys=True, indent=2, default=sorted)
+    write_output(config.output_dir / "manifest.json", text + "\n")
 
 
 def cmd_extract(config: RunConfig) -> int:
     corpus, annotations, alignments = _load_corpus_inputs(config)
-    unknown = sorted(set(config.pipeline.languages or ()) - set(corpus.languages()))
-    if unknown:  # a typo would otherwise select nothing and still exit 0
-        raise ConfigurationError(f"no verse files for languages: {', '.join(unknown)}")
+    _select(config, corpus.languages(), "verse files")
     marker_sets = extraction.run_pipeline(corpus, annotations, alignments, config.pipeline)
-    config.markers_dir.mkdir(parents=True, exist_ok=True)
-    failures = []
+    written, failures = [], []
     for language in sorted(marker_sets):
         try:
             extraction.write_marker_file(marker_sets[language], config.markers_dir / f"{language}.tsv")
+            written.append(language)
         except OSError as exc:
             failures.append(f"{language}: {exc}")
-    _write_manifest(config, corpus, marker_sets)
+    # Only the languages written: `eval` would score an earlier file of the others.
+    _write_manifest(config, corpus, written)
     for failure in failures:
         print(f"extract: {failure}", file=sys.stderr)
     return 1 if failures else 0
@@ -255,9 +266,8 @@ def cmd_silver(config: RunConfig) -> int:
         print("silver: no paradigm files configured, nothing to build", file=sys.stderr)
         return 0
     _require_existing(languages.values(), "paradigm files")
-    config.silver_dir.mkdir(parents=True, exist_ok=True)
     failures = []
-    diagnostics = []
+    diagnostics = ["language\tparadigms_used\tsuffixes_emitted\n"]
     for language, path in languages.items():
         try:
             standard = silver.build_silver(path, language)
@@ -265,29 +275,32 @@ def cmd_silver(config: RunConfig) -> int:
             failures.append(f"{language}: {exc}")
             continue
         silver.write_silver_file(standard, config.silver_dir / f"{language}.txt")
-        diagnostics.append((language, standard.diagnostics))
-    with atomic_open(config.silver_dir / "diagnostics.tsv") as handle:
-        handle.write("language\tparadigms_used\tsuffixes_emitted\n")
-        for language, diag in diagnostics:
-            handle.write(f"{language}\t{diag['paradigms_used']}\t{diag['suffixes_emitted']}\n")
+        counts = standard.diagnostics
+        diagnostics.append(f"{language}\t{counts['paradigms_used']}\t{counts['suffixes_emitted']}\n")
+    write_output(config.silver_dir / "diagnostics.tsv", "".join(diagnostics))
     for failure in failures:
         print(f"silver: {failure}", file=sys.stderr)
     return 1 if failures else 0
 
 
-def _read_outputs(config: RunConfig, kind: str, wanted=None) -> dict:
-    """The marker sets (`kind` "markers") or silver standards ("silver") in
-    the config's directory for them, keyed by language (the file stem);
-    only the languages `wanted` accepts, when it is given."""
-    if kind == "markers":
-        directory, pattern, command = config.markers_dir, "*.tsv", "extract"
-        reader = extraction.read_marker_file
-    else:
-        directory, pattern, command = config.silver_dir, "*.txt", "silver"
-        reader = silver.read_silver_file
+def _output_files(directory: Path, kind: str, pattern: str, command: str) -> dict[str, Path]:
+    """The files matching `pattern` in the `kind` directory, by language (the file stem)."""
     if not directory.is_dir():
         raise ConfigurationError(f"{kind} directory {directory} does not exist (run `{command}` first?)")
-    return {p.stem: reader(p) for p in sorted(directory.glob(pattern)) if wanted is None or wanted(p.stem)}
+    return {p.stem: p for p in sorted(directory.glob(pattern))}
+
+
+def _read_markers(config: RunConfig, wanted) -> dict:
+    """The marker sets of the languages `wanted` accepts."""
+    files = _output_files(config.markers_dir, "markers", "*.tsv", "extract")
+    return {language: extraction.read_marker_file(p) for language, p in files.items() if wanted(language)}
+
+
+def _read_silver(config: RunConfig) -> dict:
+    """The silver standards of the languages the run selects; each language it names must have one."""
+    files = _output_files(config.silver_dir, "silver", "*.txt", "silver")
+    selected = _select(config, files, "silver standards")
+    return {language: silver.read_silver_file(files[language]) for language in selected}
 
 
 def _load_scorable(config: RunConfig):
@@ -300,8 +313,8 @@ def _load_scorable(config: RunConfig):
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ConfigurationError(f"manifest {manifest} lists no languages: {exc!r}") from None
     wanted = config.pipeline.wants_language
-    predicted = _read_outputs(config, "markers", lambda lang: wanted(lang) and (extracted is None or lang in extracted))
-    gold = _read_outputs(config, "silver", config.pipeline.wants_language)
+    predicted = _read_markers(config, lambda lang: wanted(lang) and (extracted is None or lang in extracted))
+    gold = _read_silver(config)
     shared = sorted(set(predicted) & set(gold))
     if not shared:
         raise ConfigurationError("nothing to evaluate: no language has both markers and a silver standard")
@@ -314,42 +327,36 @@ def cmd_eval(config: RunConfig) -> int:
         lang: evaluation.score(predicted[lang].grams(), gold[lang]) for lang in shared
     }
     eval_dir = config.output_dir / "eval"
-    diff_dir = eval_dir / "diff"
-    diff_dir.mkdir(parents=True, exist_ok=True)
-    with atomic_open(eval_dir / "results.tsv") as handle:
-        handle.write(evaluation.render_results_table(per_language))
+    table = evaluation.render_results_table(per_language)
+    write_output(eval_dir / "results.tsv", table)
     for lang in shared:
-        with atomic_open(diff_dir / f"{lang}.tsv") as handle:
-            handle.write(evaluation.render_diff_table(predicted[lang].grams(), gold[lang]))
-    print(evaluation.render_results_table(per_language), end="")
+        diff = evaluation.render_diff_table(predicted[lang].grams(), gold[lang])
+        write_output(eval_dir / "diff" / f"{lang}.tsv", diff)
+    print(table, end="")
     return 0
 
 
 def cmd_ablate(config: RunConfig) -> int:
     corpus, annotations, alignments = _load_corpus_inputs(config)
-    gold = _read_outputs(config, "silver", config.pipeline.wants_language)
-    rows = evaluation.run_ablation(corpus, annotations, alignments, config.pipeline, gold)
-    ablation_dir = config.output_dir / "ablation"
-    ablation_dir.mkdir(parents=True, exist_ok=True)
-    with atomic_open(ablation_dir / "ablation.tsv") as handle:
-        handle.write(evaluation.render_ablation_table(rows))
-    print(evaluation.render_ablation_table(rows), end="")
+    _select(config, corpus.languages(), "verse files")
+    rows = evaluation.run_ablation(corpus, annotations, alignments, config.pipeline, _read_silver(config))
+    table = evaluation.render_ablation_table(rows)
+    write_output(config.output_dir / "ablation" / "ablation.tsv", table)
+    print(table, end="")
     return 0
 
 
 def cmd_analyze(config: RunConfig) -> int:
     corpus, annotations, alignments = _load_corpus_inputs(config)
-    marker_sets = _read_outputs(config, "markers", set(config.analysis_languages or corpus.languages()).__contains__)
+    marker_sets = _read_markers(config, set(config.analysis_languages or corpus.languages()).__contains__)
     parallel_nps = projection.build_parallel_np_set(corpus, annotations, alignments)
     languages = config.analysis_languages or sorted(marker_sets)
     missing = [lang for lang in languages if lang not in marker_sets]
     if missing:
         raise ConfigurationError(f"no marker files for analysis languages: {', '.join(missing)}")
     analysis_dir = config.output_dir / "analysis"
-    analysis_dir.mkdir(parents=True, exist_ok=True)
     groups = analysis.group_by_marker_combination(parallel_nps, corpus, marker_sets, languages)
-    with atomic_open(analysis_dir / "groups.txt") as handle:
-        handle.write(analysis.render_group_report(groups, corpus, config.samples_per_group))
+    write_output(analysis_dir / "groups.txt", analysis.render_group_report(groups, corpus, config.samples_per_group))
     matrix = analysis.build_cooccurrence_matrix(parallel_nps, corpus)
     analysis.export_matrix(matrix, analysis_dir)
     return 0
@@ -358,9 +365,7 @@ def cmd_analyze(config: RunConfig) -> int:
 def cmd_project(config: RunConfig) -> int:
     corpus, annotations, alignments = _load_corpus_inputs(config)
     parallel_nps = projection.build_parallel_np_set(corpus, annotations, alignments)
-    nps_dir = config.output_dir / "nps"
-    nps_dir.mkdir(parents=True, exist_ok=True)
-    projection.dump_parallel_nps(parallel_nps, corpus, nps_dir / "parallel_nps.tsv")
+    projection.dump_parallel_nps(parallel_nps, corpus, config.output_dir / "nps" / "parallel_nps.tsv")
     return 0
 
 

@@ -226,17 +226,18 @@ def load_corpus(version_paths: Sequence, verse_allowlist: Optional[Iterable[str]
     return ParallelCorpus(versions=versions, shared_verses=shared_order)
 
 
-@contextmanager
-def atomic_open(path):
-    """A text handle on a temporary file next to `path`, which replaces
-    `path` when the block completes; if the block raises, the temporary file
-    is removed and an earlier file at `path` stays as it was. There is no
-    fsync: this guards against a failed write, not against power loss."""
+def write_output(path, text: str) -> None:
+    """Write `text` to the output file `path`, creating its directory. The
+    text goes to a temporary file next to `path`, which then replaces it; if
+    the write fails, the temporary file is removed and an earlier file at
+    `path` stays as it was. There is no fsync: this guards against a failed
+    write, not against power loss."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(temp, "w", encoding="utf-8") as handle:
-            yield handle
+            handle.write(text)
         os.replace(temp, path)
     finally:
         temp.unlink(missing_ok=True)

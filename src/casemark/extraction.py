@@ -35,7 +35,7 @@ from operator import add
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .corpus import BOUNDARY, Alignment, ParallelCorpus, atomic_open, read_lines
+from .corpus import BOUNDARY, Alignment, ParallelCorpus, read_lines, write_output
 from .errors import ConfigurationError, ParseError, UndefinedOddsError
 from .projection import NpAnnotation, alignments_by_pair, build_inside_outside, partition_word_types
 from .stats import ExactTest
@@ -353,16 +353,12 @@ def _format_stat(value: Optional[float]) -> str:
 
 def write_marker_file(marker_set: MarkerSet, path) -> None:
     """One marker per line: `<gram>\\t<inside>\\t<outside>\\t<p>\\t<odds>`,
-    grams in lexicographic order; unset statistics print as NA.
-
-    The lines go to a temporary file in the same directory, which then
-    replaces `path`: a failed write leaves an earlier file as it was."""
-    with atomic_open(path) as handle:
-        for marker in marker_set.sorted_markers():
-            handle.write(
-                f"{marker.gram}\t{marker.inside_count}\t{marker.outside_count}"
-                f"\t{_format_stat(marker.p_value)}\t{_format_stat(marker.odds_ratio)}\n"
-            )
+    grams in lexicographic order; unset statistics print as NA."""
+    write_output(path, "".join([
+        f"{marker.gram}\t{marker.inside_count}\t{marker.outside_count}"
+        f"\t{_format_stat(marker.p_value)}\t{_format_stat(marker.odds_ratio)}\n"
+        for marker in marker_set.sorted_markers()
+    ]))
 
 
 def read_marker_file(path) -> MarkerSet:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import chain, compress
 from typing import Collection, Mapping, NamedTuple, Sequence
 
-from .corpus import Alignment, NpAnnotation, NpSpan, ParallelCorpus, VersionId, atomic_open
+from .corpus import Alignment, NpAnnotation, NpSpan, ParallelCorpus, VersionId, write_output
 from .errors import ConfigurationError
 
 
@@ -187,9 +187,10 @@ def dump_parallel_nps(parallel_nps: Sequence[ParallelNp], corpus: ParallelCorpus
     """Write the parallel NP set as inspectable lines:
     `<verse-id>\\t<version>\\t<idx,idx,...>\\t<surface text>`, source line first."""
     versions = corpus.versions
-    with atomic_open(path) as handle:
-        for verse_id, (source, span), projections in parallel_nps:
-            for version, token_indices in ((source, span.token_indices), *sorted(projections.items())):
-                tokens = versions[version][verse_id]
-                surface = " ".join([tokens[i] for i in token_indices])
-                handle.write(f"{verse_id}\t{version}\t{','.join(map(str, token_indices))}\t{surface}\n")
+    lines = []
+    for verse_id, (source, span), projections in parallel_nps:
+        for version, token_indices in ((source, span.token_indices), *sorted(projections.items())):
+            tokens = versions[version][verse_id]
+            surface = " ".join([tokens[i] for i in token_indices])
+            lines.append(f"{verse_id}\t{version}\t{','.join(map(str, token_indices))}\t{surface}\n")
+    write_output(path, "".join(lines))

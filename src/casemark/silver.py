@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import BOUNDARY, atomic_open, read_lines
+from .corpus import BOUNDARY, read_lines, write_output
 from .errors import ParseError
 
 NOMINAL_POS = ("N", "ADJ")
@@ -107,9 +107,7 @@ def build_silver(path, language: str) -> SilverStandard:
 
 def write_silver_file(standard: SilverStandard, path) -> None:
     """One suffix per line, lexicographic order."""
-    with atomic_open(path) as handle:
-        for suffix in sorted(standard.suffixes):
-            handle.write(suffix + "\n")
+    write_output(path, "".join([suffix + "\n" for suffix in sorted(standard.suffixes)]))
 
 
 def read_silver_file(path) -> frozenset[str]:

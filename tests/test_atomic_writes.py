@@ -3,6 +3,7 @@ the previous file as it was and no temporary file behind."""
 
 import builtins
 import errno
+import json
 from pathlib import Path
 
 import pytest
@@ -118,8 +119,43 @@ def test_failed_write_keeps_the_previous_output(world, monkeypatch, capsys, rela
     fail_writes_to(monkeypatch, target)
     assert main([command, "--config", str(config)]) == exit_code
     monkeypatch.undo()
-    assert snapshot(out) == before
+    after = snapshot(out)
+    if relative.startswith("markers/"):  # the manifest lists only the languages written
+        manifest = json.loads(before.pop(Path("manifest.json")))
+        manifest["languages"].remove("latin")
+        assert json.loads(after.pop(Path("manifest.json"))) == manifest
+    assert after == before
     stderr = capsys.readouterr().err
     assert "No space left" in stderr
     assert "Traceback" not in stderr
+
+
+def test_eval_does_not_score_a_marker_file_that_failed_to_write(world, monkeypatch, capsys):
+    """latin's marker file is left from an earlier extract with other
+    thresholds; the extract whose write of it fails must not list latin in the
+    manifest, so that `eval` does not score the earlier file as this run's."""
+    config, out, _verse_files = world
+    assert main(["extract", "--config", str(config), "--phi", "0.5"]) == 0
+    earlier = (out / "markers" / "latin.tsv").read_bytes()
+    fail_writes_to(monkeypatch, out / "markers" / "latin.tsv")
+    assert main(["extract", "--config", str(config)]) == 1
+    monkeypatch.undo()
+    assert (out / "markers" / "latin.tsv").read_bytes() == earlier
+    assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["languages"] == ["english"]
+    capsys.readouterr()
+    assert main(["eval", "--config", str(config)]) == 2
+    assert "nothing to evaluate" in capsys.readouterr().err
+
+
+def test_a_directory_that_cannot_be_made_fails_each_file_written_into_it(world, capsys):
+    config, out, _verse_files = world
+    for path in (out / "markers").iterdir():
+        path.unlink()
+    (out / "markers").rmdir()
+    (out / "markers").write_text("a file where the directory should be\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["extract", "--config", str(config)]) == 1
+    stderr = capsys.readouterr().err
+    assert [line.split(":")[0:2] for line in stderr.splitlines()] == [["extract", " english"], ["extract", " latin"]]
+    assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["languages"] == []
 

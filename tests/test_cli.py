@@ -15,6 +15,10 @@ from casemark.cli import load_run_config, main
 from casemark.errors import ConfigurationError
 
 
+def snapshot(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 class TestExtract:
     def test_writes_marker_files_and_manifest(self, workdir):
         config, out = workdir
@@ -205,6 +209,58 @@ class TestAblateCommand:
         assert main(["silver", "--config", str(config)]) == 0
         assert main(["ablate", "--config", str(config), *flags]) == 0
         assert hashlib.sha256((out / "ablation" / "ablation.tsv").read_bytes()).hexdigest() == self.EXPECTED[flags]
+
+
+class TestLanguageSelection:
+    """`extract`, `ablate` and `eval` check the language selection before
+    they count or write anything: a named language without the inputs the
+    command needs, or a selection of no language, exits 2."""
+
+    @pytest.fixture
+    def ready(self, workdir):
+        config, out = workdir
+        assert main(["extract", "--config", str(config)]) == 0
+        assert main(["silver", "--config", str(config)]) == 0
+        return config, out, snapshot(out)
+
+    @pytest.mark.parametrize(
+        "command, languages, message",
+        [
+            ("ablate", "lingua,nosuch", "no verse files for languages: nosuch"),
+            ("ablate", "nosuch", "no verse files for languages: nosuch"),
+            ("ablate", "lingua,english", "no silver standards for languages: english"),
+            ("ablate", "english,tercia", "no silver standards for languages: english, tercia"),
+            ("eval", "lingua,nosuch", "no silver standards for languages: nosuch"),
+            ("eval", "lingua,tercia", "no silver standards for languages: tercia"),
+        ],
+    )
+    def test_named_language_without_inputs_exits_2(self, ready, capsys, command, languages, message):
+        config, out, before = ready
+        capsys.readouterr()
+        assert main([command, "--config", str(config), "--languages", languages]) == 2
+        assert capsys.readouterr() == ("", f"casemark {command}: {message}\n")
+        assert snapshot(out) == before
+
+    @pytest.mark.parametrize("command, what", [("extract", "verse files"), ("ablate", "verse files"), ("eval", "silver standards")])
+    @pytest.mark.parametrize(
+        "flags, pipeline",
+        [
+            (["--languages", ""], []),
+            (["--languages", ","], []),
+            ([], ["  languages: []"]),
+            ([], ["  languages: null", "  exclude_languages: [english, lingua, tercia]"]),
+        ],
+        ids=["empty flag", "comma flag", "empty list", "all excluded"],
+    )
+    def test_empty_selection_exits_2(self, ready, tmp_path, capsys, command, what, flags, pipeline):
+        config, out, before = ready
+        text = config.read_text(encoding="utf-8").replace('  languages: ["lingua"]\n', "".join(f"{line}\n" for line in pipeline))
+        selection = write_lines(tmp_path / "selection.yaml", [text])
+        capsys.readouterr()
+        assert main([command, "--config", str(selection), *flags]) == 2
+        message = f"casemark {command}: the language selection selects none of the languages with {what}\n"
+        assert capsys.readouterr() == ("", message)
+        assert snapshot(out) == before
 
 
 class TestAnalyzeAndProject:

@@ -1,10 +1,11 @@
 """Guards for deletions and drift: no module keeps an import it no longer
-uses, every function the benchmark tracer wraps still exists, a traced
-`analyze` and `project` still run, and the README's table of flags per
+uses, only `corpus.write_output` writes files, every output file has a
+failed-write test, every function the benchmark tracer wraps still exists, a
+traced `analyze` and `project` still run, and the README's table of flags per
 subcommand matches the parser.
 
-The first two checks read source files with `ast` only; the tracer is never
-imported, only run in a subprocess.
+The import, writer and tracer checks read source files with `ast` only; the
+tracer is never imported, only run in a subprocess.
 """
 
 import ast
@@ -17,6 +18,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from test_atomic_writes import CLI_WRITERS, world  # world: a fixture of the last TestSingleWriter test
 
 import casemark
 from casemark import cli
@@ -43,6 +46,35 @@ def unused_imports(source: str) -> list[str]:
     return sorted(name for name in imported if name not in used)
 
 
+def file_writes(source: str, writer=None) -> list[int]:
+    """The lines of the calls in `source`, outside the function named
+    `writer`, that open a file for writing, appending or creating, create a
+    directory, or write, rename or replace a file. A mode that is not a
+    string literal counts as a write."""
+    tree = ast.parse(source)
+    exempt = {
+        id(inner) for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == writer for inner in ast.walk(node)
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in exempt:
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open" or isinstance(func, ast.Attribute) and func.attr == "open":
+            positional = node.args[1:] if isinstance(func, ast.Name) else node.args  # open(file, mode), path.open(mode)
+            modes = [k.value for k in node.keywords if k.arg == "mode"] or positional[:1]
+            writes = any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes)
+        elif isinstance(func, ast.Attribute):
+            on_os = isinstance(func.value, ast.Name) and func.value.id == "os"
+            writes = func.attr in {"mkdir", "makedirs", "write_text", "write_bytes", "rename"} or on_os and func.attr == "replace"
+        else:
+            writes = False
+        if writes:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
 def wrapped_functions() -> list[tuple[str, str]]:
     """The (module, function) pairs of the tracer's WRAPPED tuple."""
     for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
@@ -62,6 +94,39 @@ class TestUnusedImports:
 
     def test_attribute_access_counts_as_a_use(self):
         assert unused_imports("import os.path\nos.path.join('a')\n") == []
+
+
+class TestSingleWriter:
+    @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+    def test_only_write_output_writes_files(self, path):
+        writer = "write_output" if path.name == "corpus.py" else None
+        assert file_writes(path.read_text(encoding="utf-8"), writer) == []
+
+    def test_detects_each_kind_of_write(self):
+        writes = [
+            'open(p, "w")', 'open(p, mode="a", encoding="utf-8")', 'p.open("x")', 'open(p, "r+")', "open(p, mode)",
+            "p.mkdir()", "os.makedirs(d)", "os.replace(a, b)", "os.rename(a, b)", "p.rename(q)",
+            "p.write_text(t)", "p.write_bytes(b)",
+        ]
+        reads = ["open(p)", 'open(p, "rb")', 'open(p, encoding="utf-8")', "p.open()", 's.replace("a", "b")']
+        assert file_writes("\n".join(writes + reads)) == list(range(1, len(writes) + 1))
+
+    def test_only_the_named_function_may_write(self):
+        source = "def write_output(p):\n    open(p, 'w')\n\ndef other(p):\n    open(p, 'w')\n"
+        assert file_writes(source, "write_output") == [5]
+        assert file_writes(source) == [2, 5]
+
+    def test_every_output_file_has_a_failed_write_test(self, world):
+        """Each file the six commands write is a CLI_WRITERS entry, up to the
+        language stem, so a new output file gets the failed-write test."""
+        _config, out, _verse_files = world
+        written = set()
+        for path in filter(Path.is_file, out.rglob("*")):
+            relative = path.relative_to(out)
+            if relative.stem in {"english", "latin"}:
+                relative = relative.with_stem("latin")
+            written.add(relative.as_posix())
+        assert written == {relative for relative, _command, _exit_code in CLI_WRITERS}
 
 
 class TestTracerTargets:
