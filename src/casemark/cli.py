@@ -25,6 +25,18 @@ from .errors import CasemarkError, ConfigurationError
 from .extraction import ABLATION_VARIANTS, POSITIONS, PipelineConfig
 
 DEFAULT_SAMPLES_PER_GROUP = 5
+_STRINGS = (list, str)
+# Every accepted config key and its shape, as `_check_shapes` reads it. The
+# values of `object` keys are checked later (the thresholds by PipelineConfig);
+# `jobs` is ignored: runs are single-threaded, and existing configs still set it.
+CONFIG_KEYS = {
+    "verse_files": _STRINGS, "alignment_files": _STRINGS, "annotation_files": _STRINGS,
+    "paradigm_files": (dict, str), "verse_allowlist": _STRINGS, "verse_allowlist_file": str,
+    "output_dir": str, "markers_dir": str, "silver_dir": str, "jobs": object,
+    "pipeline": (dict, {"theta": object, "phi": object, "chi": object, "suffix_only": object,
+                        "languages": _STRINGS, "exclude_languages": _STRINGS}),
+    "analysis": (dict, {"languages": _STRINGS, "samples_per_group": int}),
+}
 
 
 @dataclass
@@ -72,21 +84,27 @@ def _require_existing(paths, what: str) -> None:
 
 
 def _check_shapes(section: dict, shapes: dict, prefix: str = "") -> None:
-    """Each set key of `section` must hold a value of its type in `shapes`.
-    A `(container, element)` shape also requires each element of the list,
-    or each value of the mapping, to be of the element type."""
+    """Each key of `section` must be in `shapes`, and each set key must hold
+    a value of its shape there: a type, or a `(container, element)` pair.
+    Each element of the list, or each value of the mapping, must then be of
+    the element type; a dict as the element holds a nested mapping's shapes."""
+    unknown = sorted(set(section) - set(shapes))
+    if unknown:
+        where = f"bad {prefix[:-1]} config: " if prefix else ""
+        raise ConfigurationError(f"{where}unknown config keys: {', '.join(prefix + key for key in unknown)}")
     for key, shape in shapes.items():
-        value = section.get(key)
+        value, name = section.get(key), prefix + key
         if value is None:
             continue
         kind, element = shape if isinstance(shape, tuple) else (shape, None)
         if not isinstance(value, kind):
-            raise ConfigurationError(f"config key {prefix}{key} must be of type {kind.__name__}, got {value!r}")
-        if element is None:
-            continue
-        for item in value.values() if kind is dict else value:
-            if not isinstance(item, element):
-                raise ConfigurationError(f"config key {prefix}{key} must hold {element.__name__} values, got {item!r}")
+            raise ConfigurationError(f"config key {name} must be of type {kind.__name__}, got {value!r}")
+        if isinstance(element, dict):
+            _check_shapes(value, element, f"{name}.")
+        elif element is not None:
+            bad = [item for item in (value.values() if kind is dict else value) if not isinstance(item, element)]
+            if bad:
+                raise ConfigurationError(f"config key {name} must hold {element.__name__} values, got {bad[0]!r}")
 
 
 def load_run_config(path) -> RunConfig:
@@ -103,24 +121,11 @@ def load_run_config(path) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigurationError(f"config file {path} must hold a mapping at top level")
     base = path.parent
-    # The known keys and their types; `jobs` is accepted and ignored: runs
-    # are single-threaded, and existing configs still set it.
-    paths = (list, str)
-    shapes = {
-        "verse_files": paths, "alignment_files": paths, "annotation_files": paths, "paradigm_files": (dict, str),
-        "verse_allowlist": list, "verse_allowlist_file": str, "pipeline": dict, "output_dir": str,
-        "jobs": object, "markers_dir": str, "silver_dir": str, "analysis": dict,
-    }
-    unknown = set(raw) - set(shapes)
-    if unknown:
-        raise ConfigurationError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    _check_shapes(raw, shapes)
+    _check_shapes(raw, CONFIG_KEYS)
     if "output_dir" in raw and raw["output_dir"] is None:
         raise ConfigurationError("config key output_dir must be of type str, got None")
 
-    allowlist = None
-    if raw.get("verse_allowlist") is not None:
-        allowlist = frozenset(str(v) for v in raw["verse_allowlist"])
+    allowlist = None if raw.get("verse_allowlist") is None else frozenset(raw["verse_allowlist"])
     if raw.get("verse_allowlist_file"):
         allow_path = base / raw["verse_allowlist_file"]
         _require_existing([allow_path], "verse allowlist file")
@@ -129,7 +134,6 @@ def load_run_config(path) -> RunConfig:
         allowlist = from_file if allowlist is None else allowlist | from_file
 
     pipeline_raw = dict(raw.get("pipeline") or {})
-    _check_shapes(pipeline_raw, {"languages": (list, str), "exclude_languages": (list, str)}, "pipeline.")
     if "languages" in pipeline_raw and pipeline_raw["languages"] is not None:
         pipeline_raw["languages"] = tuple(pipeline_raw["languages"])
     if "exclude_languages" in pipeline_raw:
@@ -137,14 +141,9 @@ def load_run_config(path) -> RunConfig:
     suffix_only = pipeline_raw.pop("suffix_only", True)
     if not isinstance(suffix_only, bool):
         raise ConfigurationError(f"config key pipeline.suffix_only must be true or false, got {suffix_only!r}")
-    positions = _positions(suffix_only)
-    try:
-        pipeline = PipelineConfig(**pipeline_raw, positions=positions)
-    except TypeError as exc:
-        raise ConfigurationError(f"bad pipeline config: {exc}") from None
+    pipeline = PipelineConfig(**pipeline_raw, positions=_positions(suffix_only))
 
     analysis_raw = raw.get("analysis") or {}
-    _check_shapes(analysis_raw, {"languages": (list, str), "samples_per_group": int}, "analysis.")
     samples = analysis_raw.get("samples_per_group", DEFAULT_SAMPLES_PER_GROUP)
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 0:
         raise ConfigurationError(f"config key analysis.samples_per_group must be an integer >= 0, got {samples!r}")
@@ -224,12 +223,10 @@ def _select(config: RunConfig, available, what: str) -> list[str]:
 
 
 def _write_manifest(config: RunConfig, corpus, languages) -> None:
-    inputs = {}
-    for path in [*config.verse_files, *config.alignment_files, *config.annotation_files]:
-        inputs[str(path)] = _sha256(path)
+    inputs = [*config.verse_files, *config.alignment_files, *config.annotation_files]
     manifest = {
         "pipeline": dataclasses.asdict(config.pipeline),
-        "inputs": inputs,
+        "inputs": {str(path): _sha256(path) for path in inputs},
         "corpus_fingerprint": corpus_fingerprint(corpus),
         "languages": languages,
     }
@@ -238,49 +235,53 @@ def _write_manifest(config: RunConfig, corpus, languages) -> None:
     write_output(config.output_dir / "manifest.json", text + "\n")
 
 
+def _per_language(command: str, items, step) -> int:
+    """`step(language, item)` for each `(language, item)` of `items`. A step
+    that fails is reported as `<command>: <language>: <error>` on stderr, and
+    the next one runs; 1 if any failed. An error in `items` ends the command."""
+    failed = 0
+    for language, item in items:
+        try:
+            step(language, item)
+        except (CasemarkError, OSError) as exc:
+            print(f"{command}: {language}: {exc}", file=sys.stderr)
+            failed = 1
+    return failed
+
+
 def cmd_extract(config: RunConfig) -> int:
     corpus, annotations, alignments = _load_corpus_inputs(config)
     _select(config, corpus.languages(), "verse files")
-    marker_sets = extraction.run_pipeline(corpus, annotations, alignments, config.pipeline)
-    written, failures = [], []
-    for language in sorted(marker_sets):
-        try:
-            extraction.write_marker_file(marker_sets[language], config.markers_dir / f"{language}.tsv")
-            written.append(language)
-        except OSError as exc:
-            failures.append(f"{language}: {exc}")
-    # Only the languages written: `eval` would score an earlier file of the others.
+    written = []  # only these go in the manifest: `eval` would score an earlier file of the others
+
+    def write(language, marker_set):
+        extraction.write_marker_file(marker_set, config.markers_dir / f"{language}.tsv")
+        written.append(language)
+
+    marker_sets = extraction.extract_marker_sets(corpus, annotations, alignments, config.pipeline)
+    failed = _per_language("extract", marker_sets, write)
     _write_manifest(config, corpus, written)
-    for failure in failures:
-        print(f"extract: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return failed
 
 
 def cmd_silver(config: RunConfig) -> int:
-    languages = {
-        lang: path
-        for lang, path in sorted(config.paradigm_files.items())
-        if config.pipeline.wants_language(lang)
-    }
+    wanted = config.pipeline.wants_language
+    languages = {lang: path for lang, path in sorted(config.paradigm_files.items()) if wanted(lang)}
     if not languages:
         print("silver: no paradigm files configured, nothing to build", file=sys.stderr)
         return 0
     _require_existing(languages.values(), "paradigm files")
-    failures = []
     diagnostics = ["language\tparadigms_used\tsuffixes_emitted\n"]
-    for language, path in languages.items():
-        try:
-            standard = silver.build_silver(path, language)
-        except CasemarkError as exc:
-            failures.append(f"{language}: {exc}")
-            continue
+
+    def build(language, path):
+        standard = silver.build_silver(path, language)
         silver.write_silver_file(standard, config.silver_dir / f"{language}.txt")
         counts = standard.diagnostics
         diagnostics.append(f"{language}\t{counts['paradigms_used']}\t{counts['suffixes_emitted']}\n")
+
+    failed = _per_language("silver", languages.items(), build)
     write_output(config.silver_dir / "diagnostics.tsv", "".join(diagnostics))
-    for failure in failures:
-        print(f"silver: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return failed
 
 
 def _output_files(directory: Path, kind: str, pattern: str, command: str) -> dict[str, Path]:
@@ -291,9 +292,22 @@ def _output_files(directory: Path, kind: str, pattern: str, command: str) -> dic
 
 
 def _read_markers(config: RunConfig, wanted) -> dict:
-    """The marker sets of the languages `wanted` accepts."""
+    """The marker sets of the languages `wanted` accepts. When `output_dir`
+    holds a manifest, a marker file of a language it does not list is stale,
+    left by an earlier extract, and is not read."""
+    manifest, extracted = config.output_dir / "manifest.json", None
+    if manifest.exists():
+        try:
+            with open_input(manifest) as handle:
+                extracted = frozenset(json.load(handle)["languages"])
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise ConfigurationError(f"manifest {manifest} lists no languages: {exc!r}") from None
     files = _output_files(config.markers_dir, "markers", "*.tsv", "extract")
-    return {language: extraction.read_marker_file(p) for language, p in files.items() if wanted(language)}
+    return {
+        language: extraction.read_marker_file(p)
+        for language, p in files.items()
+        if wanted(language) and (extracted is None or language in extracted)
+    }
 
 
 def _read_silver(config: RunConfig) -> dict:
@@ -303,29 +317,12 @@ def _read_silver(config: RunConfig) -> dict:
     return {language: silver.read_silver_file(files[language]) for language in selected}
 
 
-def _load_scorable(config: RunConfig):
-    # Marker files of languages that the last extract's manifest does not list are stale.
-    manifest, extracted = config.output_dir / "manifest.json", None
-    if manifest.exists():
-        try:
-            with open_input(manifest) as handle:
-                extracted = frozenset(json.load(handle)["languages"])
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise ConfigurationError(f"manifest {manifest} lists no languages: {exc!r}") from None
-    wanted = config.pipeline.wants_language
-    predicted = _read_markers(config, lambda lang: wanted(lang) and (extracted is None or lang in extracted))
-    gold = _read_silver(config)
+def cmd_eval(config: RunConfig) -> int:
+    predicted, gold = _read_markers(config, config.pipeline.wants_language), _read_silver(config)
     shared = sorted(set(predicted) & set(gold))
     if not shared:
         raise ConfigurationError("nothing to evaluate: no language has both markers and a silver standard")
-    return predicted, gold, shared
-
-
-def cmd_eval(config: RunConfig) -> int:
-    predicted, gold, shared = _load_scorable(config)
-    per_language = {
-        lang: evaluation.score(predicted[lang].grams(), gold[lang]) for lang in shared
-    }
+    per_language = {lang: evaluation.score(predicted[lang].grams(), gold[lang]) for lang in shared}
     eval_dir = config.output_dir / "eval"
     table = evaluation.render_results_table(per_language)
     write_output(eval_dir / "results.tsv", table)

@@ -331,18 +331,29 @@ def count_grams(
     return per_language()
 
 
+def extract_marker_sets(
+    corpus: ParallelCorpus,
+    annotations: Sequence[NpAnnotation],
+    alignments: Sequence[Alignment],
+    config: PipelineConfig,
+) -> Iterator[tuple[str, MarkerSet]]:
+    """Full extraction as `(language, MarkerSet)` pairs in sorted order; as
+    in `count_grams`, the inputs are checked at once, and each language is
+    counted and selected only when the returned iterator reaches it."""
+    return (
+        (language, MarkerSet(language, frozenset(extract_markers_for_language(grams, config))))
+        for language, grams in count_grams(corpus, annotations, alignments, config)
+    )
+
+
 def run_pipeline(
     corpus: ParallelCorpus,
     annotations: Sequence[NpAnnotation],
     alignments: Sequence[Alignment],
     config: PipelineConfig,
 ) -> dict[str, MarkerSet]:
-    """Full extraction: projection, partition, candidates, filters, per
-    language. Languages may be restricted through the config."""
-    return {
-        language: MarkerSet(language, frozenset(extract_markers_for_language(grams, config)))
-        for language, grams in count_grams(corpus, annotations, alignments, config)
-    }
+    """`extract_marker_sets` as one dict of every language's markers."""
+    return dict(extract_marker_sets(corpus, annotations, alignments, config))
 
 
 def _format_stat(value: Optional[float]) -> str:
@@ -378,13 +389,5 @@ def read_marker_file(path) -> MarkerSet:
             ratio = None if r_text == "NA" else float(r_text)
         except ValueError as exc:
             raise ParseError(path, line_no, str(exc)) from None
-        markers.append(
-            CandidateMarker(
-                gram=gram,
-                inside_count=inside_c,
-                outside_count=outside_c,
-                p_value=p_value,
-                odds_ratio=ratio,
-            )
-        )
+        markers.append(CandidateMarker(gram, inside_c, outside_c, p_value, ratio))
     return MarkerSet(language=Path(path).stem, markers=frozenset(markers))

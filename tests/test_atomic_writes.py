@@ -96,7 +96,7 @@ def fail_writes_to(monkeypatch, target: Path):
 CLI_WRITERS = [
     ("manifest.json", "extract", 2),
     ("markers/latin.tsv", "extract", 1),
-    ("silver/latin.txt", "silver", 2),
+    ("silver/latin.txt", "silver", 1),
     ("silver/diagnostics.tsv", "silver", 2),
     ("eval/results.tsv", "eval", 2),
     ("eval/diff/latin.tsv", "eval", 2),
@@ -124,6 +124,9 @@ def test_failed_write_keeps_the_previous_output(world, monkeypatch, capsys, rela
         manifest = json.loads(before.pop(Path("manifest.json")))
         manifest["languages"].remove("latin")
         assert json.loads(after.pop(Path("manifest.json"))) == manifest
+    if relative == "silver/latin.txt":  # and the diagnostics the languages whose silver files were written
+        rows = before.pop(Path("silver/diagnostics.tsv")).splitlines(keepends=True)
+        assert after.pop(Path("silver/diagnostics.tsv")) == b"".join(r for r in rows if not r.startswith(b"latin\t"))
     assert after == before
     stderr = capsys.readouterr().err
     assert "No space left" in stderr
@@ -159,3 +162,37 @@ def test_a_directory_that_cannot_be_made_fails_each_file_written_into_it(world, 
     assert [line.split(":")[0:2] for line in stderr.splitlines()] == [["extract", " english"], ["extract", " latin"]]
     assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["languages"] == []
 
+
+
+def test_extract_writes_the_languages_after_a_failed_one(world, monkeypatch, capsys):
+    config, out, _verse_files = world
+    for path in (out / "markers").iterdir():
+        path.unlink()
+    capsys.readouterr()
+    fail_writes_to(monkeypatch, out / "markers" / "english.tsv")
+    assert main(["extract", "--config", str(config)]) == 1
+    monkeypatch.undo()
+    assert sorted(p.name for p in (out / "markers").iterdir()) == ["latin.tsv"]
+    assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["languages"] == ["latin"]
+    assert capsys.readouterr().err.startswith("extract: english: [Errno 28] No space left")
+
+
+def test_silver_writes_the_languages_after_a_failed_one(world, monkeypatch, capsys):
+    """A failed silver-file write is a per-language failure, as in `extract`:
+    exit 1, and the later languages and the diagnostics are still written."""
+    config, out, _verse_files = world
+    english = write_lines(config.parent / "inputs" / "english.paradigms.tsv", ["hous\thouses\tN;NOM;PL"])
+    text = config.read_text(encoding="utf-8").replace("paradigm_files: {", f'paradigm_files: {{english: "{english}", ')
+    config.write_text(text, encoding="utf-8")
+    for path in (out / "silver").iterdir():
+        path.unlink()
+    capsys.readouterr()
+    fail_writes_to(monkeypatch, out / "silver" / "english.txt")
+    assert main(["silver", "--config", str(config)]) == 1
+    monkeypatch.undo()
+    assert sorted(p.name for p in (out / "silver").iterdir()) == ["diagnostics.tsv", "latin.txt"]
+    diagnostics = (out / "silver" / "diagnostics.tsv").read_text(encoding="utf-8").splitlines()
+    assert [row.split("\t")[0] for row in diagnostics] == ["language", "latin"]
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("silver: english: [Errno 28] No space left")
+    assert "Traceback" not in stderr

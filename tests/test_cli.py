@@ -11,6 +11,7 @@ import pytest
 from helpers import tiny_corpus_files, write_lines
 
 import casemark
+from casemark import extraction
 from casemark.cli import load_run_config, main
 from casemark.errors import ConfigurationError
 
@@ -20,6 +21,23 @@ def snapshot(root):
 
 
 class TestExtract:
+    def test_writes_each_language_as_it_is_selected(self, workdir, monkeypatch):
+        config, _out = workdir
+        events, select, write = [], extraction.extract_markers_for_language, extraction.write_marker_file
+
+        def selecting(grams, pipeline):
+            events.append("select")
+            return select(grams, pipeline)
+
+        def writing(marker_set, path):
+            events.append(f"write {marker_set.language}")
+            write(marker_set, path)
+
+        monkeypatch.setattr(extraction, "extract_markers_for_language", selecting)
+        monkeypatch.setattr(extraction, "write_marker_file", writing)
+        assert main(["extract", "--config", str(config), "--languages", "english,lingua,tercia"]) == 0
+        assert events == ["select", "write english", "select", "write lingua", "select", "write tercia"]
+
     def test_writes_marker_files_and_manifest(self, workdir):
         config, out = workdir
         assert main(["extract", "--config", str(config)]) == 0
@@ -284,6 +302,23 @@ class TestAnalyzeAndProject:
         assert main(["analyze", "--config", str(limited)]) == 0
         assert (out / "analysis" / "groups.txt").read_bytes() == groups
 
+    def test_analyze_skips_marker_files_the_manifest_does_not_list(self, workdir, tmp_path):
+        """As in `eval`: lingua's marker file is stale after an extract of tercia alone."""
+        config, out = workdir
+        assert main(["extract", "--config", str(config), "--languages", "lingua,tercia"]) == 0
+        assert main(["extract", "--config", str(config), "--languages", "tercia"]) == 0
+        assert (out / "markers" / "lingua.tsv").exists()
+        assert main(["analyze", "--config", str(config)]) == 0
+        fresh = tmp_path / "fresh"
+        assert main(["extract", "--config", str(config), "--languages", "tercia", "--out", str(fresh)]) == 0
+        assert main(["analyze", "--config", str(config), "--out", str(fresh)]) == 0
+        groups = (out / "analysis" / "groups.txt").read_bytes()
+        assert groups == (fresh / "analysis" / "groups.txt").read_bytes()
+        # Without a manifest, every marker file is read.
+        (out / "manifest.json").unlink()
+        assert main(["analyze", "--config", str(config)]) == 0
+        assert (out / "analysis" / "groups.txt").read_bytes() != groups
+
     def test_repeated_analysis_language_exits_2(self, workdir, tmp_path, capsys):
         config, out = workdir
         assert main(["extract", "--config", str(config)]) == 0
@@ -391,6 +426,11 @@ class TestRunConfigLoading:
         with pytest.raises(ConfigurationError, match="bad pipeline config"):
             load_run_config(config)
 
+    def test_unknown_analysis_key_rejected(self, tmp_path):
+        config = write_lines(tmp_path / "c.yaml", ["analysis:", "  sample_per_group: 1"])
+        with pytest.raises(ConfigurationError, match="unknown config keys: analysis.sample_per_group"):
+            load_run_config(config)
+
     def test_verse_allowlist_sources_merge(self, tmp_path):
         write_lines(tmp_path / "allow.txt", ["v1", "v2"])
         config = write_lines(
@@ -447,6 +487,9 @@ class TestConfigShapes:
             ("extract", ["pipeline: {languages: [5]}"]),
             ("extract", ["pipeline: {exclude_languages: [lingua, {a: 1}]}"]),
             ("analyze", ["analysis: {languages: [5]}"]),
+            # YAML reads these unquoted verse ids as the numbers 1.0 and 262657 (octal).
+            ("project", ["verse_allowlist: [01.000]"]),
+            ("project", ["verse_allowlist: [01001001]"]),
         ],
     )
     def test_non_string_elements_exit_2_without_traceback(self, tmp_path, capsys, command, lines):

@@ -1,14 +1,16 @@
 """Guards for deletions and drift: no module keeps an import it no longer
 uses, only `corpus.write_output` writes files, every output file has a
 failed-write test, every function the benchmark tracer wraps still exists, a
-traced `analyze` and `project` still run, and the README's table of flags per
-subcommand matches the parser.
+traced `extract`, `analyze` and `project` still run, the README's table of
+flags per subcommand matches the parser, and its example configuration names
+every accepted config key.
 
 The import, writer and tracer checks read source files with `ast` only; the
 tracer is never imported, only run in a subprocess.
 """
 
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -18,11 +20,13 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 from test_atomic_writes import CLI_WRITERS, world  # world: a fixture of the last TestSingleWriter test
 
 import casemark
 from casemark import cli
+from casemark.extraction import PipelineConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "casemark"
@@ -153,6 +157,13 @@ class TestTracedCommands:
         assert run.returncode == 0, run.stdout + run.stderr
         return {span[1]: span[7] for span in json.loads(spans.read_text(encoding="utf-8"))["spans"]}
 
+    def test_extract(self, workdir, tmp_path):
+        config, out = workdir  # one language: lingua
+        extract = self.traced(tmp_path, config, out, "extract")
+        markers = (out / "markers" / "lingua.tsv").read_bytes().splitlines()
+        assert markers
+        assert extract["extraction.extract_markers_for_language"] == {"markers": len(markers)}
+
     def test_analyze_and_project(self, workdir, tmp_path):
         config, out = workdir
         assert cli.main(["extract", "--config", str(config)]) == 0
@@ -194,3 +205,24 @@ class TestReadmeFlagTable:
             if "--suffix-only" in flags:  # one BooleanOptionalAction, two spellings
                 expected[command].add("--no-suffix-only")
         assert readme_flag_table() == expected
+
+
+def readme_example_config() -> dict:
+    """The YAML block that follows "Example configuration:" in the README."""
+    block = re.search(r"Example configuration:\n\n```yaml\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert block, f"no example configuration in {README}"
+    return yaml.safe_load(block.group(1))
+
+
+class TestReadmeConfigExample:
+    def test_names_every_accepted_key(self):
+        example = readme_example_config()
+        assert set(example) == set(cli.CONFIG_KEYS)
+        for section in ("pipeline", "analysis"):
+            _kind, keys = cli.CONFIG_KEYS[section]
+            assert set(example[section]) == set(keys), section
+
+    def test_pipeline_keys_are_the_pipeline_config_fields(self):
+        # `suffix_only` is the YAML spelling of `positions`.
+        fields = {field.name for field in dataclasses.fields(PipelineConfig)} - {"positions"} | {"suffix_only"}
+        assert set(cli.CONFIG_KEYS["pipeline"][1]) == fields
