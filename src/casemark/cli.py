@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import glob
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from pathlib import Path
 from typing import Optional
 
@@ -24,7 +25,9 @@ from .corpus import corpus_fingerprint, load_alignment, load_corpus, load_np_ann
 from .errors import CasemarkError, ConfigurationError
 from .extraction import ABLATION_VARIANTS, POSITIONS, PipelineConfig
 
-DEFAULT_SAMPLES_PER_GROUP = 5
+# The shape of a key whose value, null included, must pass `test`; the error
+# reads "config key K must be <wording>, got V".
+_Check = namedtuple("_Check", "wording test")
 _STRINGS = (list, str)
 # Every accepted config key and its shape, as `_check_shapes` reads it. The
 # values of `object` keys are checked later (the thresholds by PipelineConfig);
@@ -32,49 +35,29 @@ _STRINGS = (list, str)
 CONFIG_KEYS = {
     "verse_files": _STRINGS, "alignment_files": _STRINGS, "annotation_files": _STRINGS,
     "paradigm_files": (dict, str), "verse_allowlist": _STRINGS, "verse_allowlist_file": str,
-    "output_dir": str, "markers_dir": str, "silver_dir": str, "jobs": object,
-    "pipeline": (dict, {"theta": object, "phi": object, "chi": object, "suffix_only": object,
+    "output_dir": _Check("of type str", lambda v: isinstance(v, str)),
+    "markers_dir": str, "silver_dir": str, "jobs": object,
+    "pipeline": (dict, {"theta": object, "phi": object, "chi": object,
+                        "suffix_only": _Check("true or false", lambda v: isinstance(v, bool)),
                         "languages": _STRINGS, "exclude_languages": _STRINGS}),
-    "analysis": (dict, {"languages": _STRINGS, "samples_per_group": int}),
+    "analysis": (dict, {"languages": _STRINGS,
+                        "samples_per_group": _Check("an integer >= 0", lambda v: type(v) is int and v >= 0)}),
 }
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
-    verse_files: list[Path] = field(default_factory=list)
-    alignment_files: list[Path] = field(default_factory=list)
-    annotation_files: list[Path] = field(default_factory=list)
-    paradigm_files: dict[str, Path] = field(default_factory=dict)
-    verse_allowlist: Optional[frozenset[str]] = None
-    pipeline: PipelineConfig = field(default_factory=PipelineConfig)
-    output_dir: Path = Path("out")
-    # None stands for <output_dir>/markers and <output_dir>/silver, resolved
-    # once the flags are applied (`--out` moves them).
-    markers_dir: Optional[Path] = None
-    silver_dir: Optional[Path] = None
-    analysis_languages: Optional[list[str]] = None
-    samples_per_group: int = DEFAULT_SAMPLES_PER_GROUP
-
-
-def _expand_paths(entries, base: Path) -> list[Path]:
-    paths: list[Path] = []
-    for entry in entries or []:
-        candidate = Path(entry)
-        if not candidate.is_absolute():
-            candidate = base / candidate
-        if any(ch in str(entry) for ch in "*?["):
-            matches = sorted(candidate.parent.glob(candidate.name))
-            if not matches:
-                raise ConfigurationError(f"glob {entry!r} matched no files")
-            paths.extend(matches)
-        else:
-            paths.append(candidate)
-    return paths
-
-
-def _positions(suffix_only) -> frozenset[str]:
-    """`suffix_only`, the user-facing spelling of PipelineConfig.positions."""
-    return frozenset({"final"}) if suffix_only else POSITIONS
+    verse_files: list[Path]
+    alignment_files: list[Path]
+    annotation_files: list[Path]
+    paradigm_files: dict[str, Path]
+    verse_allowlist: Optional[frozenset[str]]
+    pipeline: PipelineConfig
+    output_dir: Path
+    markers_dir: Path
+    silver_dir: Path
+    analysis_languages: Optional[tuple[str, ...]]
+    samples_per_group: int
 
 
 def _require_existing(paths, what: str) -> None:
@@ -83,33 +66,49 @@ def _require_existing(paths, what: str) -> None:
         raise ConfigurationError(f"missing {what}: {', '.join(missing)}")
 
 
-def _check_shapes(section: dict, shapes: dict, prefix: str = "") -> None:
-    """Each key of `section` must be in `shapes`, and each set key must hold
-    a value of its shape there: a type, or a `(container, element)` pair.
-    Each element of the list, or each value of the mapping, must then be of
-    the element type; a dict as the element holds a nested mapping's shapes."""
+def _check_shapes(section: dict, shapes: dict, prefix: str = "") -> dict:
+    """`section` checked, without its null values. Each key must be in
+    `shapes` and hold a value of its shape there: a type; a `_Check`; or a
+    `(container, element)` pair, where each element of the list, or each value
+    of the mapping, is of the element type and each key of the mapping is a
+    language name that can name a file (a dict as the element holds a nested
+    mapping's shapes). Null stands for an absent key, except under a `_Check`,
+    which sees it, and under `object` (`phi: null` turns that test off)."""
     unknown = sorted(set(section) - set(shapes))
     if unknown:
         where = f"bad {prefix[:-1]} config: " if prefix else ""
         raise ConfigurationError(f"{where}unknown config keys: {', '.join(prefix + key for key in unknown)}")
-    for key, shape in shapes.items():
-        value, name = section.get(key), prefix + key
-        if value is None:
+    checked = {}
+    for key, value in section.items():
+        shape, name = shapes[key], prefix + key
+        if isinstance(shape, _Check):
+            if not shape.test(value):
+                raise ConfigurationError(f"config key {name} must be {shape.wording}, got {value!r}")
+        elif value is None and shape is not object:
             continue
-        kind, element = shape if isinstance(shape, tuple) else (shape, None)
-        if not isinstance(value, kind):
-            raise ConfigurationError(f"config key {name} must be of type {kind.__name__}, got {value!r}")
-        if isinstance(element, dict):
-            _check_shapes(value, element, f"{name}.")
-        elif element is not None:
-            bad = [item for item in (value.values() if kind is dict else value) if not isinstance(item, element)]
-            if bad:
-                raise ConfigurationError(f"config key {name} must hold {element.__name__} values, got {bad[0]!r}")
+        else:
+            kind, element = shape if isinstance(shape, tuple) else (shape, None)
+            if not isinstance(value, kind):
+                raise ConfigurationError(f"config key {name} must be of type {kind.__name__}, got {value!r}")
+            if isinstance(element, dict):
+                value = _check_shapes(value, element, f"{name}.")
+            elif element is not None:
+                bad = [item for item in (value.values() if kind is dict else value) if not isinstance(item, element)]
+                if bad:
+                    raise ConfigurationError(f"config key {name} must hold {element.__name__} values, got {bad[0]!r}")
+                names = value if kind is dict else ()
+                bad = [k for k in names if not isinstance(k, str) or k in ("", ".", "..") or "/" in k or "\0" in k]
+                if bad:
+                    raise ConfigurationError(f"config key {name} must be keyed by plain file names, got {bad[0]!r}")
+        checked[key] = value
+    return checked
 
 
-def load_run_config(path) -> RunConfig:
-    """Read a YAML run configuration; relative paths resolve against the
-    config file's directory."""
+def load_run_config(path, flags: Optional[dict] = None) -> RunConfig:
+    """Read a YAML run configuration, with the parsed `flags` (argparse dests
+    to values) in place of the keys they override. Relative paths resolve
+    against the config file's directory, and a relative `out` flag against
+    the working directory; a glob expands as in the shell."""
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"config file {path} does not exist")
@@ -120,74 +119,53 @@ def load_run_config(path) -> RunConfig:
             raise ConfigurationError(f"config file {path} is not valid YAML: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigurationError(f"config file {path} must hold a mapping at top level")
-    base = path.parent
-    _check_shapes(raw, CONFIG_KEYS)
-    if "output_dir" in raw and raw["output_dir"] is None:
-        raise ConfigurationError("config key output_dir must be of type str, got None")
+    raw, flags = _check_shapes(raw, CONFIG_KEYS), dict(flags or {})
+    variant = flags.pop("ablate", "baseline")
+    if "out" in flags:
+        raw["output_dir"] = Path(flags.pop("out")).absolute()
+    pipeline = {**raw.get("pipeline", {}), **flags}
 
-    allowlist = None if raw.get("verse_allowlist") is None else frozenset(raw["verse_allowlist"])
-    if raw.get("verse_allowlist_file"):
-        allow_path = base / raw["verse_allowlist_file"]
-        _require_existing([allow_path], "verse allowlist file")
-        with open_input(allow_path) as handle:
-            from_file = frozenset(line.strip() for line in handle if line.strip())
-        allowlist = from_file if allowlist is None else allowlist | from_file
-
-    pipeline_raw = dict(raw.get("pipeline") or {})
-    if "languages" in pipeline_raw and pipeline_raw["languages"] is not None:
-        pipeline_raw["languages"] = tuple(pipeline_raw["languages"])
-    if "exclude_languages" in pipeline_raw:
-        pipeline_raw["exclude_languages"] = tuple(pipeline_raw["exclude_languages"] or ())
-    suffix_only = pipeline_raw.pop("suffix_only", True)
-    if not isinstance(suffix_only, bool):
-        raise ConfigurationError(f"config key pipeline.suffix_only must be true or false, got {suffix_only!r}")
-    pipeline = PipelineConfig(**pipeline_raw, positions=_positions(suffix_only))
-
-    analysis_raw = raw.get("analysis") or {}
-    samples = analysis_raw.get("samples_per_group", DEFAULT_SAMPLES_PER_GROUP)
-    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 0:
-        raise ConfigurationError(f"config key analysis.samples_per_group must be an integer >= 0, got {samples!r}")
-    analysis_languages = analysis_raw.get("languages") or None
+    for key in ("languages", "exclude_languages"):
+        if key in pipeline:
+            pipeline[key] = tuple(pipeline[key])
+    pipeline["positions"] = frozenset({"final"}) if pipeline.pop("suffix_only", True) else POSITIONS
+    analysis_raw = raw.get("analysis", {})
+    analysis_languages = tuple(analysis_raw.get("languages", ())) or None
     repeated = sorted({lang for lang in analysis_languages or () if analysis_languages.count(lang) > 1})
     if repeated:
         raise ConfigurationError(f"config key analysis.languages repeats {', '.join(repeated)}")
 
-    def _resolve(value):
-        if value is None:
-            return None
-        value = Path(value)
-        return value if value.is_absolute() else base / value
+    base = path.parent
 
-    paradigms = {str(language): _resolve(p) for language, p in (raw.get("paradigm_files") or {}).items()}
-    out_dir = _resolve(raw.get("output_dir", "out"))
+    def paths(key) -> list[Path]:
+        resolved = []
+        for entry in raw.get(key, ()):
+            is_glob = any(ch in entry for ch in "*?[")
+            matches = sorted(base / match for match in glob.glob(entry, root_dir=base)) if is_glob else [base / entry]
+            if not matches:
+                raise ConfigurationError(f"glob {entry!r} matched no files")
+            resolved += matches
+        return resolved
+
+    allowlist = frozenset(raw["verse_allowlist"]) if "verse_allowlist" in raw else None
+    if raw.get("verse_allowlist_file"):
+        with open_input(base / raw["verse_allowlist_file"]) as handle:
+            from_file = frozenset(line.strip() for line in handle if line.strip())
+        allowlist = from_file if allowlist is None else allowlist | from_file
+    output_dir = base / raw.get("output_dir", "out")
     return RunConfig(
-        verse_files=_expand_paths(raw.get("verse_files"), base),
-        alignment_files=_expand_paths(raw.get("alignment_files"), base),
-        annotation_files=_expand_paths(raw.get("annotation_files"), base),
-        paradigm_files=paradigms,
+        verse_files=paths("verse_files"),
+        alignment_files=paths("alignment_files"),
+        annotation_files=paths("annotation_files"),
+        paradigm_files={language: base / p for language, p in raw.get("paradigm_files", {}).items()},
         verse_allowlist=allowlist,
-        pipeline=pipeline,
-        output_dir=out_dir,
-        markers_dir=_resolve(raw.get("markers_dir")),
-        silver_dir=_resolve(raw.get("silver_dir")),
+        pipeline=PipelineConfig(**pipeline).with_variant(variant),
+        output_dir=output_dir,
+        markers_dir=base / raw["markers_dir"] if "markers_dir" in raw else output_dir / "markers",
+        silver_dir=base / raw["silver_dir"] if "silver_dir" in raw else output_dir / "silver",
         analysis_languages=analysis_languages,
-        samples_per_group=samples,
+        samples_per_group=analysis_raw.get("samples_per_group", 5),
     )
-
-
-def _apply_overrides(config: RunConfig, flags: dict) -> RunConfig:
-    """Apply the parsed flags (argparse dests to values; consumed) to
-    `config`, then resolve the marker and silver directories."""
-    config.output_dir = Path(flags.pop("out", config.output_dir))
-    variant = flags.pop("ablate", "baseline")
-    if "suffix_only" in flags:
-        flags["positions"] = _positions(flags.pop("suffix_only"))
-    if "languages" in flags:
-        flags["languages"] = tuple(lang for lang in flags["languages"].split(",") if lang)
-    config.pipeline = dataclasses.replace(config.pipeline, **flags).with_variant(variant)
-    config.markers_dir = config.markers_dir or config.output_dir / "markers"
-    config.silver_dir = config.silver_dir or config.output_dir / "silver"
-    return config
 
 
 def _sha256(path) -> str:
@@ -292,11 +270,13 @@ def _output_files(directory: Path, kind: str, pattern: str, command: str) -> dic
 
 
 def _read_markers(config: RunConfig, wanted) -> dict:
-    """The marker sets of the languages `wanted` accepts. When `output_dir`
-    holds a manifest, a marker file of a language it does not list is stale,
-    left by an earlier extract, and is not read."""
+    """The marker sets of the languages `wanted` accepts. In
+    `<output_dir>/markers`, which `extract` owns, a marker file of a language
+    that `<output_dir>/manifest.json` does not list is stale, left by an
+    earlier extract, and is not read; any other `markers_dir` holds given
+    marker files and is read whole."""
     manifest, extracted = config.output_dir / "manifest.json", None
-    if manifest.exists():
+    if config.markers_dir == config.output_dir / "markers" and manifest.exists():
         try:
             with open_input(manifest) as handle:
                 extracted = frozenset(json.load(handle)["languages"])
@@ -368,7 +348,8 @@ def cmd_project(config: RunConfig) -> int:
 
 _FLAGS = {
     "--out": dict(help="output directory (overrides config)"),
-    "--languages": dict(help="comma-separated language allowlist"),
+    "--languages": dict(type=lambda text: [lang for lang in text.split(",") if lang],
+                        help="comma-separated language allowlist"),
     "--theta": dict(type=int, help="frequency threshold override"),
     "--phi": dict(type=float, help="p-value threshold override"),
     "--chi": dict(type=float, help="odds-ratio threshold override"),
@@ -414,8 +395,7 @@ def main(argv=None) -> int:
     if unknown:  # reported with the usage line of the subcommand, which lists its flags
         commands[command].error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
-        config = _apply_overrides(load_run_config(config_path), flags)
-        return _COMMANDS[command][0](config)
+        return _COMMANDS[command][0](load_run_config(config_path, flags))
     except (CasemarkError, OSError) as exc:
         print(f"casemark {command}: {exc}", file=sys.stderr)
         return 2

@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,13 +13,23 @@ import pytest
 from helpers import tiny_corpus_files, write_lines
 
 import casemark
-from casemark import extraction
-from casemark.cli import load_run_config, main
+from casemark import cli, extraction
+from casemark.cli import CONFIG_KEYS, load_run_config, main
 from casemark.errors import ConfigurationError
 
 
 def snapshot(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def wrong_type_lines():
+    """For each key of `CONFIG_KEYS` whose shape is not `object`, a config
+    that gives it the value 5.5, which no such shape accepts."""
+    for key, shape in CONFIG_KEYS.items():
+        if shape is not object:
+            yield [f"{key}: 5.5"]
+        if isinstance(shape, tuple) and isinstance(shape[1], dict):
+            yield from ([f"{key}: {{{inner}: 5.5}}"] for inner, kind in shape[1].items() if kind is not object)
 
 
 class TestExtract:
@@ -319,6 +331,23 @@ class TestAnalyzeAndProject:
         assert main(["analyze", "--config", str(config)]) == 0
         assert (out / "analysis" / "groups.txt").read_bytes() != groups
 
+    def test_a_configured_markers_dir_is_read_whole(self, workdir, tmp_path):
+        """The manifest governs only `<output_dir>/markers`, which `extract`
+        owns: `eval` and `analyze` read every marker file given in another
+        `markers_dir`, also after an extract of one language into it."""
+        config, out = workdir
+        assert main(["extract", "--config", str(config), "--languages", "lingua,tercia"]) == 0
+        given, out2 = tmp_path / "given", tmp_path / "out2"
+        shutil.copytree(out / "markers", given)
+        lines = [config.read_text(encoding="utf-8"), f'markers_dir: "{given}"', "analysis:", "  languages: [lingua, tercia]"]
+        configured = write_lines(tmp_path / "given.yaml", lines)
+        assert main(["silver", "--config", str(configured), "--out", str(out2)]) == 0
+        assert main(["extract", "--config", str(configured), "--languages", "tercia", "--out", str(out2)]) == 0
+        assert json.loads((out2 / "manifest.json").read_text(encoding="utf-8"))["languages"] == ["tercia"]
+        assert main(["analyze", "--config", str(configured), "--out", str(out2)]) == 0
+        assert main(["eval", "--config", str(configured), "--out", str(out2)]) == 0
+        assert (out2 / "eval" / "results.tsv").read_text(encoding="utf-8").splitlines()[1].startswith("lingua\t")
+
     def test_repeated_analysis_language_exits_2(self, workdir, tmp_path, capsys):
         config, out = workdir
         assert main(["extract", "--config", str(config)]) == 0
@@ -417,6 +446,38 @@ class TestRunConfigLoading:
         loaded = load_run_config(config)
         assert len(loaded.verse_files) >= 3
 
+    def test_glob_matches_in_every_part_of_the_path(self, tmp_path):
+        (tmp_path / "a").mkdir()
+        write_lines(tmp_path / "a" / "x.txt", ["v1\ta"])
+        config = write_lines(tmp_path / "c.yaml", ['verse_files: ["*/x.txt"]'])
+        assert load_run_config(config).verse_files == [tmp_path / "a" / "x.txt"]
+
+    def test_glob_skips_hidden_files(self, tmp_path):
+        (tmp_path / "a").mkdir()
+        for name in ("y.txt", ".y.txt", "._lingua-a1.txt"):
+            write_lines(tmp_path / "a" / name, ["v1\ta"])
+        config = write_lines(tmp_path / "c.yaml", ['verse_files: ["a/*.txt"]'])
+        assert load_run_config(config).verse_files == [tmp_path / "a" / "y.txt"]
+
+    def test_flags_give_the_config_of_the_keys_they_override(self, tmp_path, monkeypatch):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        plain = write_lines(sub / "plain.yaml", ["jobs: 1"])
+        keyed = write_lines(
+            sub / "keyed.yaml",
+            ["pipeline: {theta: 5, phi: 0.5, chi: 1, suffix_only: false, languages: [a, b]}", "output_dir: d"],
+        )
+        argv = ["--theta", "5", "--phi", "0.5", "--chi", "1", "--no-suffix-only", "--languages", "a,b", "--out", "d"]
+        flags = vars(cli._build_parser()[0].parse_args(["extract", "--config", str(plain), *argv]))
+        del flags["command"], flags["config"]
+        monkeypatch.chdir(tmp_path)
+        from_flags, from_keys = load_run_config(plain, flags), load_run_config(keyed)
+        assert from_flags.pipeline == from_keys.pipeline
+        assert from_keys.pipeline.languages == ("a", "b")
+        # A relative --out resolves against the working directory, output_dir against the config's.
+        assert (from_flags.output_dir, from_flags.markers_dir) == (Path.cwd() / "d", Path.cwd() / "d" / "markers")
+        assert (from_keys.output_dir, from_keys.silver_dir) == (sub / "d", sub / "d" / "silver")
+
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
             load_run_config(tmp_path / "absent.yaml")
@@ -459,7 +520,6 @@ class TestConfigShapes:
             ["pipeline: [1]"],
             ["pipeline: {languages: 5}"],
             ["pipeline: {exclude_languages: 5}"],
-            ["analysis: {samples_per_group: x}"],
             ["analysis: {languages: 5}"],
             ["analysis: [1]"],
             ["verse_files: 5"],
@@ -467,14 +527,27 @@ class TestConfigShapes:
             ["paradigm_files: [1]"],
             ["verse_allowlist: 5"],
             ["output_dir: 5"],
+            *wrong_type_lines(),
         ],
     )
     def test_exits_2_without_traceback(self, tmp_path, capsys, lines):
         config = write_lines(tmp_path / "c.yaml", lines)
         assert main(["project", "--config", str(config)]) == 2
+        # The one message format of the shape checks, and nothing else.
+        assert re.fullmatch(r"casemark project: config key [\w.]+ must be [^,]+, got .+\n", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("key", ['"../../evil"', "1", '""', '"."', '".."', '"a/b"'])
+    def test_paradigm_file_keys_must_be_plain_file_names(self, tmp_path, capsys, key):
+        # `silver` writes <silver_dir>/<key>.txt.
+        (tmp_path / "run").mkdir()
+        write_lines(tmp_path / "run" / "p.tsv", ["dom\tdomus\tN;NOM;SG", "dom\tdomibus\tN;DAT;PL"])
+        config = write_lines(tmp_path / "run" / "c.yaml", [f"paradigm_files: {{lingua: p.tsv, {key}: p.tsv}}"])
+        before = snapshot(tmp_path)
+        assert main(["silver", "--config", str(config)]) == 2
         err = capsys.readouterr().err
-        assert "must be of type" in err
+        assert "config key paradigm_files must be keyed by plain file names, got " in err
         assert "Traceback" not in err
+        assert snapshot(tmp_path) == before
 
     @pytest.mark.parametrize(
         "command, lines",
@@ -540,6 +613,7 @@ class TestConfigValues:
             ("analysis: {samples_per_group: -2}", "analysis.samples_per_group must be an integer >= 0, got -2"),
             ("analysis: {samples_per_group: true}", "analysis.samples_per_group must be an integer >= 0, got True"),
             ("analysis: {samples_per_group: null}", "analysis.samples_per_group must be an integer >= 0, got None"),
+            ("analysis: {samples_per_group: x}", "config key analysis.samples_per_group must be an integer >= 0, got 'x'"),
             ("pipeline: {suffix_only: 'false'}", "pipeline.suffix_only must be true or false, got 'false'"),
             ("pipeline: {suffix_only: null}", "pipeline.suffix_only must be true or false, got None"),
             ("pipeline: {suffix_only: 0}", "pipeline.suffix_only must be true or false, got 0"),
