@@ -243,11 +243,11 @@ def cmd_extract(config: RunConfig) -> int:
 
 
 def cmd_silver(config: RunConfig) -> int:
-    wanted = config.pipeline.wants_language
-    languages = {lang: path for lang, path in sorted(config.paradigm_files.items()) if wanted(lang)}
-    if not languages:
+    if not config.paradigm_files:
         print("silver: no paradigm files configured, nothing to build", file=sys.stderr)
         return 0
+    selected = _select(config, config.paradigm_files, "paradigm files")
+    languages = {lang: config.paradigm_files[lang] for lang in selected}
     _require_existing(languages.values(), "paradigm files")
     diagnostics = ["language\tparadigms_used\tsuffixes_emitted\n"]
 
@@ -263,10 +263,11 @@ def cmd_silver(config: RunConfig) -> int:
 
 
 def _output_files(directory: Path, kind: str, pattern: str, command: str) -> dict[str, Path]:
-    """The files matching `pattern` in the `kind` directory, by language (the file stem)."""
+    """The files matching `pattern` in the `kind` directory, by language (the
+    file stem). As for the config globs, a hidden file does not match."""
     if not directory.is_dir():
         raise ConfigurationError(f"{kind} directory {directory} does not exist (run `{command}` first?)")
-    return {p.stem: p for p in sorted(directory.glob(pattern))}
+    return {Path(name).stem: directory / name for name in sorted(glob.glob(pattern, root_dir=directory))}
 
 
 def _read_markers(config: RunConfig, wanted) -> dict:
@@ -298,15 +299,15 @@ def _read_silver(config: RunConfig) -> dict:
 
 
 def cmd_eval(config: RunConfig) -> int:
-    predicted, gold = _read_markers(config, config.pipeline.wants_language), _read_silver(config)
-    shared = sorted(set(predicted) & set(gold))
-    if not shared:
+    gold = _read_silver(config)
+    predicted = _read_markers(config, gold.__contains__)
+    if not predicted:
         raise ConfigurationError("nothing to evaluate: no language has both markers and a silver standard")
-    per_language = {lang: evaluation.score(predicted[lang].grams(), gold[lang]) for lang in shared}
+    per_language = {lang: evaluation.score(predicted[lang].grams(), gold[lang]) for lang in predicted}
     eval_dir = config.output_dir / "eval"
     table = evaluation.render_results_table(per_language)
     write_output(eval_dir / "results.tsv", table)
-    for lang in shared:
+    for lang in predicted:
         diff = evaluation.render_diff_table(predicted[lang].grams(), gold[lang])
         write_output(eval_dir / "diff" / f"{lang}.tsv", diff)
     print(table, end="")

@@ -342,6 +342,6 @@ def corpus_fingerprint(corpus: ParallelCorpus) -> str:
     digest = hashlib.sha256()
     for version in sorted(corpus.versions):
         verses = corpus.versions[version]
-        digest.update(str(version).encode("utf-8"))
-        digest.update("".join([f"{v}{' '.join(verses[v])}\n" for v in corpus.shared_verses]).encode("utf-8"))
+        digest.update(f"{version}\n".encode("utf-8"))
+        digest.update("".join([f"{v}\t{' '.join(verses[v])}\n" for v in corpus.shared_verses]).encode("utf-8"))
     return digest.hexdigest()

@@ -22,6 +22,20 @@ def snapshot(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+@pytest.fixture
+def given_markers(workdir, tmp_path):
+    """`workdir` with a configured `markers_dir` (so no manifest hides a file
+    in it) and no language selection (so none is dropped by name), after
+    `extract` and `silver`: the config, the output and the markers directory."""
+    config, out = workdir
+    text = config.read_text(encoding="utf-8").replace('  languages: ["lingua"]\n', "")
+    given = tmp_path / "given"
+    config = write_lines(tmp_path / "given.yaml", [text, f'markers_dir: "{given}"'])
+    assert main(["extract", "--config", str(config)]) == 0
+    assert main(["silver", "--config", str(config)]) == 0
+    return config, out, given
+
+
 def wrong_type_lines():
     """For each key of `CONFIG_KEYS` whose shape is not `object`, a config
     that gives it the value 5.5, which no such shape accepts."""
@@ -163,8 +177,11 @@ class TestSilverCommand:
 
     def test_no_paradigms_warns_but_succeeds(self, workdir, tmp_path, capsys):
         config, out = workdir
-        assert main(["silver", "--config", str(config), "--languages", "klingon"]) == 0
+        lines = config.read_text(encoding="utf-8").splitlines()
+        without = write_lines(tmp_path / "without.yaml", [line for line in lines if "paradigm" not in line])
+        assert main(["silver", "--config", str(without)]) == 0
         assert "nothing to build" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEvalCommand:
@@ -202,6 +219,15 @@ class TestEvalCommand:
         assert main(["eval", "--config", str(config), *both]) == 0
         results = (out / "eval" / "results.tsv").read_text(encoding="utf-8")
         assert [line.split("\t")[0] for line in results.splitlines()] == ["language", "lingua", "tercia", "average"]
+
+    def test_reads_only_the_marker_files_it_scores(self, given_markers):
+        # notes.tsv is no marker file, and `notes` has no silver standard.
+        config, out, given = given_markers
+        assert main(["eval", "--config", str(config)]) == 0
+        before = snapshot(out)
+        write_lines(given / "notes.tsv", ["this is not a marker file"])
+        assert main(["eval", "--config", str(config)]) == 0
+        assert snapshot(out) == before
 
     @pytest.mark.parametrize("manifest", ["{", "[]", '{"languages": 5}', "{}"])
     def test_manifest_without_languages_exits_2(self, workdir, capsys, manifest):
@@ -242,9 +268,9 @@ class TestAblateCommand:
 
 
 class TestLanguageSelection:
-    """`extract`, `ablate` and `eval` check the language selection before
-    they count or write anything: a named language without the inputs the
-    command needs, or a selection of no language, exits 2."""
+    """`extract`, `silver`, `ablate` and `eval` check the language selection
+    before they count or write anything: a named language without the inputs
+    the command needs, or a selection of no language, exits 2."""
 
     @pytest.fixture
     def ready(self, workdir):
@@ -262,6 +288,8 @@ class TestLanguageSelection:
             ("ablate", "english,tercia", "no silver standards for languages: english, tercia"),
             ("eval", "lingua,nosuch", "no silver standards for languages: nosuch"),
             ("eval", "lingua,tercia", "no silver standards for languages: tercia"),
+            ("silver", "lingua,nosuch", "no paradigm files for languages: nosuch"),
+            ("silver", "klingon", "no paradigm files for languages: klingon"),
         ],
     )
     def test_named_language_without_inputs_exits_2(self, ready, capsys, command, languages, message):
@@ -271,7 +299,10 @@ class TestLanguageSelection:
         assert capsys.readouterr() == ("", f"casemark {command}: {message}\n")
         assert snapshot(out) == before
 
-    @pytest.mark.parametrize("command, what", [("extract", "verse files"), ("ablate", "verse files"), ("eval", "silver standards")])
+    @pytest.mark.parametrize(
+        "command, what",
+        [("extract", "verse files"), ("silver", "paradigm files"), ("ablate", "verse files"), ("eval", "silver standards")],
+    )
     @pytest.mark.parametrize(
         "flags, pipeline",
         [
@@ -290,6 +321,23 @@ class TestLanguageSelection:
         assert main([command, "--config", str(selection), *flags]) == 2
         message = f"casemark {command}: the language selection selects none of the languages with {what}\n"
         assert capsys.readouterr() == ("", message)
+        assert snapshot(out) == before
+
+
+class TestHiddenFiles:
+    def test_hidden_files_are_no_languages(self, given_markers):
+        """A hidden file, such as the `._lingua.tsv` that macOS writes
+        beside `lingua.tsv`, is not read as the language `._lingua`."""
+        config, out, given = given_markers
+        commands = ("eval", "ablate", "analyze")
+        for command in commands:
+            assert main([command, "--config", str(config)]) == 0
+        before = snapshot(out)
+        write_lines(given / "._lingua.tsv", ["not a marker line"])
+        hidden = write_lines(out / "silver" / "._lingua.txt", ["not a silver line"])
+        for command in commands:
+            assert main([command, "--config", str(config)]) == 0
+        hidden.unlink()
         assert snapshot(out) == before
 
 

@@ -149,6 +149,24 @@ class TestLoadCorpus:
         assert all(c == corpora[0] for c in corpora)
         assert len({corpus_fingerprint(c) for c in corpora}) == 1
 
+    @pytest.mark.parametrize(
+        "one, other",
+        [
+            # Verse v1 = "0a b" run together reads "v10a b", as does v10 = "a b".
+            (("e1", "v1", "0a b", "0c"), ("e1", "v10", "a b", "c")),
+            # Version x-e1 and verse 1v run together read "x-e11v", as do x-e11 and v.
+            (("e1", "1v", "a", "b"), ("e11", "v", "a", "b")),
+        ],
+        ids=["verse id and tokens", "version and verse id"],
+    )
+    def test_fingerprint_separates_its_fields(self, tmp_path, one, other):
+        fingerprints = []
+        for name, (edition, verse, first, second) in {"one": one, "other": other}.items():
+            (tmp_path / name).mkdir()
+            versions = {f"x-{edition}.txt": {verse: first}, f"y-{edition}.txt": {verse: second}}
+            fingerprints.append(corpus_fingerprint(load_corpus(tiny_corpus_files(tmp_path / name, versions))))
+        assert fingerprints[0] != fingerprints[1]
+
     def test_every_shared_lookup_succeeds(self, synth):
         rng = random.Random(5)
         versions = list(synth.corpus.versions)

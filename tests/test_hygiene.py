@@ -1,9 +1,10 @@
 """Guards for deletions and drift: no module keeps an import it no longer
-uses, only `corpus.write_output` writes files, every output file has a
-failed-write test, every function the benchmark tracer wraps still exists, a
-traced `extract`, `analyze` and `project` still run, the README's table of
-flags per subcommand matches the parser, and its example configuration names
-every accepted config key.
+uses, the package root exports nothing and no file imports a name from it,
+only `corpus.write_output` writes files, every output file has a failed-write
+test, every function the benchmark tracer wraps still exists, a traced
+`extract`, `analyze` and `project` still run, the README's table of flags per
+subcommand matches the parser, and its example configuration names every
+accepted config key.
 
 The import, writer and tracer checks read source files with `ast` only; the
 tracer is never imported, only run in a subprocess.
@@ -32,7 +33,10 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "casemark"
 TRACER = ROOT / "perfbench" / "tracer.py"
 README = ROOT / "README.md"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
+SUBMODULES = {p.stem for p in MODULES} - {"__init__"}
+# Every Python file of the package, its tests and the benchmark.
+SOURCES = sorted(p for folder in ("src", "tests", "perfbench") for p in (ROOT / folder).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -48,6 +52,16 @@ def unused_imports(source: str) -> list[str]:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(name for name in imported if name not in used)
+
+
+def root_imports(source: str) -> list[str]:
+    """The names that `source` imports from the package root, as in
+    `from casemark import X`, that are not modules of the package."""
+    return sorted(
+        alias.name for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and (node.module, node.level) == ("casemark", 0)
+        for alias in node.names if alias.name not in SUBMODULES
+    )
 
 
 def file_writes(source: str, writer=None) -> list[int]:
@@ -100,8 +114,28 @@ class TestUnusedImports:
         assert unused_imports("import os.path\nos.path.join('a')\n") == []
 
 
+class TestNoPackageRootExports:
+    """Each public name is imported from the module that defines it."""
+
+    def test_package_root_holds_only_its_docstring(self):
+        body = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body
+        assert len(body) == 1 and isinstance(body[0], ast.Expr) and isinstance(body[0].value.value, str)
+
+    def test_no_file_imports_a_name_from_the_package_root(self):
+        found = {}
+        for path in SOURCES:
+            names = root_imports(path.read_text(encoding="utf-8"))
+            if names:
+                found[path.relative_to(ROOT).as_posix()] = names
+        assert found == {}
+
+    def test_detects_a_root_import(self):
+        source = "from casemark import cli, ParallelCorpus\nfrom casemark.corpus import load_corpus\n"
+        assert root_imports(source) == ["ParallelCorpus"]
+
+
 class TestSingleWriter:
-    @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+    @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
     def test_only_write_output_writes_files(self, path):
         writer = "write_output" if path.name == "corpus.py" else None
         assert file_writes(path.read_text(encoding="utf-8"), writer) == []
