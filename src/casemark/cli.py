@@ -50,6 +50,9 @@ class RunConfig:
     verse_files: list[Path]
     alignment_files: list[Path]
     annotation_files: list[Path]
+    # Every file of the three lists, keyed by its path as the config names it
+    # (a glob expanded against the config directory), for the manifest.
+    inputs: dict[str, Path]
     paradigm_files: dict[str, Path]
     verse_allowlist: Optional[frozenset[str]]
     pipeline: PipelineConfig
@@ -136,15 +139,18 @@ def load_run_config(path, flags: Optional[dict] = None) -> RunConfig:
         raise ConfigurationError(f"config key analysis.languages repeats {', '.join(repeated)}")
 
     base = path.parent
+    inputs = {}
 
     def paths(key) -> list[Path]:
         resolved = []
         for entry in raw.get(key, ()):
             is_glob = any(ch in entry for ch in "*?[")
-            matches = sorted(base / match for match in glob.glob(entry, root_dir=base)) if is_glob else [base / entry]
+            names = glob.glob(entry, root_dir=base) if is_glob else [entry]
+            matches = sorted((base / name, name) for name in names)
             if not matches:
                 raise ConfigurationError(f"glob {entry!r} matched no files")
-            resolved += matches
+            inputs.update((name, match) for match, name in matches)
+            resolved += [match for match, _name in matches]
         return resolved
 
     allowlist = frozenset(raw["verse_allowlist"]) if "verse_allowlist" in raw else None
@@ -157,6 +163,7 @@ def load_run_config(path, flags: Optional[dict] = None) -> RunConfig:
         verse_files=paths("verse_files"),
         alignment_files=paths("alignment_files"),
         annotation_files=paths("annotation_files"),
+        inputs=inputs,
         paradigm_files={language: base / p for language, p in raw.get("paradigm_files", {}).items()},
         verse_allowlist=allowlist,
         pipeline=PipelineConfig(**pipeline).with_variant(variant),
@@ -201,10 +208,9 @@ def _select(config: RunConfig, available, what: str) -> list[str]:
 
 
 def _write_manifest(config: RunConfig, corpus, languages) -> None:
-    inputs = [*config.verse_files, *config.alignment_files, *config.annotation_files]
     manifest = {
         "pipeline": dataclasses.asdict(config.pipeline),
-        "inputs": {str(path): _sha256(path) for path in inputs},
+        "inputs": {name: _sha256(path) for name, path in config.inputs.items()},
         "corpus_fingerprint": corpus_fingerprint(corpus),
         "languages": languages,
     }

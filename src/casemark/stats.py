@@ -3,7 +3,8 @@
 Provides a two-sided Fisher's exact test and the sample odds ratio. The
 two-sided p-value follows the point-probability definition: it sums the
 hypergeometric probabilities of every table with the same margins whose point
-probability does not exceed that of the observed table. `ExactTest` serves
+probability does not exceed that of the observed table by more than a
+relative tie slack of 1e-7. `ExactTest` serves
 many tables that share their row totals; the table-at-a-time functions
 delegate to it.
 """
@@ -11,15 +12,14 @@ delegate to it.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import UndefinedOddsError
 
-# Relative slack when comparing a point probability against the observed one,
-# so exact ties are not lost to float rounding.
-_TIE_SLACK = math.log1p(1e-12)
-# A tail stops once the bound on what it has left falls below this share of it.
+# A table qualifies when its point probability is at most the observed one
+# times this, so that exact ties are not lost to float rounding (R, SciPy).
+_TIE_SLACK = 1.0 + 1e-7
+# A side stops once the bound on what it has left falls below this share of it.
 _TAIL_REL = 1e-17
 
 
@@ -50,19 +50,19 @@ class ExactTest:
     """Fisher's exact test and the odds ratio for the 2x2 tables with row
     totals (row1, row2), which all candidates of one language share.
 
-    The hypergeometric pmf is unimodal, so the tables at most as likely as
-    the observed one (with 1e-12 relative slack) form two tails. Bisection
-    finds where the far tail crosses the observed pmf, and each tail is summed
-    outward with the pmf ratio recurrence until its geometric remainder bound
-    is negligible. The lgamma terms of each column total, and the p-value of
-    each (a, c), are computed once.
+    The p-value is one walk over the hypergeometric pmf in units of its mode,
+    by the ratio recurrence: the ratios from the mode to the observed cell
+    give its probability, and each side is then walked outward, a term at most
+    that probability (with R's and SciPy's relative tie slack of 1e-7) going
+    to the kept mass and any other to the dropped mass. A side stops once the
+    geometric bound on its remaining terms is negligible against its own kept
+    mass. The walk uses only float + - * /, so a p-value is the same bytes on
+    every IEEE-754 machine. The p-value of each (a, c) is computed once.
     """
 
     def __init__(self, row1: int, row2: int):
         self.row1 = row1
         self.row2 = row2
-        self._log_rows = math.lgamma(row1 + 1) + math.lgamma(row2 + 1) - math.lgamma(row1 + row2 + 1)
-        self._log_cols: dict[int, float] = {}
         self._p_values: dict[tuple[int, int], float] = {}
 
     def p_value(self, a: int, c: int) -> float:
@@ -80,55 +80,38 @@ class ExactTest:
             if not row1 + row2:
                 raise ValueError("Fisher's exact test is undefined for an all-zero table")
             return 1.0
-        lgamma = math.lgamma
-        log_col = self._log_cols.get(col1)
-        if log_col is None:
-            log_col = self._log_cols[col1] = self._log_rows + lgamma(col1 + 1) + lgamma(row1 + row2 - col1 + 1)
 
-        def log_pmf(k: int) -> float:
-            return log_col - lgamma(k + 1) - lgamma(row1 - k + 1) - lgamma(col1 - k + 1) - lgamma(row2 - col1 + k + 1)
-
-        log_obs = log_pmf(a)
-        cutoff = log_obs + _TIE_SLACK
-        mode = (col1 + 1) * (row1 + 1) // (row1 + row2 + 2)  # always within the support
-        # The observed side of the mode qualifies from a outward; bisection
-        # finds where the other side crosses the cutoff.
-        if a <= mode:
-            start = max(mode, a + 1)
-            left, right = a, start + bisect_left(range(start, k_max + 1), True, key=lambda k: log_pmf(k) <= cutoff)
-        else:
-            left = k_min - 1 + bisect_left(range(k_min, mode + 1), True, key=lambda k: log_pmf(k) > cutoff)
-            right = a
-        if right <= left + 1:
-            return 1.0
-
-        def relative(k: int) -> float:  # pmf(k) / pmf(a)
-            return 1.0 if k == a else math.exp(log_pmf(k) - log_obs)
-
-        total = 0.0
-        if left >= k_min:
-            total += self._tail(relative(left), left, k_min, -1, col1)
-        if right <= k_max:
-            total += self._tail(relative(right), right, k_max, 1, col1)
-        return min(1.0, math.exp(log_obs) * total)
-
-    def _tail(self, term: float, k: int, end: int, step: int, col1: int) -> float:
-        # Sum of pmf(k..end) / pmf(observed), given term = pmf(k) / pmf(observed).
-        # Moving away from the mode, the step ratio q only falls, so the terms
-        # not yet added sum to at most term * q / (1 - q).
-        row1, row2 = self.row1, self.row2
-        total = term
-        while k != end:
+        def ratio(k: int, step: int) -> float:  # pmf(k + step) / pmf(k)
             if step > 0:
-                q = (row1 - k) * (col1 - k) / ((k + 1) * (row2 - col1 + k + 1))
-            else:
-                q = k * (row2 - col1 + k) / ((row1 - k + 1) * (col1 - k + 1))
-            if q < 1.0 and term * q < _TAIL_REL * total * (1.0 - q):
-                break
-            term *= q
-            total += term
-            k += step
-        return total
+                return (row1 - k) * (col1 - k) / ((k + 1) * (row2 - col1 + k + 1))
+            return k * (row2 - col1 + k) / ((row1 - k + 1) * (col1 - k + 1))
+
+        mode = (col1 + 1) * (row1 + 1) // (row1 + row2 + 2)  # always within the support
+        step = 1 if a > mode else -1
+        observed = 1.0
+        for k in range(mode, a, step):
+            observed *= ratio(k, step)
+            if not observed:  # below the smallest float: so is the p-value
+                return 0.0
+        cutoff = observed * _TIE_SLACK
+        # Kept and dropped mass stay separate sums: with nothing dropped, the
+        # p-value is kept / kept, exactly 1.0.
+        kept, dropped = (1.0, 0.0) if cutoff >= 1.0 else (0.0, 1.0)
+        for step, end in ((-1, k_min), (1, k_max)):
+            term, side = 1.0, 0.0
+            for k in range(mode, end, step):
+                q = ratio(k, step)
+                term *= q
+                if term > cutoff:
+                    dropped += term
+                    continue
+                side += term
+                # Away from the mode the ratio only falls, so the terms not yet
+                # added sum to at most term * q / (1 - q).
+                if term * q <= _TAIL_REL * side * (1.0 - q):
+                    break
+            kept += side
+        return kept / (kept + dropped)
 
     def odds_ratio(self, a: int, c: int) -> float:
         """Sample odds ratio of [a, row1 - a; c, row2 - c]; see `odds_ratio`."""

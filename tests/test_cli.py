@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -474,6 +475,82 @@ class TestHashSeedIndependence:
         assert len(first[Path("markers/lingua.tsv")].splitlines()) > 2
 
 
+def relative_workdir(synth, root):
+    """The synthetic fixture and `workdir`'s paradigm file copied under
+    `root`, with a `run.yaml` there that names every input relative to
+    itself (the verse files by a glob) and writes to `out`; returns `root`."""
+    fixture = synth.fixture
+    groups = {"verses": fixture.verse_files, "alignments": fixture.alignment_files, ".": fixture.annotation_files}
+    for directory, paths in groups.items():
+        (root / directory).mkdir(parents=True, exist_ok=True)
+        for path in paths:
+            shutil.copy(path, root / directory / path.name)
+    shutil.copy(fixture.root / "lingua.paradigms.tsv", root)
+    write_lines(
+        root / "run.yaml",
+        [
+            'verse_files: ["verses/*.txt"]',
+            "alignment_files:",
+            *[f'  - "alignments/{p.name}"' for p in fixture.alignment_files],
+            f'annotation_files: ["{fixture.annotation_files[0].name}"]',
+            "paradigm_files: {lingua: lingua.paradigms.tsv}",
+            f"pipeline: {{theta: {fixture.theta}}}",
+            "output_dir: out",
+        ],
+    )
+    return root
+
+
+def run_every_command(config, cwd, monkeypatch):
+    """Every subcommand on `config` from the working directory `cwd`, then
+    the output tree of the config's `out`."""
+    monkeypatch.chdir(cwd)
+    for command in ("extract", "silver", "ablate", "project", "analyze"):
+        assert main([command, "--config", str(config)]) == 0, command
+    return snapshot(cwd / Path(config).parent / "out")
+
+
+class TestWorkingDirectoryIndependence:
+    def test_own_directory_and_its_parent_give_the_same_tree(self, synth, workdir, tmp_path, monkeypatch):
+        root = relative_workdir(synth, tmp_path / "m1")
+        first = run_every_command("run.yaml", root, monkeypatch)
+        shutil.rmtree(root / "out")
+        assert run_every_command("m1/run.yaml", tmp_path, monkeypatch) == first
+        inputs = json.loads(first[Path("manifest.json")])["inputs"]
+        assert sorted(inputs) == sorted(
+            [f"verses/{p.name}" for p in synth.fixture.verse_files]
+            + [f"alignments/{p.name}" for p in synth.fixture.alignment_files]
+            + [p.name for p in synth.fixture.annotation_files]
+        )
+
+
+class TestLineOrderInvariance:
+    """Shuffling the lines of every verse, annotation and alignment file (the
+    alignment header kept first) changes no output but the input hashes in
+    `manifest.json`."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_shuffled_input_lines_change_no_output(self, synth, workdir, tmp_path, monkeypatch, seed):
+        plain = run_every_command("run.yaml", relative_workdir(synth, tmp_path / "plain"), monkeypatch)
+        root, rng = relative_workdir(synth, tmp_path / "shuffled"), random.Random(seed)
+        for path in [*root.glob("verses/*"), *root.glob("alignments/*"), *root.glob("*.np")]:
+            lines = path.read_text(encoding="utf-8").splitlines()
+            head = 1 if path.parent.name == "alignments" else 0
+            body = lines[head:]
+            rng.shuffle(body)
+            write_lines(path, lines[:head] + body)
+        shuffled = run_every_command("run.yaml", root, monkeypatch)
+        manifests = [json.loads(tree.pop(Path("manifest.json"))) for tree in (plain, shuffled)]
+        assert shuffled == plain
+        assert {"markers/lingua.tsv", "silver/lingua.txt", "ablation/ablation.tsv", "nps/parallel_nps.tsv"} <= {
+            str(path) for path in plain
+        }
+        inputs = [manifest.pop("inputs") for manifest in manifests]
+        assert inputs[0].keys() == inputs[1].keys()
+        assert all(inputs[0][name] != inputs[1][name] for name in inputs[0])  # every input was reordered
+        assert manifests[0] == manifests[1]  # corpus_fingerprint included
+
+
 class TestRunConfigLoading:
     def test_unknown_keys_rejected(self, tmp_path):
         config = write_lines(tmp_path / "c.yaml", ["bogus_key: 1"])
@@ -499,6 +576,22 @@ class TestRunConfigLoading:
         write_lines(tmp_path / "a" / "x.txt", ["v1\ta"])
         config = write_lines(tmp_path / "c.yaml", ['verse_files: ["*/x.txt"]'])
         assert load_run_config(config).verse_files == [tmp_path / "a" / "x.txt"]
+
+    def test_inputs_are_keyed_as_the_config_names_them(self, tmp_path, monkeypatch):
+        (tmp_path / "sub" / "a").mkdir(parents=True)
+        for name in ("x-1.txt", "y-1.txt", "z.np"):
+            write_lines(tmp_path / "sub" / "a" / name, ["v1\ta"])
+        absolute = tmp_path / "sub" / "a" / "z.np"
+        config = write_lines(
+            tmp_path / "sub" / "c.yaml", ['verse_files: ["a/*.txt"]', f'annotation_files: ["{absolute}"]']
+        )
+        monkeypatch.chdir(tmp_path)
+        loaded = load_run_config("sub/c.yaml")
+        assert loaded.inputs == {
+            "a/x-1.txt": Path("sub/a/x-1.txt"),
+            "a/y-1.txt": Path("sub/a/y-1.txt"),
+            str(absolute): absolute,
+        }
 
     def test_glob_skips_hidden_files(self, tmp_path):
         (tmp_path / "a").mkdir()
@@ -848,39 +941,40 @@ class TestFlagsPerSubcommand:
 
 class TestMarkerFileBytes:
     """The marker files of the synthetic fixture, pinned by SHA-256. They
-    print p-values and odds ratios with repr, so this also checks that the
-    exact test's floating point gives the same bytes on every machine."""
+    print p-values and odds ratios with repr. Both come from float + - * /
+    alone, which IEEE 754 rounds the same everywhere, so these bytes should
+    hold on every machine and every Python version."""
 
     EXPECTED = {
         (): {
             "english.tsv": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-            "lingua.tsv": "90b1dca8cfc16d6bef67da559c787a553d596e3ad7bc2fa0a8862853b85b06cb",
+            "lingua.tsv": "25cf8fd5cbd8eab15af000c9e42b65c87b8a491e3bc40e22301e2d7523a4233c",
             "tercia.tsv": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         },
         ("--theta", "1", "--no-suffix-only"): {
-            "english.tsv": "8f7d3aa48f4fbe152444d70739d688cf3c3537c093da30308a4d14badf63f3af",
-            "lingua.tsv": "4f81bc0366f5c4535255499f44cda83b4339dad65f494302d5b4fc53c7756cc0",
-            "tercia.tsv": "21693ade67e02cd58b0067b21bea0789aed27803f4e7ea07fbc6bbce3843e604",
+            "english.tsv": "385ca1d14487d9f971463d213fdaab17573e4878f5be67e67785921f24ab7ce7",
+            "lingua.tsv": "e364f71b9b44bb1f891ab3ae3718bb82bebd3c49eaa315182fca71d0aee84584",
+            "tercia.tsv": "59fc99e3dbc81b995b5d39d07b41bdd5e45b173ba7543ff3b1e35141222029b5",
         },
         ("--ablate", "no_phi"): {
             "english.tsv": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-            "lingua.tsv": "3a4a8c7b48fe4237f51e54925f58977e8f6d5aff2ae87efaeec9e80dc4525c93",
-            "tercia.tsv": "572667c9aeb18aaf3e4ea56375bfc787a2e95023bd29885a0018cd647ac5df67",
+            "lingua.tsv": "aac19943fb39c444d839f7e44547a3fa77874ecb8147f6a6f29f64b2a9c0aa9e",
+            "tercia.tsv": "a7f93e478dada8ac0fe4103461070cbf0e303258d1ddaac5b01009fb73ddbb28",
         },
         ("--ablate", "no_chi"): {
-            "english.tsv": "257bcdf4648183a80587e602116c761cb5867b59a5efc6421ab0040235d500c6",
-            "lingua.tsv": "90b1dca8cfc16d6bef67da559c787a553d596e3ad7bc2fa0a8862853b85b06cb",
+            "english.tsv": "1d7f5cbecd7c2ad300bdf8ec736365294c25d3be77a0cda88b295b016841bed3",
+            "lingua.tsv": "25cf8fd5cbd8eab15af000c9e42b65c87b8a491e3bc40e22301e2d7523a4233c",
             "tercia.tsv": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         },
         ("--theta", "1", "--ablate", "no_phi"): {
             "english.tsv": "57cefd840fb23c9ec33faba4e0546e84148f2d7d75f3dfad476fcb069cb09467",
-            "lingua.tsv": "4a93c468717bd71eca5012147790f3fe47ebd2abeb750157d534dff49e49cd87",
-            "tercia.tsv": "cde558bf31f7a132d7553900e7f0f50a0ab8dc860de67ef51898ad97ad1f0ac6",
+            "lingua.tsv": "6688484bfff6b8f33bf9d60d5c950c8a1bb27f7eba3aed4c75af20234d2ec7d3",
+            "tercia.tsv": "e6baddda775ac63b7ff189fefd09fb91cf67391274f5df007f1239b5c7701f83",
         },
         ("--theta", "1", "--no-suffix-only", "--ablate", "no_chi"): {
-            "english.tsv": "d87ddb74123c486a7356628e4f50348a180a86163530810bf3491719e42202dc",
-            "lingua.tsv": "0f19829f574244b1059e51d6d1e2aec059256e81d7b0eedc5bc89863f68457d0",
-            "tercia.tsv": "976792bf2c0b41d14f56a914808fa858a20b5da3c850b8b98d92c2e65e9e4b95",
+            "english.tsv": "d2616a6347c3b79fdee6611cc10abab5d67d3a9da82df65180117599689f3864",
+            "lingua.tsv": "d9e5e08de9ac7463edd955324e83ff69fd349682736b1734ec99543ad8277852",
+            "tercia.tsv": "cd5ff2614f0641311ef21e8d160c0904cefad334b53bf378412d2783d3605a32",
         },
     }
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,20 +11,21 @@ from casemark.errors import UndefinedOddsError
 from casemark.stats import ContingencyTable, ExactTest, fisher_exact_two_sided, odds_ratio
 
 
-def exact_two_sided(a, b, c, d):
+def exact_two_sided(a, b, c, d, slack=0):
     """Arbitrary precision enumeration oracle for the two-sided exact test.
 
     Point probabilities with shared margins have a common denominator, so the
-    qualifying-table comparison is an exact integer comparison.
+    qualifying-table comparison is an exact comparison of integers, here with
+    the relative tie slack `slack` (a Fraction) taken exactly too.
     """
     r1, r2, c1 = a + b, c + d, a + c
     k_min = max(0, c1 - r2)
     k_max = min(r1, c1)
-    t_obs = math.comb(r1, a) * math.comb(r2, c1 - a)
+    limit = math.comb(r1, a) * math.comb(r2, c1 - a) * (1 + Fraction(slack))
     numerator = 0
     for k in range(k_min, k_max + 1):
         t = math.comb(r1, k) * math.comb(r2, c1 - k)
-        if t <= t_obs:
+        if t <= limit:
             numerator += t
     return float(Fraction(numerator, math.comb(r1 + r2, c1)))
 
@@ -53,9 +55,22 @@ class TestFisher:
         with pytest.raises(ValueError):
             fisher_exact_two_sided(ContingencyTable(0, 0, 0, 0))
 
-    @pytest.mark.parametrize("k", [1, 2, 7, 20, 50])
+    @pytest.mark.parametrize("k", [1, 2, 5, 7, 20, 50, 500, 5000])
     def test_scaled_balanced_tables_stay_one(self, k):
         assert fisher_exact_two_sided(ContingencyTable(k, k, k, k)) == 1.0
+
+    def test_exactly_one_whenever_every_table_qualifies(self):
+        # Every table with row totals up to 12 whose whole support qualifies
+        # (the oracle gives exactly 1 at these small margins).
+        seen = 0
+        for r1, r2 in itertools.product(range(13), repeat=2):
+            for c1 in range(1, r1 + r2):
+                for a in range(max(0, c1 - r2), min(r1, c1) + 1):
+                    cells = (a, r1 - a, c1 - a, r2 - c1 + a)
+                    if exact_two_sided(*cells, slack=Fraction(1, 10**7)) == 1.0:
+                        seen += 1
+                        assert fisher_exact_two_sided(ContingencyTable(*cells)) == 1.0
+        assert seen > 300
 
     @settings(max_examples=200)
     @given(tables)
@@ -113,9 +128,9 @@ class TestExactTest:
             assert test.odds_ratio(a, c) == odds_ratio(table)
 
     def test_matches_exact_oracle_at_production_row_totals(self):
-        # Needs no SciPy: the tail bisection and the truncated tail sums are
-        # checked against the integer oracle at production row totals. Column
-        # totals stop at 300 to keep the oracle's binomials small.
+        # Needs no SciPy: the walk's crossings and truncated sides are checked
+        # against the integer oracle at production row totals. Column totals
+        # stop at 300 to keep the oracle's binomials small.
         phi = 0.08
         near_phi = 0
         for table in production_tables(100, seed=2023, max_col1=300):
@@ -125,6 +140,16 @@ class TestExactTest:
             assert (p < phi) == (expected < phi), table
             near_phi += 0.01 < expected < 0.5
         assert near_phi >= 20  # the decision check saw tables on both sides of phi
+
+    def test_within_1e12_of_exact_arithmetic_at_production_row_totals(self):
+        # The same tie rule as the walk's, a point probability at most the
+        # observed one times 1 + 1e-7, taken in exact arithmetic: what is left
+        # is the walk's own float rounding, at row totals of 1e5 to 2e6.
+        worst = 0.0
+        for table in production_tables(40, seed=2021, max_col1=300):
+            expected = exact_two_sided(table.a, table.b, table.c, table.d, slack=Fraction(1, 10**7))
+            worst = max(worst, abs(fisher_exact_two_sided(table) - expected) / expected)
+        assert worst <= 1e-12
 
 
 class TestOddsRatio:
