@@ -116,8 +116,8 @@ def build_cooccurrence_matrix(
         col = pnp.np_id
         col_ids.append(col)
         source_tokens = versions[source_version][verse_id]
-        col_text[col] = " ".join([source_tokens[i] for i in source_span.token_indices])
-        for version, indices in (*projections.items(), (source_version, source_span.token_indices)):
+        col_text[col] = " ".join([source_tokens[i] for i in source_span])
+        for version, indices in (*projections.items(), (source_version, source_span)):
             tokens = versions[version][verse_id]
             for index in indices:
                 row_positions[f"{version.language}:{tokens[index]}"].append(position)
@@ -156,6 +156,6 @@ def render_group_report(
         for pnp in group.members[:samples_per_group]:
             version, span = pnp.source
             tokens = corpus.verse(version, pnp.verse)
-            surface = " ".join(tokens[i] for i in span.token_indices)
+            surface = " ".join(tokens[i] for i in span)
             lines.append(f"\t{pnp.verse}\t{version}\t{surface}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -18,7 +18,6 @@ a newline, and a verse id appears at most once per file):
 from __future__ import annotations
 
 import hashlib
-import operator
 import os
 import re
 import unicodedata
@@ -55,36 +54,12 @@ class VersionId(NamedTuple):
 
     @classmethod
     def from_filename(cls, path) -> "VersionId":
-        stem = Path(path).name.split(".", 1)[0]
-        return cls.from_string(stem)
-
-
-@dataclass(frozen=True)
-class NpSpan:
-    """A set of token indices in one verse; possibly discontiguous."""
-
-    verse: str
-    token_indices: tuple[int, ...]
-
-    def __post_init__(self):
-        indices = self.token_indices
-        if not indices:
-            raise CorpusError(f"empty span in verse {self.verse!r}")
-        if min(indices) < 0:
-            raise CorpusError(f"negative token index in verse {self.verse!r}")
-        if not all(map(operator.lt, indices, indices[1:])):
-            raise CorpusError(f"span indices must be strictly increasing in verse {self.verse!r}")
-
-    @classmethod
-    def from_range(cls, verse: str, start: int, end: int) -> "NpSpan":
-        """The span of `range(start, end)`; a valid range skips the checks of
-        `__post_init__`, which it passes by construction."""
-        if not 0 <= start < end:
-            return cls(verse, tuple(range(start, end)))
-        span = object.__new__(cls)
-        object.__setattr__(span, "verse", verse)  # as the frozen dataclass's own __init__ does
-        object.__setattr__(span, "token_indices", tuple(range(start, end)))
-        return span
+        """The version a verse or annotation file's name encodes; a name
+        that encodes none is a ConfigurationError naming the file."""
+        try:
+            return cls.from_string(Path(path).name.split(".", 1)[0])
+        except ValueError:
+            raise ConfigurationError(f"{path}: file name must look like <language>-<edition>.<ext>") from None
 
 
 @dataclass(frozen=True)
@@ -114,14 +89,16 @@ class Alignment:
 
 @dataclass(frozen=True)
 class NpAnnotation:
+    """Per verse, the NP spans of `version`, each the sorted tuple of its
+    token indices."""
+
     version: VersionId
-    spans: Mapping[str, tuple[NpSpan, ...]]
+    spans: Mapping[str, tuple[tuple[int, ...], ...]]
 
     @cached_property
     def np_tokens(self) -> dict[str, frozenset[int]]:
         """Per verse with spans, the token indices inside any of them (computed once, on first use)."""
-        return {v: frozenset(chain.from_iterable(s.token_indices for s in spans)) for v, spans in self.spans.items()
-                if spans}
+        return {v: frozenset(chain.from_iterable(spans)) for v, spans in self.spans.items() if spans}
 
 
 @contextmanager
@@ -311,7 +288,7 @@ def load_np_annotation(path, corpus: ParallelCorpus) -> NpAnnotation:
     if version not in corpus.versions:
         raise CorpusError(f"annotation {path} references unknown version {version}")
     verses = corpus.versions[version]
-    spans: dict[str, tuple[NpSpan, ...]] = {}
+    spans: dict[str, tuple[tuple[int, ...], ...]] = {}
     for line_no, verse_id, span_text in _records(path, read_lines(path), "spans", verses):
         verse_len = len(verses[verse_id])
         ranges = []
@@ -331,7 +308,7 @@ def load_np_annotation(path, corpus: ParallelCorpus) -> NpAnnotation:
         for (s1, e1), (s2, _e2) in zip(ranges, ranges[1:]):
             if s2 < e1:
                 raise CorpusError(f"{path}: verse {verse_id!r} has overlapping spans {s1}:{e1} and {s2}:{_e2}")
-        spans[verse_id] = tuple(NpSpan.from_range(verse_id, s, e) for s, e in ranges)
+        spans[verse_id] = tuple(tuple(range(s, e)) for s, e in ranges)
     for verse_id in corpus.shared_verses:
         spans.setdefault(verse_id, ())
     return NpAnnotation(version=version, spans=spans)

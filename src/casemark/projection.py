@@ -14,22 +14,23 @@ from dataclasses import dataclass
 from itertools import chain, compress
 from typing import Collection, Mapping, NamedTuple, Sequence
 
-from .corpus import Alignment, NpAnnotation, NpSpan, ParallelCorpus, VersionId, write_output
+from .corpus import Alignment, NpAnnotation, ParallelCorpus, VersionId, write_output
 from .errors import ConfigurationError
 
 
 class ParallelNp(NamedTuple):
-    """One source-edition NP together with its nonempty projections: per
-    target version, the sorted token indices in the same verse."""
+    """One source-edition NP, as its version and sorted token indices,
+    together with its nonempty projections: per target version, the sorted
+    token indices in the same verse."""
 
     verse: str
-    source: tuple[VersionId, NpSpan]
+    source: tuple[VersionId, tuple[int, ...]]
     projections: Mapping[VersionId, tuple[int, ...]]
 
     @property
     def np_id(self) -> str:
         version, span = self.source
-        return f"{self.verse}|{version}|{','.join(map(str, span.token_indices))}"
+        return f"{self.verse}|{version}|{','.join(map(str, span))}"
 
 
 @dataclass(frozen=True)
@@ -112,24 +113,13 @@ def build_parallel_np_set(
         source = annotation.version
         pairs = [(target, links) for (pair_source, target), links in by_pair.items() if pair_source == source]
         for verse_id in corpus.shared_verses:
-            spans = annotation.spans.get(verse_id, ())
-            if not spans:
-                continue
-            # Source token -> span positions (spans may overlap): one pass over each target's links projects all.
-            owners: dict[int, list[int]] = {}
-            for position, span in enumerate(spans):
-                for index in span.token_indices:
-                    owners.setdefault(index, []).append(position)
-            projections: list[dict[VersionId, tuple[int, ...]]] = [{} for _ in spans]
-            for target, links in pairs:
-                flat = links.get(verse_id, ())
-                hits: dict[int, set[int]] = {}
-                for i, j in zip(flat[0::2], flat[1::2]):
-                    for position in owners.get(i, ()):
-                        hits.setdefault(position, set()).add(j)
-                for position, indices in hits.items():
-                    projections[position][target] = tuple(sorted(indices))
-            result.extend(ParallelNp(verse_id, (source, span), p) for span, p in zip(spans, projections))
+            for span in annotation.spans.get(verse_id, ()):
+                projections = {}
+                for target, links in pairs:
+                    linked = linked_targets(links.get(verse_id, ()), span)
+                    if linked:
+                        projections[target] = tuple(sorted(linked))
+                result.append(ParallelNp(verse_id, (source, span), projections))
     return result
 
 
@@ -189,7 +179,7 @@ def dump_parallel_nps(parallel_nps: Sequence[ParallelNp], corpus: ParallelCorpus
     versions = corpus.versions
     lines = []
     for verse_id, (source, span), projections in parallel_nps:
-        for version, token_indices in ((source, span.token_indices), *sorted(projections.items())):
+        for version, token_indices in ((source, span), *sorted(projections.items())):
             tokens = versions[version][verse_id]
             surface = " ".join([tokens[i] for i in token_indices])
             lines.append(f"{verse_id}\t{version}\t{','.join(map(str, token_indices))}\t{surface}\n")

@@ -2,7 +2,6 @@
 
 from pathlib import Path
 
-from casemark.corpus import NpSpan
 from casemark.errors import ConfigurationError
 from casemark.projection import linked_targets
 
@@ -29,14 +28,14 @@ def position_of(gram):
     return "initial" if gram.startswith("$") else "internal"
 
 
-def project_span(span, alignment, target_verse):
-    """Reference projection of one span on its own: the target indices
-    aligned to any of its tokens, in target word order, or None when no span
-    token carries a link. A link past the end of the target verse raises
-    ConfigurationError."""
-    linked = linked_targets(alignment.links.get(span.verse, ()), span.token_indices)
+def project_span(verse_id, span, alignment, target_verse):
+    """Reference projection of one span (a tuple of token indices in verse
+    `verse_id`) on its own: the target indices aligned to any of its tokens,
+    in target word order, or None when no span token carries a link. A link
+    past the end of the target verse raises ConfigurationError."""
+    linked = linked_targets(alignment.links.get(verse_id, ()), span)
     if linked and max(linked) >= len(target_verse):
         raise ConfigurationError(
-            f"alignment {alignment.source_version}->{alignment.target_version} points outside verse {span.verse!r}"
+            f"alignment {alignment.source_version}->{alignment.target_version} points outside verse {verse_id!r}"
         )
-    return NpSpan(span.verse, tuple(sorted(linked))) if linked else None
+    return tuple(sorted(linked)) if linked else None

@@ -12,7 +12,7 @@ from casemark.analysis import (
     group_by_marker_combination,
     render_group_report,
 )
-from casemark.corpus import NpSpan, ParallelCorpus, VersionId
+from casemark.corpus import ParallelCorpus, VersionId
 from casemark.extraction import CandidateMarker, MarkerSet
 from casemark.projection import ParallelNp, build_parallel_np_set
 
@@ -115,9 +115,9 @@ def world():
     }
     corpus = ParallelCorpus(versions=versions, shared_verses=("v1", "v2", "v3"))
     pnps = [
-        ParallelNp("v1", (ENG, NpSpan("v1", (1, 2))), {LAT: (0,), RUS: (0,)}),
-        ParallelNp("v2", (ENG, NpSpan("v2", (1, 2))), {LAT: (0, 1), RUS: (0, 1)}),
-        ParallelNp("v3", (ENG, NpSpan("v3", (1, 2))), {LAT: (0,), RUS: (0,)}),
+        ParallelNp("v1", (ENG, (1, 2)), {LAT: (0,), RUS: (0,)}),
+        ParallelNp("v2", (ENG, (1, 2)), {LAT: (0, 1), RUS: (0, 1)}),
+        ParallelNp("v3", (ENG, (1, 2)), {LAT: (0,), RUS: (0,)}),
     ]
     markers = {
         "latin": marker_set("latin", {"ibus$", "is$"}),
@@ -202,7 +202,7 @@ class TestCooccurrenceMatrix:
             sums[matrix.rows[row_i]] += count
         brute = Counter()
         for pnp in pnps:
-            rows = list(pnp.projections.items()) + [(pnp.source[0], pnp.source[1].token_indices)]
+            rows = [*pnp.projections.items(), pnp.source]
             for version, indices in rows:
                 tokens = corpus.verse(version, pnp.verse)
                 for i in indices:
@@ -308,7 +308,7 @@ def two_edition_worlds(draw):
             if draw(st.booleans()):
                 indices = draw(st.sets(st.integers(0, 2), min_size=1))
                 projections[target] = tuple(sorted(indices))
-        pnps.append(ParallelNp(verse, (ENG, NpSpan(verse, (0,))), projections))
+        pnps.append(ParallelNp(verse, (ENG, (0,)), projections))
     marker_sets = {
         language: marker_set(language, draw(st.sets(st.sampled_from(SUFFIXES))))
         for language in ("latin", "russian")
@@ -334,7 +334,7 @@ class TestGroupingMatchesSortedProjections:
             versions={ENG: {"v1": ("x",)}, LAT: {"v1": ("regis",)}, LAT2: {"v1": ("domibus",)}},
             shared_verses=("v1",),
         )
-        pnp = ParallelNp("v1", (ENG, NpSpan("v1", (0,))), {LAT2: (0,), LAT: (0,)})
+        pnp = ParallelNp("v1", (ENG, (0,)), {LAT2: (0,), LAT: (0,)})
         groups = group_by_marker_combination([pnp], corpus, {"latin": marker_set("latin", {"is$", "ibus$"})}, ["latin"])
         assert groups[0].key == (("latin", "is$"),)
 
@@ -367,11 +367,11 @@ def matrix_worlds(draw):
     for version in targets:
         versions[version]["v0"] = ("x",)
     corpus = ParallelCorpus(versions=versions, shared_verses=tuple(verse_ids))
-    pnps = [ParallelNp("v0", (ENG, NpSpan("v0", (0, 1))), {OLD_A: (0,), OLD_B: (0,), NORSE: (0,)})]
+    pnps = [ParallelNp("v0", (ENG, (0, 1)), {OLD_A: (0,), OLD_B: (0,), NORSE: (0,)})]
     for _ in range(draw(st.integers(0, 12))):
         verse = draw(st.sampled_from(verse_ids))
         source = draw(st.sampled_from(sources))
-        span = NpSpan(verse, indices_of(draw, versions[source][verse]))
+        span = indices_of(draw, versions[source][verse])
         projections = {
             target: indices_of(draw, versions[target][verse]) for target in targets if draw(st.booleans())
         }
@@ -388,8 +388,8 @@ def brute_force_export(pnps, corpus):
     col_text = {}
     for pnp in pnps:
         source, span = pnp.source
-        col_text[pnp.np_id] = " ".join(corpus.verse(source, pnp.verse)[i] for i in span.token_indices)
-        for version, indices in [*pnp.projections.items(), (source, span.token_indices)]:
+        col_text[pnp.np_id] = " ".join(corpus.verse(source, pnp.verse)[i] for i in span)
+        for version, indices in [*pnp.projections.items(), (source, span)]:
             for i in indices:
                 counts[f"{version.language}:{corpus.verse(version, pnp.verse)[i]}", pnp.np_id] += 1
     rows = sorted({row for row, _col in counts})

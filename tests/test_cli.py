@@ -501,11 +501,11 @@ def relative_workdir(synth, root):
     return root
 
 
-def run_every_command(config, cwd, monkeypatch):
-    """Every subcommand on `config` from the working directory `cwd`, then
-    the output tree of the config's `out`."""
+def run_every_command(config, cwd, monkeypatch, commands=("extract", "silver", "ablate", "project", "analyze")):
+    """Each of `commands` (by default every subcommand) on `config` from the
+    working directory `cwd`, then the output tree of the config's `out`."""
     monkeypatch.chdir(cwd)
-    for command in ("extract", "silver", "ablate", "project", "analyze"):
+    for command in commands:
         assert main([command, "--config", str(config)]) == 0, command
     return snapshot(cwd / Path(config).parent / "out")
 
@@ -549,6 +549,42 @@ class TestLineOrderInvariance:
         assert inputs[0].keys() == inputs[1].keys()
         assert all(inputs[0][name] != inputs[1][name] for name in inputs[0])  # every input was reordered
         assert manifests[0] == manifests[1]  # corpus_fingerprint included
+
+
+class TestDuplicatedEditionInvariance:
+    """A copy of the unannotated edition `lingua-l1` as `lingua-l2`, aligned
+    like it, changes no marker, silver or ablation file; the NP dump gains a
+    `lingua-l2` line after each `lingua-l1` line, the same but for the
+    version."""
+
+    COMMANDS = ("extract", "silver", "ablate", "project")
+
+    def test_copied_edition_adds_only_its_np_lines(self, synth, workdir, tmp_path, monkeypatch):
+        plain = run_every_command("run.yaml", relative_workdir(synth, tmp_path / "plain"), monkeypatch, self.COMMANDS)
+        root = relative_workdir(synth, tmp_path / "copied")
+        shutil.copy(root / "verses" / "lingua-l1.txt", root / "verses" / "lingua-l2.txt")
+        lines = (root / "alignments" / "align_english-e1_lingua-l1.tsv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "#\tenglish-e1\tlingua-l1"
+        write_lines(root / "alignments" / "align_english-e1_lingua-l2.tsv", ["#\tenglish-e1\tlingua-l2", *lines[1:]])
+        config = (root / "run.yaml").read_text(encoding="utf-8")
+        (root / "run.yaml").write_text(
+            config.replace("alignment_files:\n", 'alignment_files:\n  - "alignments/align_english-e1_lingua-l2.tsv"\n'),
+            encoding="utf-8",
+        )
+        copied = run_every_command("run.yaml", root, monkeypatch, self.COMMANDS)
+        for tree in (plain, copied):
+            del tree[Path("manifest.json")]
+        dump = Path("nps/parallel_nps.tsv")
+        plain_nps, copied_nps = plain.pop(dump).decode().splitlines(), copied.pop(dump).decode().splitlines()
+        assert copied == plain
+        assert {"markers/lingua.tsv", "silver/lingua.txt", "ablation/ablation.tsv"} <= {str(path) for path in plain}
+        expected = []
+        for line in plain_nps:
+            expected.append(line)
+            if "\tlingua-l1\t" in line:
+                expected.append(line.replace("\tlingua-l1\t", "\tlingua-l2\t"))
+        assert (len(plain_nps), len(copied_nps)) == (3000, 4000)
+        assert copied_nps == expected
 
 
 class TestRunConfigLoading:
@@ -895,6 +931,36 @@ class TestRepeatedVerseId:
         assert main(["project", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert f"{paths[kind]}:3: duplicate verse id 'v1'" in err
+        assert "Traceback" not in err
+
+
+class TestFileNameWithoutVersion:
+    """A verse or annotation file names its version `<language>-<edition>`;
+    a file name without one is a configuration error (exit 2) naming the
+    file."""
+
+    @pytest.mark.parametrize(
+        "kind, command, name", [("verse", "extract", "latin.txt"), ("annotation", "project", "english.np")]
+    )
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, kind, command, name):
+        names = {"verse": "latin-l1.txt", "annotation": "english-e1.np", kind: name}
+        verses = {"english-e1.txt": {"v1": "the houses"}, names["verse"]: {"v1": "domibus"}}
+        verse_files = tiny_corpus_files(tmp_path, verses)
+        alignment = write_lines(tmp_path / "english-latin.tsv", ["#\tenglish-e1\tlatin-l1", "v1\t1-0"])
+        annotation = write_lines(tmp_path / names["annotation"], ["v1\t0:2"])
+        config = write_lines(
+            tmp_path / "run.yaml",
+            [
+                "verse_files:",
+                *[f'  - "{p}"' for p in verse_files],
+                f'alignment_files: ["{alignment}"]',
+                f'annotation_files: ["{annotation}"]',
+                f'output_dir: "{tmp_path / "out"}"',
+            ],
+        )
+        assert main([command, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / name}: file name must look like <language>-<edition>.<ext>" in err
         assert "Traceback" not in err
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import re
@@ -15,7 +14,6 @@ from helpers import tiny_corpus_files, write_lines
 
 from casemark import corpus as corpus_module
 from casemark.corpus import (
-    NpSpan,
     VersionId,
     corpus_fingerprint,
     load_alignment,
@@ -332,7 +330,7 @@ class TestRecordReader:
         path = tmp_path / "alpha-a1.np"
         path.write_text(f"v1\t0:1{brk}1:2\n", encoding="utf-8")
         spans = load_np_annotation(path, corpus).spans
-        assert [span.token_indices for span in spans["v1"]] == [(0,), (1,)]
+        assert spans["v1"] == ((0,), (1,))
 
     @pytest.mark.parametrize("brk", INNER_BREAKS)
     def test_later_error_names_its_line_in_the_file(self, tmp_path, corpus, brk):
@@ -416,7 +414,7 @@ class TestLoadNpAnnotation:
         corpus, path = self.make(tmp_path, ["v1\t0:2 3:5"])
         annotation = load_np_annotation(path, corpus)
         assert annotation.version == VersionId("alpha", "a1")
-        assert [s.token_indices for s in annotation.spans["v1"]] == [(0, 1), (3, 4)]
+        assert annotation.spans["v1"] == ((0, 1), (3, 4))
 
     def test_overlap_rejected(self, tmp_path):
         corpus, path = self.make(tmp_path, ["v1\t0:3 2:4"])
@@ -424,9 +422,15 @@ class TestLoadNpAnnotation:
             load_np_annotation(path, corpus)
 
     def test_empty_span_rejected(self, tmp_path):
-        corpus, path = self.make(tmp_path, ["v1\t2:2"])
-        with pytest.raises(CorpusError, match="empty span"):
-            load_np_annotation(path, corpus)
+        cases = [
+            ("2:2", CorpusError, "empty span 2:2"),
+            ("3:1", CorpusError, "empty span 3:1"),
+            ("-1:2", ParseError, "bad span '-1:2'"),
+        ]
+        for chunk, error, message in cases:
+            corpus, path = self.make(tmp_path, [f"v1\t{chunk}"])
+            with pytest.raises(error, match=message):
+                load_np_annotation(path, corpus)
 
     def test_out_of_bounds_rejected(self, tmp_path):
         corpus, path = self.make(tmp_path, ["v1\t4:7"])
@@ -441,37 +445,8 @@ class TestLoadNpAnnotation:
 
 
 class TestNpSpan:
-    def test_requires_strictly_increasing(self):
-        with pytest.raises(CorpusError):
-            NpSpan("v1", (3, 3))
-        with pytest.raises(CorpusError):
-            NpSpan("v1", (2, 1))
-
-    def test_requires_non_empty(self):
-        with pytest.raises(CorpusError):
-            NpSpan("v1", ())
-
-    def test_negative_index_is_reported_before_ordering(self):
-        with pytest.raises(CorpusError, match="negative token index"):
-            NpSpan("v", (3, -1))
-
-    @given(st.integers(0, 50), st.integers(1, 20))
-    def test_from_range_equals_the_constructor(self, start, length):
-        span = NpSpan.from_range("v1", start, start + length)
-        expected = NpSpan("v1", tuple(range(start, start + length)))
-        assert span == expected and hash(span) == hash(expected) and vars(span) == vars(expected)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            span.verse = "v2"
-
-    @pytest.mark.parametrize(
-        "start, end, message", [(2, 2, "empty span"), (3, 1, "empty span"), (-1, 2, "negative token index")]
-    )
-    def test_from_range_raises_the_constructor_errors(self, start, end, message):
-        with pytest.raises(CorpusError, match=message) as from_range:
-            NpSpan.from_range("v1", start, end)
-        with pytest.raises(CorpusError) as constructor:
-            NpSpan("v1", tuple(range(start, end)))
-        assert str(from_range.value) == str(constructor.value)
+    """An NP span is the sorted tuple of its token indices: the loader
+    builds one for each `start:end` range."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, 8), unique=True, max_size=8), st.randoms(use_true_random=False))
@@ -484,9 +459,7 @@ class TestNpSpan:
             corpus = load_corpus(tiny_corpus_files(Path(root), verses))
             path = write_lines(Path(root) / "alpha-a1.np", ["v1\t" + " ".join(f"{s}:{e}" for s, e in ranges)])
             spans = load_np_annotation(path, corpus).spans["v1"]
-        expected = tuple(NpSpan("v1", tuple(range(s, e))) for s, e in sorted(ranges))
-        assert spans == expected
-        assert [(hash(span), vars(span)) for span in spans] == [(hash(span), vars(span)) for span in expected]
+        assert spans == tuple(tuple(range(s, e)) for s, e in sorted(ranges))
 
 
 class TestVerseLineErrors:

@@ -10,7 +10,6 @@ from helpers import project_span, tiny_corpus_files, write_lines
 from casemark.corpus import (
     Alignment,
     NpAnnotation,
-    NpSpan,
     ParallelCorpus,
     VersionId,
     load_alignment,
@@ -44,20 +43,16 @@ def alignment_with(links, source=ENG, target=TGT, verse="v1"):
 
 class TestProjectSpan:
     def test_union_of_links_sorted(self):
-        span = NpSpan("v1", (1, 2))
         alignment = alignment_with([(2, 3), (1, 4), (2, 2), (2, 3)])
-        projected = project_span(span, alignment, ("t0", "t1", "t2", "t3", "t4"))
-        assert projected.token_indices == (2, 3, 4)
+        assert project_span("v1", (1, 2), alignment, ("t0", "t1", "t2", "t3", "t4")) == (2, 3, 4)
 
     def test_unaligned_span_is_absent(self):
-        span = NpSpan("v1", (0,))
         alignment = alignment_with(set())
-        assert project_span(span, alignment, ("t0",)) is None
+        assert project_span("v1", (0,), alignment, ("t0",)) is None
 
     def test_links_outside_span_ignored(self):
-        span = NpSpan("v1", (0,))
         alignment = alignment_with({(1, 1)})
-        assert project_span(span, alignment, ("t0", "t1")) is None
+        assert project_span("v1", (0,), alignment, ("t0", "t1")) is None
 
     def test_monotone_in_the_source_span(self):
         rng = random.Random(11)
@@ -67,11 +62,9 @@ class TestProjectSpan:
             verse = tuple(f"t{i}" for i in range(8))
             small = sorted(rng.sample(range(6), rng.randrange(1, 4)))
             extra = sorted(set(small) | {rng.randrange(6)})
-            p_small = project_span(NpSpan("v1", tuple(small)), alignment, verse)
-            p_big = project_span(NpSpan("v1", tuple(extra)), alignment, verse)
-            small_set = set(p_small.token_indices) if p_small else set()
-            big_set = set(p_big.token_indices) if p_big else set()
-            assert small_set <= big_set
+            p_small = project_span("v1", tuple(small), alignment, verse) or ()
+            p_big = project_span("v1", tuple(extra), alignment, verse) or ()
+            assert set(p_small) <= set(p_big)
 
 
 def build_two_edition_world(tmp_path):
@@ -151,9 +144,9 @@ class TestProjectionPaths:
             expected = {}
             for (pair_source, target), alignment in sorted(by_pair.items()):
                 if pair_source == source:
-                    projected = project_span(span, alignment, synth.corpus.verse(target, pnp.verse))
+                    projected = project_span(pnp.verse, span, alignment, synth.corpus.verse(target, pnp.verse))
                     if projected is not None:
-                        expected[target] = projected.token_indices
+                        expected[target] = projected
             assert pnp.projections == expected
 
     def test_link_past_the_target_verse_is_a_configuration_error(self):
@@ -161,14 +154,14 @@ class TestProjectionPaths:
             versions={ENG: {"v1": ("a", "b")}, TGT: {"v1": ("x",)}},
             shared_verses=("v1",),
         )
-        annotation = NpAnnotation(ENG, {"v1": (NpSpan("v1", (0, 1)),)})
+        annotation = NpAnnotation(ENG, {"v1": ((0, 1),)})
         alignments = [alignment_with({(1, 3)})]
         with pytest.raises(ConfigurationError, match="points outside verse 'v1'"):
             build_parallel_np_set(corpus, [annotation], alignments)
         with pytest.raises(ConfigurationError, match="points outside verse 'v1'"):
             alignments_by_pair(corpus, [annotation], alignments)
         with pytest.raises(ConfigurationError, match="points outside verse 'v1'"):
-            project_span(annotation.spans["v1"][0], alignments[0], corpus.verse(TGT, "v1"))
+            project_span("v1", annotation.spans["v1"][0], alignments[0], corpus.verse(TGT, "v1"))
 
     def test_count_grams_raises_before_the_first_language(self, synth):
         config = PipelineConfig(theta=synth.fixture.theta)
@@ -195,7 +188,7 @@ def single_copy_counts(spans_by_copy, verse_tokens=("a", "b", "c"), language="li
     corpus_versions = {v: {"v1": tuple(verse_tokens)} for v in (*eng_versions, target)}
     corpus = ParallelCorpus(versions=corpus_versions, shared_verses=("v1",))
     annotations = [
-        NpAnnotation(eng, {"v1": (NpSpan("v1", (0,)),) if indices else ()})
+        NpAnnotation(eng, {"v1": ((0,),) if indices else ()})
         for eng, indices in zip(eng_versions, spans_by_copy)
     ]
     alignments = [
@@ -228,7 +221,7 @@ class TestInsideOutside:
             versions={eng: {"v1": ("x", "y")}, target: {"v1": ("a", "b")}},
             shared_verses=("v1",),
         )
-        annotation = NpAnnotation(eng, {"v1": (NpSpan("v1", (0, 1)), NpSpan("v1", (1,)))})
+        annotation = NpAnnotation(eng, {"v1": ((0, 1), (1,))})
         alignment = alignment_with([(0, 0), (1, 1), (1, 1)], source=eng, target=target)
         by_pair = alignments_by_pair(corpus, [annotation], [alignment])
         counts = build_inside_outside(corpus, [annotation], by_pair, "lingua")
@@ -309,7 +302,7 @@ def per_token_inside_outside(corpus, parallel_nps, language, copies):
                 for pnp in parallel_nps:
                     if pnp.verse == verse_id and pnp.source[0] == copy:
                         if version == copy:
-                            marked.update(pnp.source[1].token_indices)
+                            marked.update(pnp.source[1])
                         if version in pnp.projections:
                             marked.update(pnp.projections[version])
                 for index, token in enumerate(corpus.verse(version, verse_id)):
@@ -340,7 +333,7 @@ def hand_annotated_worlds(draw):
 
     def spans(source, vid):
         indices = st.sets(st.integers(0, length[source, vid] - 1), min_size=1)
-        return tuple(NpSpan(vid, tuple(sorted(draw(indices)))) for _ in range(draw(st.integers(0, 3))))
+        return tuple(tuple(sorted(draw(indices))) for _ in range(draw(st.integers(0, 3))))
 
     def links(source, target, vid):
         # A list, so a link may repeat; an empty one leaves the verse unlinked.
@@ -369,12 +362,12 @@ def per_span_parallel_nps(corpus, annotations, alignments):
                 projections = {}
                 for target in targets:
                     alignment = by_pair[(annotation.version, target)]
-                    projected = project_span(span, alignment, corpus.verse(target, verse_id))
+                    projected = project_span(verse_id, span, alignment, corpus.verse(target, verse_id))
                     pairs = zip(alignment.links[verse_id][0::2], alignment.links[verse_id][1::2])
-                    linked = tuple(sorted({j for i, j in pairs if i in span.token_indices}))
-                    assert (projected.token_indices if projected else ()) == linked
+                    linked = tuple(sorted({j for i, j in pairs if i in span}))
+                    assert (projected or ()) == linked
                     if projected is not None:
-                        projections[target] = projected.token_indices
+                        projections[target] = projected
                 expected.append(ParallelNp(verse_id, (annotation.version, span), projections))
     return expected
 
@@ -395,7 +388,7 @@ class TestParallelNpSetMatchesPerSpanProjection:
             versions={ENG: {"v1": ("a", "b", "c")}, TGT: {"v1": ("x", "y", "z")}},
             shared_verses=("v1",),
         )
-        spans = (NpSpan("v1", (0, 1)), NpSpan("v1", (1, 2)), NpSpan("v1", (1,)))
+        spans = ((0, 1), (1, 2), (1,))
         annotation = NpAnnotation(ENG, {"v1": spans})
         pnps = build_parallel_np_set(corpus, [annotation], [alignment_with({(0, 2), (1, 0), (2, 1)})])
         assert [p.projections[TGT] for p in pnps] == [(0, 2), (0, 1), (0,)]
