@@ -8,10 +8,9 @@ sparse NP-word cooccurrence matrix for external embedding or plotting.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .corpus import BOUNDARY, ParallelCorpus, write_output
 from .extraction import MarkerSet
@@ -20,14 +19,12 @@ from .projection import ParallelNp
 GroupKey = tuple[tuple[str, Optional[str]], ...]
 
 
-@dataclass(frozen=True)
-class MarkerCombinationGroup:
+class MarkerCombinationGroup(NamedTuple):
     key: GroupKey
     members: tuple[ParallelNp, ...]
 
 
-@dataclass(frozen=True)
-class CooccurrenceMatrix:
+class CooccurrenceMatrix(NamedTuple):
     """Sparse counts of word forms (rows, tagged `language:form`) occurring
     in parallel NPs (columns). Rows and columns are sorted as whole strings;
     `cells` holds one `(row_index, col_index, count)` triple per nonzero

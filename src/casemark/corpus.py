@@ -22,8 +22,6 @@ import os
 import re
 import unicodedata
 from contextlib import contextmanager
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -62,8 +60,7 @@ class VersionId(NamedTuple):
             raise ConfigurationError(f"{path}: file name must look like <language>-<edition>.<ext>") from None
 
 
-@dataclass(frozen=True)
-class ParallelCorpus:
+class ParallelCorpus(NamedTuple):
     versions: Mapping[VersionId, Mapping[str, Verse]]
     shared_verses: tuple[str, ...]
 
@@ -77,8 +74,7 @@ class ParallelCorpus:
         return tuple(sorted(v for v in self.versions if v.language == language))
 
 
-@dataclass(frozen=True)
-class Alignment:
+class Alignment(NamedTuple):
     """Per verse, the links as one flat `(i0, j0, i1, j1, ...)` tuple of
     source-target index pairs in file order; a repeated link stays repeated."""
 
@@ -87,18 +83,28 @@ class Alignment:
     links: Mapping[str, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
 class NpAnnotation:
     """Per verse, the NP spans of `version`, each the sorted tuple of its
-    token indices."""
+    token indices; `np_tokens` holds, per verse with spans, the token indices
+    inside any of them. Not a tuple, as `np_tokens` is derived from `spans`
+    once, at construction; equality compares version and spans."""
 
-    version: VersionId
-    spans: Mapping[str, tuple[tuple[int, ...], ...]]
+    __slots__ = ("version", "spans", "np_tokens")
 
-    @cached_property
-    def np_tokens(self) -> dict[str, frozenset[int]]:
-        """Per verse with spans, the token indices inside any of them (computed once, on first use)."""
-        return {v: frozenset(chain.from_iterable(spans)) for v, spans in self.spans.items() if spans}
+    def __init__(self, version: VersionId, spans: Mapping[str, tuple[tuple[int, ...], ...]]):
+        self.version = version
+        self.spans = spans
+        self.np_tokens = {v: frozenset(chain.from_iterable(of_v)) for v, of_v in spans.items() if of_v}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.version, self.spans) == (other.version, other.spans)
+
+    __hash__ = None  # `spans` is a dict
+
+    def __repr__(self) -> str:
+        return f"NpAnnotation(version={self.version!r}, spans={self.spans!r})"
 
 
 @contextmanager

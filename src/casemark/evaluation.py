@@ -5,9 +5,7 @@ All comparisons are exact string matches on boundary-terminated grams.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import Alignment, ParallelCorpus
 from .errors import ConfigurationError
@@ -15,15 +13,13 @@ from .extraction import ABLATION_VARIANTS, PipelineConfig, count_grams, extract_
 from .projection import NpAnnotation
 
 
-@dataclass(frozen=True)
-class PRF:
+class PRF(NamedTuple):
     precision: float
     recall: float
     f1: float
 
 
-@dataclass(frozen=True)
-class AblationRow:
+class AblationRow(NamedTuple):
     variant: str
     macro: PRF
 
@@ -86,7 +82,7 @@ def run_ablation(
     # Only the scored languages are counted; the others would be discarded.
     languages = tuple(lang for lang in scorable if config.wants_language(lang))
     theta = min((config.with_variant(variant).theta for variant in variants), default=config.theta)
-    wanted = dataclasses.replace(config, languages=languages, theta=theta)
+    wanted = config._replace(languages=languages, theta=theta)
     per_language: dict[str, dict[str, PRF]] = {}
     for language, grams in count_grams(corpus, annotations, alignments, wanted):
         gold = set(gold_by_language[language])

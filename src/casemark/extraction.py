@@ -26,9 +26,7 @@ containment counts are then taken exactly, inside and outside.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, compress
 from operator import add
@@ -53,16 +51,7 @@ ABLATION_VARIANTS = tuple(_VARIANT_FIELDS)
 POSITIONS = frozenset({"final", "initial", "internal"})
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Thresholds for one extraction run.
-
-    `phi` or `chi` set to None switches that test off. `positions` is the
-    set of gram positions the positional filter keeps: word-final only by
-    default; the middle/beginning ablations add word-internal / word-initial
-    grams, and all three disable the filter.
-    """
-
+class _PipelineFields(NamedTuple):
     theta: int = 97
     phi: Optional[float] = 0.08
     chi: Optional[float] = 0.34
@@ -70,7 +59,21 @@ class PipelineConfig:
     languages: Optional[tuple[str, ...]] = None
     exclude_languages: tuple[str, ...] = ()
 
-    def __post_init__(self):
+
+class PipelineConfig(_PipelineFields):
+    """Thresholds for one extraction run, checked on construction.
+
+    `phi` or `chi` set to None switches that test off. `positions` is the
+    set of gram positions the positional filter keeps: word-final only by
+    default; the middle/beginning ablations add word-internal / word-initial
+    grams, and all three disable the filter. `_replace` does not check its
+    values again.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if isinstance(self.theta, bool) or not isinstance(self.theta, int) or self.theta < 1:
             raise ConfigurationError(f"theta must be an integer >= 1, got {self.theta!r}")
         if any(isinstance(v, bool) or not isinstance(v, (int, float, type(None))) for v in (self.phi, self.chi)):
@@ -81,13 +84,14 @@ class PipelineConfig:
             raise ConfigurationError(f"chi must be >= 0, got {self.chi}")
         if not self.positions or not self.positions <= POSITIONS:
             raise ConfigurationError(f"positions must be a non-empty subset of {sorted(POSITIONS)}")
+        return self
 
     def with_variant(self, variant: str) -> "PipelineConfig":
         """Config for one ablation variant of this baseline."""
         if variant not in _VARIANT_FIELDS:
             raise ConfigurationError(f"unknown ablation variant {variant!r} (expected one of {ABLATION_VARIANTS})")
         fields = _VARIANT_FIELDS[variant]
-        return dataclasses.replace(self, **fields) if fields else self
+        return self._replace(**fields) if fields else self
 
     def wants_language(self, language: str) -> bool:
         if language in self.exclude_languages:
@@ -95,8 +99,7 @@ class PipelineConfig:
         return self.languages is None or language in self.languages
 
 
-@dataclass(frozen=True)
-class CandidateMarker:
+class CandidateMarker(NamedTuple):
     """A boundary-marked gram with its type-containment counts, p-value and
     odds ratio; the ratio is None where it is undefined (kept only when the
     ratio test is off), and a marker file may give either statistic as NA."""
@@ -108,14 +111,28 @@ class CandidateMarker:
     odds_ratio: Optional[float] = None
 
 
-@dataclass(frozen=True)
 class MarkerSet:
-    language: str
-    markers: frozenset[CandidateMarker]
-    _grams: frozenset[str] = field(init=False, repr=False, compare=False)
+    """One language's markers. Not a tuple, as the set of their grams, which
+    `grams()` returns for each word `analysis.assign_marker` looks up, is
+    derived once, at construction; equality compares language and markers."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "_grams", frozenset(m.gram for m in self.markers))
+    __slots__ = ("language", "markers", "_grams")
+
+    def __init__(self, language: str, markers: frozenset[CandidateMarker]):
+        self.language = language
+        self.markers = markers
+        self._grams = frozenset(m.gram for m in markers)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.language, self.markers) == (other.language, other.markers)
+
+    def __hash__(self) -> int:
+        return hash((self.language, self.markers))
+
+    def __repr__(self) -> str:
+        return f"MarkerSet(language={self.language!r}, markers={self.markers!r})"
 
     def grams(self) -> frozenset[str]:
         return self._grams

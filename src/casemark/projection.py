@@ -10,7 +10,6 @@ the links of each verse's NP tokens as a whole, not span by span.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, compress
 from typing import Collection, Mapping, NamedTuple, Sequence
 
@@ -33,8 +32,7 @@ class ParallelNp(NamedTuple):
         return f"{self.verse}|{version}|{','.join(map(str, span))}"
 
 
-@dataclass(frozen=True)
-class InsideOutsideCounts:
+class InsideOutsideCounts(NamedTuple):
     """Per-language multisets of tokens inside and outside projected NPs."""
 
     language: str
@@ -45,8 +43,7 @@ class InsideOutsideCounts:
         return frozenset(self.inside) | frozenset(self.outside)
 
 
-@dataclass(frozen=True)
-class WordPartition:
+class WordPartition(NamedTuple):
     language: str
     np_relevant: frozenset[str]
     np_irrelevant: frozenset[str]

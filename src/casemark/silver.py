@@ -11,8 +11,7 @@ from __future__ import annotations
 import os
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import BOUNDARY, read_lines, write_output
 from .errors import ParseError
@@ -20,15 +19,13 @@ from .errors import ParseError
 NOMINAL_POS = ("N", "ADJ")
 
 
-@dataclass(frozen=True)
-class ParadigmEntry:
+class ParadigmEntry(NamedTuple):
     lemma: str
     form: str
     features: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class SilverStandard:
+class SilverStandard(NamedTuple):
     language: str
     suffixes: frozenset[str]
     diagnostics: Mapping[str, int]

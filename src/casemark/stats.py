@@ -12,7 +12,7 @@ delegate to it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import UndefinedOddsError
 
@@ -23,23 +23,27 @@ _TIE_SLACK = 1.0 + 1e-7
 _TAIL_REL = 1e-17
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
-    """Cell counts laid out as [a, b; c, d] = [inside(cand), inside(others);
-    outside(cand), outside(others)]."""
-
+class _Cells(NamedTuple):
     a: int
     b: int
     c: int
     d: int
 
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            value = getattr(self, name)
+
+class ContingencyTable(_Cells):
+    """Cell counts laid out as [a, b; c, d] = [inside(cand), inside(others);
+    outside(cand), outside(others)]; each is checked on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"cell {name} must be an integer, got {value!r}")
             if value < 0:
                 raise ValueError(f"cell {name} must be nonnegative, got {value}")
+        return self
 
     @property
     def total(self) -> int:

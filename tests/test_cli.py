@@ -442,6 +442,18 @@ class TestAnalysisFileBytes:
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in expected} == expected
 
 
+def run_module(*argv, **env) -> subprocess.CompletedProcess:
+    """`python -m casemark.cli *argv` in a new interpreter that imports this
+    checkout's package, with `env` added to its environment; stdout and
+    stderr are captured as bytes. The child's stdout is block-buffered, as in
+    a pipeline, whatever PYTHONUNBUFFERED says here."""
+    src = str(Path(casemark.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child_env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    child_env.update(env, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-m", "casemark.cli", *argv], env=child_env, capture_output=True)
+
+
 class TestHashSeedIndependence:
     """Set and Counter iteration orders follow the string hash seed, so each
     run goes to a new interpreter under a different PYTHONHASHSEED."""
@@ -455,12 +467,8 @@ class TestHashSeedIndependence:
     )
 
     def run_all(self, config, out, hash_seed):
-        src = str(Path(casemark.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
         for command in self.COMMANDS:
-            argv = [sys.executable, "-m", "casemark.cli", *command, "--config", str(config), "--out", str(out)]
-            subprocess.run(argv, env=env, check=True, capture_output=True)
+            run_module(*command, "--config", str(config), "--out", str(out), PYTHONHASHSEED=hash_seed).check_returncode()
         return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
 
     def test_outputs_are_byte_identical_across_hash_seeds(self, workdir, tmp_path):
@@ -473,6 +481,41 @@ class TestHashSeedIndependence:
         }
         # At theta 1 with every position kept, more than the two planted suffixes pass.
         assert len(first[Path("markers/lingua.tsv")].splitlines()) > 2
+
+
+class TestProcessExit:
+    """A command run as `python -m casemark.cli` ends in `cli.run`, which
+    flushes stdout and stderr and then exits without the interpreter's
+    teardown: no printed output, no exit code and no output file is lost."""
+
+    def test_printed_tables_are_the_written_ones(self, workdir):
+        config, out = workdir
+        for command in ("extract", "silver"):
+            assert main([command, "--config", str(config)]) == 0
+        for command, table in (("ablate", "ablation/ablation.tsv"), ("eval", "eval/results.tsv")):
+            run = run_module(command, "--config", str(config))
+            assert (run.returncode, run.stderr) == (0, b""), command
+            assert run.stdout == (out / table).read_bytes() != b""
+
+    def test_a_bad_config_exits_2(self, tmp_path):
+        config = write_lines(tmp_path / "run.yaml", ["no_such_key: 1"])
+        run = run_module("extract", "--config", str(config))
+        assert (run.returncode, run.stdout) == (2, b"")
+        assert run.stderr.decode() == "casemark extract: unknown config keys: no_such_key\n"
+
+    def test_a_usage_error_exits_2(self):
+        run = run_module("extract")
+        assert (run.returncode, run.stdout) == (2, b"")
+        assert run.stderr.decode().endswith("error: the following arguments are required: --config\n")
+
+    def test_a_failed_language_exits_1_after_the_others(self, workdir):
+        config, out = workdir
+        (out / "markers" / "english.tsv").mkdir(parents=True)  # no file can replace a directory
+        run = run_module("extract", "--config", str(config), "--languages", "english,lingua,tercia")
+        assert (run.returncode, run.stdout) == (1, b"")
+        assert run.stderr.decode().startswith("extract: english: ")
+        assert sorted(p.name for p in (out / "markers").iterdir() if p.is_file()) == ["lingua.tsv", "tercia.tsv"]
+        assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["languages"] == ["lingua", "tercia"]
 
 
 def relative_workdir(synth, root):
@@ -585,6 +628,33 @@ class TestDuplicatedEditionInvariance:
                 expected.append(line.replace("\tlingua-l1\t", "\tlingua-l2\t"))
         assert (len(plain_nps), len(copied_nps)) == (3000, 4000)
         assert copied_nps == expected
+
+
+class TestLanguageRenameInvariance:
+    """Renaming the language `lingua` to `zeta`, in its verse file's name and
+    in its alignment's file name and header, moves it from the middle of the
+    language order to its end; `extract` then writes the bytes of
+    `markers/lingua.tsv` to `markers/zeta.tsv`, and every other marker file
+    as before."""
+
+    def test_renamed_language_keeps_its_marker_file(self, synth, workdir, tmp_path, monkeypatch):
+        plain = run_every_command("run.yaml", relative_workdir(synth, tmp_path / "plain"), monkeypatch, ("extract",))
+        root = relative_workdir(synth, tmp_path / "renamed")
+        (root / "verses" / "lingua-l1.txt").rename(root / "verses" / "zeta-l1.txt")
+        alignment = root / "alignments" / "align_english-e1_lingua-l1.tsv"
+        lines = alignment.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "#\tenglish-e1\tlingua-l1"
+        write_lines(root / "alignments" / "align_english-e1_zeta-l1.tsv", ["#\tenglish-e1\tzeta-l1", *lines[1:]])
+        alignment.unlink()
+        config = (root / "run.yaml").read_text(encoding="utf-8")
+        (root / "run.yaml").write_text(config.replace("_lingua-l1.tsv", "_zeta-l1.tsv"), encoding="utf-8")
+        renamed = run_every_command("run.yaml", root, monkeypatch, ("extract",))
+        markers = [{path.name: data for path, data in tree.items() if path.parent.name == "markers"}
+                   for tree in (plain, renamed)]
+        assert sorted(markers[0]) == ["english.tsv", "lingua.tsv", "tercia.tsv"]
+        assert markers[0]["lingua.tsv"]
+        markers[0]["zeta.tsv"] = markers[0].pop("lingua.tsv")
+        assert markers[1] == markers[0]
 
 
 class TestRunConfigLoading:

@@ -14,6 +14,7 @@ from helpers import tiny_corpus_files, write_lines
 
 from casemark import corpus as corpus_module
 from casemark.corpus import (
+    NpAnnotation,
     VersionId,
     corpus_fingerprint,
     load_alignment,
@@ -415,6 +416,14 @@ class TestLoadNpAnnotation:
         annotation = load_np_annotation(path, corpus)
         assert annotation.version == VersionId("alpha", "a1")
         assert annotation.spans["v1"] == ((0, 1), (3, 4))
+
+    def test_np_tokens_are_built_with_the_annotation(self, tmp_path):
+        corpus, path = self.make(tmp_path, ["v1\t0:2 3:5"])
+        annotation = load_np_annotation(path, corpus)
+        assert annotation.np_tokens == {"v1": frozenset({0, 1, 3, 4})}
+        assert annotation == NpAnnotation(VersionId("alpha", "a1"), {"v1": ((0, 1), (3, 4))})
+        assert annotation != NpAnnotation(VersionId("alpha", "a1"), {"v1": ((0, 1),)})
+        assert NpAnnotation(annotation.version, {"v1": ()}).np_tokens == {}
 
     def test_overlap_rejected(self, tmp_path):
         corpus, path = self.make(tmp_path, ["v1\t0:3 2:4"])

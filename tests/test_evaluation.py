@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from collections import Counter
 
@@ -177,7 +176,7 @@ class TestRunAblation:
         # The lowest theta of the grid: no_theta's 1, else the baseline's.
         assert counted_at == [1 if with_no_theta else config.theta] * len(gold)
 
-        full = dataclasses.replace(config, theta=1, languages=tuple(sorted(gold)))
+        full = config._replace(theta=1, languages=tuple(sorted(gold)))
         counts = list(extraction.count_grams(synth.corpus, synth.annotations, synth.alignments, full))
         expected = []
         for variant in variants:
@@ -211,7 +210,7 @@ class TestRunAblation:
         # theta survivors, and the (a, c) of the survivors in a position that
         # some variant at that theta keeps.
         variants = [config.with_variant(variant) for variant in ABLATION_VARIANTS]
-        full = dataclasses.replace(config, theta=1, languages=tuple(sorted(gold)))
+        full = config._replace(theta=1, languages=tuple(sorted(gold)))
         allowed = {}
         for _language, grams in extraction.count_grams(synth.corpus, synth.annotations, synth.alignments, full):
             for theta in {variant.theta for variant in variants}:

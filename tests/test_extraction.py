@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -419,8 +418,8 @@ class TestPipelineConfig:
         config = PipelineConfig()
         assert config.with_variant("baseline") is config
         assert config.with_variant("no_theta").theta == 1
-        assert config.with_variant("no_phi") == dataclasses.replace(config, phi=None)
-        assert config.with_variant("no_chi") == dataclasses.replace(config, chi=None)
+        assert config.with_variant("no_phi") == config._replace(phi=None)
+        assert config.with_variant("no_chi") == config._replace(chi=None)
         assert config.with_variant("middle").positions == {"final", "internal"}
         assert config.with_variant("beginning").positions == {"final", "initial"}
         for variant in ("baseline", "no_theta", "no_phi", "no_chi"):
@@ -519,6 +518,18 @@ class TestThetaFloor:
         higher = PipelineConfig(theta=theta + 1, languages=("lingua",))
         expected = run_pipeline(synth.corpus, synth.annotations, synth.alignments, higher)["lingua"].markers
         assert set(extract_markers_for_language(floor, higher)) == expected
+
+
+class TestMarkerSet:
+    def test_grams_are_built_with_the_set_and_equality_is_by_value(self):
+        markers = frozenset({CandidateMarker("um$", 60, 0, 1.5e-9, math.inf), CandidateMarker("a$", 1, 0)})
+        marker_set = MarkerSet("lingua", markers)
+        assert marker_set.grams() == {"um$", "a$"}
+        assert marker_set.grams() is marker_set.grams()
+        same = MarkerSet("lingua", frozenset(markers))
+        assert (same == marker_set, hash(same) == hash(marker_set)) == (True, True)
+        assert marker_set != MarkerSet("tercia", markers)
+        assert marker_set != MarkerSet("lingua", frozenset({CandidateMarker("um$", 60, 0, 1.5e-9, math.inf)}))
 
 
 class TestMarkerFileRoundTrip:

@@ -1,17 +1,17 @@
 """Guards for deletions and drift: no module keeps an import it no longer
 uses, the package root exports nothing and no file imports a name from it,
-only `corpus.write_output` writes files, every output file has a failed-write
-test, every function the benchmark tracer wraps still exists, a traced
-`extract`, `analyze` and `project` still run, the README's table of flags per
-subcommand matches the parser, and its example configuration names every
-accepted config key.
+no module imports `dataclasses` and a fresh `import casemark.cli` loads none
+of the code-inspection modules, only `corpus.write_output` writes files,
+every output file has a failed-write test, every function the benchmark
+tracer wraps still exists, a traced `extract`, `analyze` and `project` still
+run, the README's table of flags per subcommand matches the parser, and its
+example configuration names every accepted config key.
 
 The import, writer and tracer checks read source files with `ast` only; the
-tracer is never imported, only run in a subprocess.
+tracer is never imported, only run in a subprocess, as is the fresh import.
 """
 
 import ast
-import dataclasses
 import importlib
 import json
 import os
@@ -61,6 +61,15 @@ def root_imports(source: str) -> list[str]:
         alias.name for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.ImportFrom) and (node.module, node.level) == ("casemark", 0)
         for alias in node.names if alias.name not in SUBMODULES
+    )
+
+
+def dataclasses_imports(source: str) -> list[int]:
+    """The lines of `source` that import `dataclasses` or a name from it."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "dataclasses"
     )
 
 
@@ -132,6 +141,30 @@ class TestNoPackageRootExports:
     def test_detects_a_root_import(self):
         source = "from casemark import cli, ParallelCorpus\nfrom casemark.corpus import load_corpus\n"
         assert root_imports(source) == ["ParallelCorpus"]
+
+
+class TestImportPath:
+    """Every command's process imports `casemark.cli` before its first stage.
+    `dataclasses` would bring `inspect`, `ast` and `dis` with it, and each
+    decorated class would compile generated source: the records are
+    NamedTuples or plain classes instead."""
+
+    @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+    def test_no_module_imports_dataclasses(self, path):
+        assert dataclasses_imports(path.read_text(encoding="utf-8")) == []
+
+    def test_detects_a_dataclasses_import(self):
+        source = "import dataclasses\nfrom dataclasses import dataclass\nimport os, dataclasses as dc\nimport dataclass\n"
+        assert dataclasses_imports(source) == [1, 2, 3]
+
+    def test_a_fresh_import_loads_no_code_inspection_module(self):
+        code = (
+            "import sys\nbefore = set(sys.modules)\nimport casemark.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & (set(sys.modules) - before)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
 
 
 class TestSingleWriter:
@@ -258,5 +291,5 @@ class TestReadmeConfigExample:
 
     def test_pipeline_keys_are_the_pipeline_config_fields(self):
         # `suffix_only` is the YAML spelling of `positions`.
-        fields = {field.name for field in dataclasses.fields(PipelineConfig)} - {"positions"} | {"suffix_only"}
+        fields = set(PipelineConfig._fields) - {"positions"} | {"suffix_only"}
         assert set(cli.CONFIG_KEYS["pipeline"][1]) == fields
