@@ -9,6 +9,7 @@ inputs reproduces every file byte for byte.
 from __future__ import annotations
 
 import argparse
+import gc
 import glob
 import hashlib
 import json
@@ -394,17 +395,26 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; its exit code. The command runs with the cyclic
+    garbage collector paused: its records, dicts and tuples form no cycles,
+    so reference counting frees them, and the collector would only rescan
+    live data. The caller's collector state comes back on every exit."""
     parser, commands = _build_parser()
     parsed, unknown = parser.parse_known_args(argv)
     flags = vars(parsed)
     command, config_path = flags.pop("command"), flags.pop("config")
     if unknown:  # reported with the usage line of the subcommand, which lists its flags
         commands[command].error(f"unrecognized arguments: {' '.join(unknown)}")
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return _COMMANDS[command][0](load_run_config(config_path, flags))
     except (CasemarkError, OSError) as exc:
         print(f"casemark {command}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def run() -> None:

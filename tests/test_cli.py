@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from helpers import tiny_corpus_files, write_lines
+from synthcorpus import build_fixture
 
 import casemark
 from casemark import cli, extraction
@@ -518,6 +520,95 @@ class TestProcessExit:
         assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["languages"] == ["lingua", "tercia"]
 
 
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The cyclic garbage collector switched on or off for the test, as the
+    parameter says, and back as it was afterwards."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+class TestCollectorPause:
+    """`main` reads the config and runs the command with the cyclic garbage
+    collector paused, and gives the caller its collector state back on every
+    way out. Argparse runs before the pause."""
+
+    def test_no_collection_runs_inside_a_command(self, synth, workdir, tmp_path, monkeypatch):
+        config = relative_workdir(synth, tmp_path / "m1") / "run.yaml"
+        events, read_config = [], cli.load_run_config
+
+        def paused(*args):  # the first call after the pause
+            events.append("command")
+            return read_config(*args)
+
+        def hook(phase, info):
+            if phase == "start":
+                events.append(f"collect generation {info['generation']}")
+
+        monkeypatch.setattr(cli, "load_run_config", paused)
+        gc.callbacks.append(hook)
+        try:
+            for command in ("extract", "silver", "eval", "ablate", "project", "analyze"):
+                events.clear()
+                assert main([command, "--config", str(config)]) == 0, command
+                assert events[events.index("command"):] == ["command"], command
+        finally:
+            gc.callbacks.remove(hook)
+
+    def test_every_exit_gives_the_caller_its_collector_state(self, workdir, tmp_path, monkeypatch, collector):
+        config, out = workdir
+        bad = write_lines(tmp_path / "bad.yaml", ["no_such_key: 1"])
+        (out / "markers" / "english.tsv").mkdir(parents=True)  # no file can replace a directory
+        for code, argv in (
+            (0, ["silver", "--config", str(config)]),
+            (1, ["extract", "--config", str(config), "--languages", "english,lingua,tercia"]),
+            (2, ["extract", "--config", str(bad)]),
+        ):
+            assert main(argv) == code
+            assert gc.isenabled() is collector, code
+        with pytest.raises(SystemExit):
+            main(["extract"])
+        assert gc.isenabled() is collector
+
+        def crash(*args):
+            raise RuntimeError("crash")
+
+        monkeypatch.setattr(cli, "load_run_config", crash)
+        with pytest.raises(RuntimeError):
+            main(["silver", "--config", str(config)])
+        assert gc.isenabled() is collector
+
+
+class TestCyclicGarbage:
+    """What pausing the collector rests on: `extract`, `project` and
+    `analyze` leave a bounded number of objects in cycles for it, argparse's
+    parsers among them, and the same number on twice the verses. A change
+    that builds a cycle per verse or per NP fails here."""
+
+    def garbage(self, root, n_verses) -> dict[str, int]:
+        fixture = build_fixture(root, n_verses=n_verses)
+        names = {"verse_files": fixture.verse_files, "alignment_files": fixture.alignment_files,
+                 "annotation_files": fixture.annotation_files}
+        config = write_lines(root / "run.yaml", [
+            *(f"{key}: {json.dumps([str(p) for p in paths])}" for key, paths in names.items()),
+            f"pipeline: {{theta: {fixture.theta}}}",
+        ])
+        found = {}
+        for command in ("extract", "project", "analyze"):
+            gc.collect()
+            assert main([command, "--config", str(config)]) == 0, command
+            found[command] = gc.collect()
+        return found
+
+    @pytest.mark.parametrize("collector", [False], ids=["collector-off"], indirect=True)
+    def test_the_same_on_twice_the_verses(self, tmp_path, collector):
+        small, large = (self.garbage(tmp_path / str(n), n) for n in (500, 1000))
+        assert small == large
+        assert max(small.values()) < 2000
+
+
 def relative_workdir(synth, root):
     """The synthetic fixture and `workdir`'s paradigm file copied under
     `root`, with a `run.yaml` there that names every input relative to
@@ -594,6 +685,19 @@ class TestLineOrderInvariance:
         assert manifests[0] == manifests[1]  # corpus_fingerprint included
 
 
+def copy_alignment(root, version, copy):
+    """The alignment of `english-e1` with `version` under `root`, copied as
+    its alignment with `copy`, with a header that names `copy`, and listed in
+    `root/run.yaml`."""
+    lines = (root / "alignments" / f"align_english-e1_{version}.tsv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == f"#\tenglish-e1\t{version}"
+    name = f"alignments/align_english-e1_{copy}.tsv"
+    write_lines(root / name, [f"#\tenglish-e1\t{copy}", *lines[1:]])
+    config = (root / "run.yaml").read_text(encoding="utf-8")
+    listed = config.replace("alignment_files:\n", f'alignment_files:\n  - "{name}"\n')
+    (root / "run.yaml").write_text(listed, encoding="utf-8")
+
+
 class TestDuplicatedEditionInvariance:
     """A copy of the unannotated edition `lingua-l1` as `lingua-l2`, aligned
     like it, changes no marker, silver or ablation file; the NP dump gains a
@@ -606,14 +710,7 @@ class TestDuplicatedEditionInvariance:
         plain = run_every_command("run.yaml", relative_workdir(synth, tmp_path / "plain"), monkeypatch, self.COMMANDS)
         root = relative_workdir(synth, tmp_path / "copied")
         shutil.copy(root / "verses" / "lingua-l1.txt", root / "verses" / "lingua-l2.txt")
-        lines = (root / "alignments" / "align_english-e1_lingua-l1.tsv").read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "#\tenglish-e1\tlingua-l1"
-        write_lines(root / "alignments" / "align_english-e1_lingua-l2.tsv", ["#\tenglish-e1\tlingua-l2", *lines[1:]])
-        config = (root / "run.yaml").read_text(encoding="utf-8")
-        (root / "run.yaml").write_text(
-            config.replace("alignment_files:\n", 'alignment_files:\n  - "alignments/align_english-e1_lingua-l2.tsv"\n'),
-            encoding="utf-8",
-        )
+        copy_alignment(root, "lingua-l1", "lingua-l2")
         copied = run_every_command("run.yaml", root, monkeypatch, self.COMMANDS)
         for tree in (plain, copied):
             del tree[Path("manifest.json")]
@@ -655,6 +752,55 @@ class TestLanguageRenameInvariance:
         assert markers[0]["lingua.tsv"]
         markers[0]["zeta.tsv"] = markers[0].pop("lingua.tsv")
         assert markers[1] == markers[0]
+
+
+class TestRelabeledLanguageInvariance:
+    """A target language added over the same verses changes no other marker
+    file. When it is `lingua` with every token relabeled by a fixed
+    permutation of the characters its tokens use, its marker file holds
+    lingua's lines with each gram relabeled and the counts, p-values and odds
+    ratios unchanged. The relabeling is injective and ASCII, so NFC leaves it
+    alone; the verse ids stay as they are."""
+
+    def test_added_language_has_the_relabeled_markers(self, synth, workdir, tmp_path, monkeypatch):
+        plain = run_every_command("run.yaml", relative_workdir(synth, tmp_path / "plain"), monkeypatch, ("extract",))
+        root = relative_workdir(synth, tmp_path / "added")
+        lines = (root / "verses" / "lingua-l1.txt").read_text(encoding="utf-8").splitlines()
+        verses = [line.split("\t") for line in lines]
+        letters = "".join(sorted({letter for _verse, text in verses for letter in text} - {" "}))
+        relabel = str.maketrans(letters, letters[1:] + letters[0])
+        write_lines(root / "verses" / "quarta-q1.txt",
+                    [f"{verse}\t{text.translate(relabel)}" for verse, text in verses])
+        copy_alignment(root, "lingua-l1", "quarta-q1")
+        added = run_every_command("run.yaml", root, monkeypatch, ("extract",))
+        markers = [{path.name: data for path, data in tree.items() if path.parent.name == "markers"}
+                   for tree in (plain, added)]
+        quarta = markers[1].pop("quarta.tsv").decode().splitlines()
+        assert markers[1] == markers[0]
+        lingua = markers[0]["lingua.tsv"].decode().splitlines()
+        relabeled = ["\t".join([gram.translate(relabel), *rest]) for gram, *rest in map(str.split, lingua)]
+        assert sorted(quarta) == sorted(relabeled) != sorted(lingua)
+
+
+class TestUnsharedVerseInvariance:
+    """A line with a fresh verse id in one verse file only, a verse that no
+    other version has, changes no output of any subcommand but that file's
+    input hash in `manifest.json`; the corpus fingerprint stays."""
+
+    def test_verse_of_one_version_changes_only_its_input_hash(self, synth, workdir, tmp_path, monkeypatch):
+        plain = run_every_command("run.yaml", relative_workdir(synth, tmp_path / "plain"), monkeypatch)
+        root = relative_workdir(synth, tmp_path / "unshared")
+        verses = root / "verses" / "lingua-l1.txt"
+        verses.write_text(verses.read_text(encoding="utf-8") + "v999\tsatorum nova\n", encoding="utf-8")
+        unshared = run_every_command("run.yaml", root, monkeypatch)
+        manifests = [json.loads(tree.pop(Path("manifest.json"))) for tree in (plain, unshared)]
+        assert unshared == plain
+        assert {"markers/lingua.tsv", "silver/lingua.txt", "ablation/ablation.tsv", "nps/parallel_nps.tsv",
+                "analysis/groups.txt"} <= {str(path) for path in plain}
+        inputs = [manifest.pop("inputs") for manifest in manifests]
+        assert inputs[0].keys() == inputs[1].keys()
+        assert [name for name in inputs[0] if inputs[0][name] != inputs[1][name]] == ["verses/lingua-l1.txt"]
+        assert manifests[0] == manifests[1]  # corpus_fingerprint included
 
 
 class TestRunConfigLoading:
