@@ -14,7 +14,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .corpus import BOUNDARY, ParallelCorpus, write_output
 from .extraction import MarkerSet
-from .projection import ParallelNp
+from .projection import ParallelNp, format_np_id
 
 GroupKey = tuple[tuple[str, Optional[str]], ...]
 
@@ -63,27 +63,28 @@ def group_by_marker_combination(
         if language not in marker_sets:
             raise KeyError(f"no marker set for language {language!r}")
     ordered = tuple(sorted(languages))
-    # Per language: its versions in sorted order, and each head word's marker, looked up once.
-    per_language = [(language, corpus.versions_of(language), marker_sets[language], {}) for language in ordered]
     verses_of = corpus.versions
-    buckets: dict[GroupKey, list[ParallelNp]] = defaultdict(list)
-    for pnp in parallel_nps:
-        key = []
-        for language, versions, marker_set, known in per_language:
+    columns = []  # per language, each NP's marker; each distinct head word is looked up once
+    for language in ordered:
+        versions, marker_set, known, column = corpus.versions_of(language), marker_sets[language], {}, []
+        for verse_id, _source, projections in parallel_nps:
             marker = None
             for version in versions:
-                indices = pnp.projections.get(version)
+                indices = projections.get(version)
                 if indices is not None:
-                    word = verses_of[version][pnp.verse][indices[-1]]
+                    word = verses_of[version][verse_id][indices[-1]]
                     if word not in known:
                         known[word] = assign_marker(word, marker_set)
                     marker = known[word]
                     break
-            key.append((language, marker))
-        buckets[tuple(key)].append(pnp)
+            column.append(marker)
+        columns.append(column)
+    buckets: dict[tuple[Optional[str], ...], list[ParallelNp]] = defaultdict(list)
+    for pnp, markers in zip(parallel_nps, zip(*columns) if columns else repeat(())):
+        buckets[markers].append(pnp)
     groups = [
-        MarkerCombinationGroup(key=key, members=tuple(members))
-        for key, members in buckets.items()
+        MarkerCombinationGroup(key=tuple(zip(ordered, markers)), members=tuple(members))
+        for markers, members in buckets.items()
     ]
     groups.sort(key=lambda g: (-len(g.members), _key_text(g.key)))
     return groups
@@ -105,12 +106,12 @@ def build_cooccurrence_matrix(
     rows and columns are sorted.
     """
     versions = corpus.versions
+    names = {version: str(version) for version in versions}
     col_ids: list[str] = []
     col_text: dict[str, str] = {}
     row_positions: dict[str, list[int]] = defaultdict(list)
-    for position, pnp in enumerate(parallel_nps):
-        verse_id, (source_version, source_span), projections = pnp
-        col = pnp.np_id
+    for position, (verse_id, (source_version, source_span), projections) in enumerate(parallel_nps):
+        col = format_np_id(verse_id, names[source_version], source_span)
         col_ids.append(col)
         source_tokens = versions[source_version][verse_id]
         col_text[col] = " ".join([source_tokens[i] for i in source_span])

@@ -207,18 +207,6 @@ def _select(config: RunConfig, available, what: str) -> list[str]:
     return selected
 
 
-def _write_manifest(config: RunConfig, corpus, languages) -> None:
-    manifest = {
-        "pipeline": config.pipeline._asdict(),
-        "inputs": {name: _sha256(path) for name, path in config.inputs.items()},
-        "corpus_fingerprint": corpus_fingerprint(corpus),
-        "languages": languages,
-    }
-    # default=sorted writes the positions set as a sorted list.
-    text = json.dumps(manifest, sort_keys=True, indent=2, default=sorted)
-    write_output(config.output_dir / "manifest.json", text + "\n")
-
-
 def _per_language(command: str, items, step) -> int:
     """`step(language, item)` for each `(language, item)` of `items`. A step
     that fails is reported as `<command>: <language>: <error>` on stderr, and
@@ -236,16 +224,27 @@ def _per_language(command: str, items, step) -> int:
 def cmd_extract(config: RunConfig) -> int:
     corpus, annotations, alignments = _load_corpus_inputs(config)
     _select(config, corpus.languages(), "verse files")
+    marker_sets = extraction.extract_marker_sets(corpus, annotations, alignments, config.pipeline)
+    manifest = {
+        "pipeline": config.pipeline._asdict(),
+        "inputs": {name: _sha256(path) for name, path in config.inputs.items()},
+        "corpus_fingerprint": corpus_fingerprint(corpus),
+    }
     written = []  # only these go in the manifest: `eval` would score an earlier file of the others
+
+    def write_manifest(languages):
+        # default=sorted writes the positions set as a sorted list.
+        text = json.dumps({**manifest, "languages": languages}, sort_keys=True, indent=2, default=sorted)
+        write_output(config.output_dir / "manifest.json", text + "\n")
 
     def write(language, marker_set):
         extraction.write_marker_file(marker_set, config.markers_dir / f"{language}.tsv")
-        written.append(language)
+        write_manifest([*written, language])
+        written.append(language)  # not when its manifest failed: the language failed
 
-    marker_sets = extraction.extract_marker_sets(corpus, annotations, alignments, config.pipeline)
-    failed = _per_language("extract", marker_sets, write)
-    _write_manifest(config, corpus, written)
-    return failed
+    # Rewritten after each language, so a run cut short leaves a manifest of the files it wrote.
+    write_manifest(written)
+    return _per_language("extract", marker_sets, write)
 
 
 def cmd_silver(config: RunConfig) -> int:
@@ -286,9 +285,11 @@ def _read_markers(config: RunConfig, wanted) -> dict:
     if config.markers_dir == config.output_dir / "markers" and manifest.exists():
         try:
             with open_input(manifest) as handle:
-                extracted = frozenset(json.load(handle)["languages"])
+                extracted = json.load(handle)["languages"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ConfigurationError(f"manifest {manifest} lists no languages: {exc!r}") from None
+        if not isinstance(extracted, list) or not all(isinstance(language, str) for language in extracted):
+            raise ConfigurationError(f"manifest {manifest} must list its languages as strings, got {extracted!r}")
     files = _output_files(config.markers_dir, "markers", "*.tsv", "extract")
     return {
         language: extraction.read_marker_file(p)

@@ -9,7 +9,8 @@ the links of each verse's NP tokens as a whole, not span by span.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
+from functools import cache
 from itertools import chain, compress
 from typing import Collection, Mapping, NamedTuple, Sequence
 
@@ -29,7 +30,12 @@ class ParallelNp(NamedTuple):
     @property
     def np_id(self) -> str:
         version, span = self.source
-        return f"{self.verse}|{version}|{','.join(map(str, span))}"
+        return format_np_id(self.verse, str(version), span)
+
+
+def format_np_id(verse: str, version_name: str, span: Sequence[int]) -> str:
+    """`<verse-id>|<version>|<idx,idx,...>`, the id of a source-edition NP."""
+    return f"{verse}|{version_name}|{','.join(map(str, span))}"
 
 
 class InsideOutsideCounts(NamedTuple):
@@ -102,7 +108,11 @@ def build_parallel_np_set(
 
     Each source edition is a separate data source: NPs are never merged
     across editions. Targets are the corpus versions without an annotation;
-    a missing (source, target) alignment is a configuration error.
+    a missing (source, target) alignment is a configuration error. A verse's
+    links into a target are walked once for all its spans: a table from each
+    source index to the numbers of the spans holding it gives every linked
+    target index to each of them, so overlapping, repeated or unsorted spans
+    need no special case.
     """
     by_pair = alignments_by_pair(corpus, annotations, alignments)
     result: list[ParallelNp] = []
@@ -110,13 +120,24 @@ def build_parallel_np_set(
         source = annotation.version
         pairs = [(target, links) for (pair_source, target), links in by_pair.items() if pair_source == source]
         for verse_id in corpus.shared_verses:
-            for span in annotation.spans.get(verse_id, ()):
-                projections = {}
-                for target, links in pairs:
-                    linked = linked_targets(links.get(verse_id, ()), span)
-                    if linked:
-                        projections[target] = tuple(sorted(linked))
-                result.append(ParallelNp(verse_id, (source, span), projections))
+            spans = annotation.spans.get(verse_id)
+            if not spans:
+                continue
+            holders = defaultdict(list)
+            for number, span in enumerate(spans):
+                for index in span:
+                    holders[index].append(number)
+            projections = [{} for _ in spans]
+            for target, links in pairs:
+                flat = links.get(verse_id, ())
+                linked = [set() for _ in spans]
+                for i, j in zip(flat[0::2], flat[1::2]):
+                    for number in holders.get(i, ()):
+                        linked[number].add(j)
+                for projection, targets in zip(projections, linked):
+                    if targets:
+                        projection[target] = tuple(sorted(targets))
+            result += [ParallelNp(verse_id, (source, span), projection) for span, projection in zip(spans, projections)]
     return result
 
 
@@ -174,10 +195,12 @@ def dump_parallel_nps(parallel_nps: Sequence[ParallelNp], corpus: ParallelCorpus
     """Write the parallel NP set as inspectable lines:
     `<verse-id>\\t<version>\\t<idx,idx,...>\\t<surface text>`, source line first."""
     versions = corpus.versions
+    names = {version: str(version) for version in versions}
+    index_text = cache(lambda token_indices: ",".join(map(str, token_indices)))  # few distinct index tuples
     lines = []
     for verse_id, (source, span), projections in parallel_nps:
         for version, token_indices in ((source, span), *sorted(projections.items())):
             tokens = versions[version][verse_id]
             surface = " ".join([tokens[i] for i in token_indices])
-            lines.append(f"{verse_id}\t{version}\t{','.join(map(str, token_indices))}\t{surface}\n")
+            lines.append(f"{verse_id}\t{names[version]}\t{index_text(token_indices)}\t{surface}\n")
     write_output(path, "".join(lines))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casemark.analysis import (
+    MarkerCombinationGroup,
     assign_marker,
     build_cooccurrence_matrix,
     export_matrix,
@@ -164,6 +165,12 @@ class TestGrouping:
         groups = group_by_marker_combination([pnps[0], pnps[0]], corpus, markers, ["latin"])
         assert len(groups) == 1
         assert len(groups[0].members) == 2
+
+    def test_no_language_puts_every_np_in_one_group(self):
+        # `analyze` with no marker file and no `analysis.languages` groups by no language.
+        corpus, pnps, markers = world()
+        groups = group_by_marker_combination(pnps, corpus, markers, [])
+        assert groups == [MarkerCombinationGroup(key=(), members=tuple(pnps))]
 
     def test_missing_marker_set_rejected(self):
         corpus, pnps, markers = world()

@@ -10,7 +10,9 @@ import pytest
 
 from helpers import tiny_corpus_files, write_lines
 
+from casemark import cli, extraction
 from casemark.cli import main
+from casemark.corpus import write_output
 
 
 @pytest.fixture
@@ -148,6 +150,65 @@ def test_eval_does_not_score_a_marker_file_that_failed_to_write(world, monkeypat
     capsys.readouterr()
     assert main(["eval", "--config", str(config)]) == 2
     assert "nothing to evaluate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", [RuntimeError, KeyboardInterrupt])
+def test_an_interrupted_extract_leaves_a_manifest_of_the_files_it_wrote(world, monkeypatch, fault):
+    """The manifest is rewritten after each language. An extract that stops
+    in latin's write leaves one that carries its own pipeline and lists
+    english alone, so `eval` does not score latin's marker file, which an
+    earlier extract with other thresholds wrote."""
+    config, out, _verse_files = world
+    english = write_lines(config.parent / "inputs" / "english.paradigms.tsv", ["hous\thouses\tN;NOM;PL"])
+    text = config.read_text(encoding="utf-8").replace("paradigm_files: {", f'paradigm_files: {{english: "{english}", ')
+    config.write_text(text, encoding="utf-8")
+    assert main(["silver", "--config", str(config)]) == 0
+    assert main(["extract", "--config", str(config), "--phi", "0.5"]) == 0
+    earlier = (out / "markers" / "latin.tsv").read_bytes()
+    write = extraction.write_marker_file
+
+    def interrupted(marker_set, path):
+        if marker_set.language == "latin":
+            raise fault("interrupted")
+        write(marker_set, path)
+
+    monkeypatch.setattr(extraction, "write_marker_file", interrupted)
+    with pytest.raises(fault):
+        main(["extract", "--config", str(config)])
+    monkeypatch.undo()
+    assert (out / "markers" / "latin.tsv").read_bytes() == earlier
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["languages"] == ["english"]
+    assert main(["eval", "--config", str(config)]) == 0
+    results = (out / "eval" / "results.tsv").read_text(encoding="utf-8")
+    assert [line.split("\t")[0] for line in results.splitlines()] == ["language", "english", "average"]
+    # The rest of the manifest is this run's: a complete run differs only in its languages.
+    assert main(["extract", "--config", str(config)]) == 0
+    complete = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert complete["pipeline"]["phi"] is None
+    assert complete == {**manifest, "languages": ["english", "latin"]}
+
+
+def test_a_failed_manifest_rewrite_fails_its_language(world, monkeypatch, capsys):
+    """The manifest rewrite after english fails: english is reported as
+    failed, and the manifest after latin lists latin alone."""
+    config, out, _verse_files = world
+    manifests = []
+
+    def second_manifest_fails(path, text):
+        if Path(path).name == "manifest.json":
+            manifests.append(text)
+            if len(manifests) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+        write_output(path, text)
+
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "write_output", second_manifest_fails)
+    assert main(["extract", "--config", str(config)]) == 1
+    monkeypatch.undo()
+    assert [json.loads(text)["languages"] for text in manifests] == [[], ["english"], ["latin"]]
+    assert (out / "manifest.json").read_text(encoding="utf-8") == manifests[-1]
+    assert capsys.readouterr().err.startswith("extract: english: [Errno 28] No space left")
 
 
 def test_a_directory_that_cannot_be_made_fails_each_file_written_into_it(world, capsys):

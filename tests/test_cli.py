@@ -232,7 +232,9 @@ class TestEvalCommand:
         assert main(["eval", "--config", str(config)]) == 0
         assert snapshot(out) == before
 
-    @pytest.mark.parametrize("manifest", ["{", "[]", '{"languages": 5}', "{}"])
+    @pytest.mark.parametrize(
+        "manifest", ["{", "[]", '{"languages": 5}', "{}", '{"languages": "lingua"}', '{"languages": ["lingua", 5]}']
+    )
     def test_manifest_without_languages_exits_2(self, workdir, capsys, manifest):
         config, out = workdir
         assert main(["extract", "--config", str(config)]) == 0

@@ -388,10 +388,16 @@ class TestParallelNpSetMatchesPerSpanProjection:
             versions={ENG: {"v1": ("a", "b", "c")}, TGT: {"v1": ("x", "y", "z")}},
             shared_verses=("v1",),
         )
+        alignments = [alignment_with({(0, 2), (1, 0), (2, 1)})]
         spans = ((0, 1), (1, 2), (1,))
-        annotation = NpAnnotation(ENG, {"v1": spans})
-        pnps = build_parallel_np_set(corpus, [annotation], [alignment_with({(0, 2), (1, 0), (2, 1)})])
+        pnps = build_parallel_np_set(corpus, [NpAnnotation(ENG, {"v1": spans})], alignments)
         assert [p.projections[TGT] for p in pnps] == [(0, 2), (0, 1), (0,)]
+        # A span repeated verbatim, an empty span (which the loader never
+        # builds) and spans out of start order: each projects on its own.
+        annotations = [NpAnnotation(ENG, {"v1": ((1, 2), (0,), (1, 2), (), (2,), (0, 1))})]
+        pnps = build_parallel_np_set(corpus, annotations, alignments)
+        assert pnps == per_span_parallel_nps(corpus, annotations, alignments)
+        assert [p.projections.get(TGT) for p in pnps] == [(0, 1), (2,), (0, 1), None, (1,), (0, 2)]
 
 
 class TestInsideOutsideMatchesPerTokenLoop:
