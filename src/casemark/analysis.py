@@ -8,13 +8,14 @@ sparse NP-word cooccurrence matrix for external embedding or plotting.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from functools import cache
 from itertools import repeat
 from pathlib import Path
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .corpus import BOUNDARY, ParallelCorpus, write_output
 from .extraction import MarkerSet
-from .projection import ParallelNp, format_np_id
+from .projection import ParallelNp, format_indices, format_np_id
 
 GroupKey = tuple[tuple[str, Optional[str]], ...]
 
@@ -37,13 +38,15 @@ class CooccurrenceMatrix(NamedTuple):
 
 
 def assign_marker(word: str, marker_set: MarkerSet) -> Optional[str]:
-    """Longest marker matching the end of the boundary-wrapped word, if any."""
+    """Longest marker matching the end of the boundary-wrapped word, if any.
+    Only the suffixes as long as some marker are probed, longest first, down
+    to the empty one when the marker file holds an empty gram."""
     wrapped = BOUNDARY + word + BOUNDARY
+    end = len(wrapped)
     grams = marker_set.grams()
-    # Suffixes longest first, down to the empty one: a marker file may hold an empty gram.
-    for start in range(len(wrapped) + 1):
-        if wrapped[start:] in grams:
-            return wrapped[start:]
+    for length in marker_set.gram_lengths():
+        if length <= end and wrapped[end - length:] in grams:
+            return wrapped[end - length:]
     return None
 
 
@@ -101,45 +104,56 @@ def build_cooccurrence_matrix(
     """Count how often each word form occurs inside each parallel NP.
 
     Rows cover the projected spans and the source span; NPs from different
-    source editions stay distinct columns. Each row lists the positions of
-    the NPs it occurs in, once per occurrence, and becomes its cells once
-    rows and columns are sorted.
+    source editions stay distinct columns. The NPs are walked in the order of
+    their column ids, and each distinct id takes the next column number, so
+    NPs with equal ids share a column and each row's list of columns, one
+    entry per occurrence, comes out sorted. A row name is its version's
+    `language:` prefix plus the token.
     """
     versions = corpus.versions
     names = {version: str(version) for version in versions}
-    col_ids: list[str] = []
+    prefixes = {version: f"{version.language}:" for version in versions}
+    index_text = cache(format_indices)  # few distinct index tuples
+    ids = [format_np_id(verse_id, names[source], index_text(span)) for verse_id, (source, span), _ in parallel_nps]
+    cols: list[str] = []
     col_text: dict[str, str] = {}
-    row_positions: dict[str, list[int]] = defaultdict(list)
-    for position, (verse_id, (source_version, source_span), projections) in enumerate(parallel_nps):
-        col = format_np_id(verse_id, names[source_version], source_span)
-        col_ids.append(col)
-        source_tokens = versions[source_version][verse_id]
-        col_text[col] = " ".join([source_tokens[i] for i in source_span])
+    row_cols: dict[str, list[int]] = defaultdict(list)
+    for position in sorted(range(len(ids)), key=ids.__getitem__):
+        verse_id, (source_version, source_span), projections = parallel_nps[position]
+        if not cols or cols[-1] != ids[position]:
+            cols.append(ids[position])
+            source_tokens = versions[source_version][verse_id]
+            col_text[ids[position]] = " ".join([source_tokens[i] for i in source_span])
+        col = len(cols) - 1
         for version, indices in (*projections.items(), (source_version, source_span)):
-            tokens = versions[version][verse_id]
+            tokens, prefix = versions[version][verse_id], prefixes[version]
             for index in indices:
-                row_positions[f"{version.language}:{tokens[index]}"].append(position)
-    rows = tuple(sorted(row_positions))
-    cols = tuple(sorted(col_text))
-    col_index = {col: i for i, col in enumerate(cols)}
-    col_of = [col_index[col] for col in col_ids]
+                row_cols[prefix + tokens[index]].append(col)
+    rows = tuple(sorted(row_cols))
     cells: list[tuple[int, int, int]] = []
     for row_i, row in enumerate(rows):
-        run = sorted(map(col_of.__getitem__, row_positions[row]))
+        run = row_cols[row]
         if len(set(run)) == len(run):  # the usual row: each NP once, so every count is 1
             cells.extend(zip(repeat(row_i), run, repeat(1)))
         else:  # Counter keeps the sorted order of first occurrences
             cells.extend((row_i, col, count) for col, count in Counter(run).items())
-    return CooccurrenceMatrix(rows=rows, cols=cols, cells=tuple(cells), col_text=col_text)
+    return CooccurrenceMatrix(rows=rows, cols=tuple(cols), cells=tuple(cells), col_text=col_text)
 
 
 def export_matrix(matrix: CooccurrenceMatrix, out_dir) -> None:
     """Write `matrix.tsv` triplets plus `rows.txt` / `cols.txt` sidecars in
-    the matrix's own (sorted) order."""
+    the matrix's own (sorted) order. A cell's line is its row's index text
+    plus its column's `\t<col>\t1\n` text; only a count of 2 or more is
+    formatted on its own."""
     out_dir = Path(out_dir)
     write_output(out_dir / "rows.txt", "".join([f"{row}\n" for row in matrix.rows]))
     write_output(out_dir / "cols.txt", "".join([f"{col}\t{matrix.col_text.get(col, '')}\n" for col in matrix.cols]))
-    write_output(out_dir / "matrix.tsv", "".join([f"{row}\t{col}\t{count}\n" for row, col, count in matrix.cells]))
+    row_text = list(map(str, range(len(matrix.rows))))
+    ones = [f"\t{col}\t1\n" for col in range(len(matrix.cols))]
+    parts: list[str] = []
+    for row, col, count in matrix.cells:
+        parts += (row_text[row], ones[col] if count == 1 else f"\t{col}\t{count}\n")
+    write_output(out_dir / "matrix.tsv", "".join(parts))
 
 
 def render_group_report(

@@ -193,14 +193,19 @@ def _load_corpus_inputs(config: RunConfig):
     return corpus, annotations, alignments
 
 
+def _require_named(named, available, what: str) -> None:
+    """Each language of `named` must be one of `available`, those with `what`."""
+    missing = sorted(set(named or ()) - set(available))
+    if missing:
+        raise ConfigurationError(f"no {what} for languages: {', '.join(missing)}")
+
+
 def _select(config: RunConfig, available, what: str) -> list[str]:
     """The languages of `available`, those with `what`, that the run selects,
     sorted. A language the selection names that is not available, or a
     selection of none of them, is a configuration error: a typo would
     otherwise select nothing and still exit 0."""
-    missing = sorted(set(config.pipeline.languages or ()) - set(available))
-    if missing:
-        raise ConfigurationError(f"no {what} for languages: {', '.join(missing)}")
+    _require_named(config.pipeline.languages, available, what)
     selected = sorted(filter(config.pipeline.wants_language, available))
     if available and not selected:
         raise ConfigurationError(f"the language selection selects none of the languages with {what}")
@@ -333,12 +338,11 @@ def cmd_ablate(config: RunConfig) -> int:
 
 def cmd_analyze(config: RunConfig) -> int:
     corpus, annotations, alignments = _load_corpus_inputs(config)
+    _require_named(config.analysis_languages, corpus.languages(), "verse files")
     marker_sets = _read_markers(config, set(config.analysis_languages or corpus.languages()).__contains__)
-    parallel_nps = projection.build_parallel_np_set(corpus, annotations, alignments)
     languages = config.analysis_languages or sorted(marker_sets)
-    missing = [lang for lang in languages if lang not in marker_sets]
-    if missing:
-        raise ConfigurationError(f"no marker files for analysis languages: {', '.join(missing)}")
+    _require_named(languages, marker_sets, "marker files")
+    parallel_nps = projection.build_parallel_np_set(corpus, annotations, alignments)
     analysis_dir = config.output_dir / "analysis"
     groups = analysis.group_by_marker_combination(parallel_nps, corpus, marker_sets, languages)
     write_output(analysis_dir / "groups.txt", analysis.render_group_report(groups, corpus, config.samples_per_group))

@@ -112,16 +112,18 @@ class CandidateMarker(NamedTuple):
 
 
 class MarkerSet:
-    """One language's markers. Not a tuple, as the set of their grams, which
-    `grams()` returns for each word `analysis.assign_marker` looks up, is
-    derived once, at construction; equality compares language and markers."""
+    """One language's markers. Not a tuple, as what `analysis.assign_marker`
+    reads for each word, their grams (`grams()`) and the distinct gram lengths
+    longest first (`gram_lengths()`), is derived once, at construction;
+    equality compares language and markers."""
 
-    __slots__ = ("language", "markers", "_grams")
+    __slots__ = ("language", "markers", "_grams", "_lengths")
 
     def __init__(self, language: str, markers: frozenset[CandidateMarker]):
         self.language = language
         self.markers = markers
         self._grams = frozenset(m.gram for m in markers)
+        self._lengths = tuple(sorted(set(map(len, self._grams)), reverse=True))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -136,6 +138,9 @@ class MarkerSet:
 
     def grams(self) -> frozenset[str]:
         return self._grams
+
+    def gram_lengths(self) -> tuple[int, ...]:
+        return self._lengths
 
     def sorted_markers(self) -> list[CandidateMarker]:
         return sorted(self.markers, key=lambda m: m.gram)

@@ -30,12 +30,18 @@ class ParallelNp(NamedTuple):
     @property
     def np_id(self) -> str:
         version, span = self.source
-        return format_np_id(self.verse, str(version), span)
+        return format_np_id(self.verse, str(version), format_indices(span))
 
 
-def format_np_id(verse: str, version_name: str, span: Sequence[int]) -> str:
-    """`<verse-id>|<version>|<idx,idx,...>`, the id of a source-edition NP."""
-    return f"{verse}|{version_name}|{','.join(map(str, span))}"
+def format_indices(indices: Sequence[int]) -> str:
+    """`idx,idx,...`, the text of a span's token indices in ids and dumps."""
+    return ",".join(map(str, indices))
+
+
+def format_np_id(verse: str, version_name: str, index_text: str) -> str:
+    """`<verse-id>|<version>|<idx,idx,...>`, the id of a source-edition NP,
+    from its span's `format_indices` text."""
+    return f"{verse}|{version_name}|{index_text}"
 
 
 class InsideOutsideCounts(NamedTuple):
@@ -196,7 +202,7 @@ def dump_parallel_nps(parallel_nps: Sequence[ParallelNp], corpus: ParallelCorpus
     `<verse-id>\\t<version>\\t<idx,idx,...>\\t<surface text>`, source line first."""
     versions = corpus.versions
     names = {version: str(version) for version in versions}
-    index_text = cache(lambda token_indices: ",".join(map(str, token_indices)))  # few distinct index tuples
+    index_text = cache(format_indices)  # few distinct index tuples
     lines = []
     for verse_id, (source, span), projections in parallel_nps:
         for version, token_indices in ((source, span), *sorted(projections.items())):

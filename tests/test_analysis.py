@@ -422,3 +422,23 @@ class TestCooccurrenceMatrixMatchesCounter:
         out = tmp_path_factory.mktemp("matrix")
         export_matrix(matrix, out)
         assert {name: (out / name).read_text(encoding="utf-8") for name in expected} == expected
+
+    def test_equal_ids_after_a_later_id_share_one_column(self, tmp_path):
+        """Two NPs with one id, given after an NP whose id sorts later, count
+        into one column: `the` twice in each of them gives a cell of 4."""
+        corpus = ParallelCorpus(
+            versions={ENG: {"v1": ("the", "the"), "v2": ("a", "b")}, OLD_A: {"v1": ("x",), "v2": ("ab",)}},
+            shared_verses=("v1", "v2"),
+        )
+        pnps = [
+            ParallelNp("v2", (ENG, (0, 1)), {OLD_A: (0,)}),
+            ParallelNp("v1", (ENG, (0, 1)), {OLD_A: (0,)}),
+            ParallelNp("v1", (ENG, (0, 1)), {}),
+        ]
+        expected, cells = brute_force_export(pnps, corpus)
+        matrix = build_cooccurrence_matrix(pnps, corpus)
+        assert matrix.cols == ("v1|english-e1|0,1", "v2|english-e1|0,1")
+        assert list(matrix.cells) == cells
+        assert (matrix.rows.index("english:the"), 0, 4) in cells
+        export_matrix(matrix, tmp_path)
+        assert {name: (tmp_path / name).read_text(encoding="utf-8") for name in expected} == expected

@@ -411,6 +411,32 @@ class TestAnalyzeAndProject:
         assert "analysis.languages repeats lingua" in capsys.readouterr().err
         assert not (out / "analysis").exists()
 
+    @pytest.mark.parametrize(
+        "copies, named, message",
+        [
+            (["zzz"], ["zzz"], "no verse files for languages: zzz"),
+            (["zzz", "yyy"], ["zzz", "yyy"], "no verse files for languages: yyy, zzz"),
+            (["zzz"], ["zzz", "tercia"], "no verse files for languages: zzz"),
+            ([], ["tercia"], "no marker files for languages: tercia"),
+        ],
+    )
+    def test_analysis_language_without_inputs_exits_2(self, workdir, tmp_path, capsys, copies, named, message):
+        """A marker file is not enough: a language with no verse file would
+        read `-` in every group. As for `extract --languages`, each such
+        language is named and nothing is written; verse files come first."""
+        config, out = workdir
+        assert main(["extract", "--config", str(config)]) == 0
+        given = tmp_path / "given"
+        given.mkdir()
+        for language in ("lingua", *copies):
+            shutil.copy(out / "markers" / "lingua.tsv", given / f"{language}.tsv")
+        lines = [config.read_text(encoding="utf-8"), f'markers_dir: "{given}"', "analysis:"]
+        configured = write_lines(tmp_path / "given.yaml", [*lines, f"  languages: [lingua, {', '.join(named)}]"])
+        capsys.readouterr()
+        assert main(["analyze", "--config", str(configured)]) == 2
+        assert capsys.readouterr() == ("", f"casemark analyze: {message}\n")
+        assert not (out / "analysis").exists()
+
     def test_project_dumps_parallel_nps(self, workdir):
         config, out = workdir
         assert main(["project", "--config", str(config)]) == 0
