@@ -22,7 +22,9 @@ from typing import NamedTuple, Optional
 import yaml
 
 from . import analysis, evaluation, extraction, projection, silver
-from .corpus import corpus_fingerprint, load_alignment, load_corpus, load_np_annotation, open_input, write_output
+from .corpus import (
+    VersionId, corpus_fingerprint, load_alignment, load_corpus, load_np_annotation, open_input, write_output,
+)
 from .errors import CasemarkError, ConfigurationError
 from .extraction import ABLATION_VARIANTS, POSITIONS, PipelineConfig
 
@@ -183,14 +185,27 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _load_corpus_inputs(config: RunConfig):
+def _input_hashes(config: RunConfig) -> dict[str, str]:
+    """The SHA-256 of each input file, keyed by its name in the config."""
+    return {name: _sha256(path) for name, path in config.inputs.items()}
+
+
+def _load_corpus(config: RunConfig):
     _require_existing(config.verse_files, "verse files")
     _require_existing(config.alignment_files, "alignment files")
     _require_existing(config.annotation_files, "annotation files")
-    corpus = load_corpus(config.verse_files, config.verse_allowlist)
+    return load_corpus(config.verse_files, config.verse_allowlist)
+
+
+def _load_links(config: RunConfig, corpus):
+    """The NP annotations and the alignments, parsed against `corpus`."""
     annotations = [load_np_annotation(p, corpus) for p in config.annotation_files]
-    alignments = [load_alignment(p, corpus) for p in config.alignment_files]
-    return corpus, annotations, alignments
+    return annotations, [load_alignment(p, corpus) for p in config.alignment_files]
+
+
+def _load_corpus_inputs(config: RunConfig):
+    corpus = _load_corpus(config)
+    return (corpus, *_load_links(config, corpus))
 
 
 def _require_named(named, available, what: str) -> None:
@@ -232,7 +247,7 @@ def cmd_extract(config: RunConfig) -> int:
     marker_sets = extraction.extract_marker_sets(corpus, annotations, alignments, config.pipeline)
     manifest = {
         "pipeline": config.pipeline._asdict(),
-        "inputs": {name: _sha256(path) for name, path in config.inputs.items()},
+        "inputs": _input_hashes(config),
         "corpus_fingerprint": corpus_fingerprint(corpus),
     }
     written = []  # only these go in the manifest: `eval` would score an earlier file of the others
@@ -336,13 +351,53 @@ def cmd_ablate(config: RunConfig) -> int:
     return 0
 
 
+def _project_record(config: RunConfig, corpus, dump: Path) -> dict:
+    """What `project` records in `nps/manifest.json` beside its dump `dump`:
+    the inputs' hashes, the annotation and alignment files by name in config
+    order (a name in `inputs` does not say which list holds it, or how
+    often), the corpus fingerprint and the dump's hash."""
+    names = {path: name for name, path in config.inputs.items()}
+    return {
+        "inputs": _input_hashes(config),
+        "annotation_files": [names[p] for p in config.annotation_files],
+        "alignment_files": [names[p] for p in config.alignment_files],
+        "corpus_fingerprint": corpus_fingerprint(corpus),
+        "parallel_nps": _sha256(dump),
+    }
+
+
+def _dumped_parallel_nps(config: RunConfig, corpus) -> Optional[list]:
+    """The parallel NP set from `project`'s dump in the output directory, if
+    the record beside it is the one these inputs and that dump give; None on
+    any miss, never an error. An equal record means that `project` parsed
+    and projected these very annotation and alignment bytes, against this
+    corpus, without an error."""
+    dump = config.output_dir / "nps" / "parallel_nps.tsv"
+    try:
+        stored = json.loads(dump.with_name("manifest.json").read_bytes())  # before any hashing
+        if stored != _project_record(config, corpus, dump):
+            return None
+        sources = {VersionId.from_filename(p) for p in config.annotation_files}
+        return projection.read_parallel_nps(dump, sources)
+    except (OSError, ValueError, RecursionError):  # RecursionError: JSON nested too deep
+        return None
+
+
 def cmd_analyze(config: RunConfig) -> int:
-    corpus, annotations, alignments = _load_corpus_inputs(config)
+    corpus = _load_corpus(config)
+    parallel_nps = _dumped_parallel_nps(config, corpus)
+    if parallel_nps is None:
+        annotations, alignments = _load_links(config, corpus)
     _require_named(config.analysis_languages, corpus.languages(), "verse files")
+    sources = {VersionId.from_filename(p) for p in config.annotation_files}  # names already checked
+    # A language with annotated sources alone has no projection to read a marker from.
+    unannotated = {version.language for version in corpus.versions if version not in sources}
+    _require_named(config.analysis_languages, unannotated, "unannotated versions")
     marker_sets = _read_markers(config, set(config.analysis_languages or corpus.languages()).__contains__)
     languages = config.analysis_languages or sorted(marker_sets)
     _require_named(languages, marker_sets, "marker files")
-    parallel_nps = projection.build_parallel_np_set(corpus, annotations, alignments)
+    if parallel_nps is None:  # projected after the checks above, as their errors come first
+        parallel_nps = projection.build_parallel_np_set(corpus, annotations, alignments)
     analysis_dir = config.output_dir / "analysis"
     groups = analysis.group_by_marker_combination(parallel_nps, corpus, marker_sets, languages)
     write_output(analysis_dir / "groups.txt", analysis.render_group_report(groups, corpus, config.samples_per_group))
@@ -354,7 +409,11 @@ def cmd_analyze(config: RunConfig) -> int:
 def cmd_project(config: RunConfig) -> int:
     corpus, annotations, alignments = _load_corpus_inputs(config)
     parallel_nps = projection.build_parallel_np_set(corpus, annotations, alignments)
-    projection.dump_parallel_nps(parallel_nps, corpus, config.output_dir / "nps" / "parallel_nps.tsv")
+    dump = config.output_dir / "nps" / "parallel_nps.tsv"
+    projection.dump_parallel_nps(parallel_nps, corpus, dump)
+    # After the dump: a run cut short between the two writes leaves a record that no longer matches it.
+    record = json.dumps(_project_record(config, corpus, dump), sort_keys=True, indent=2)
+    write_output(dump.with_name("manifest.json"), record + "\n")
     return 0
 
 

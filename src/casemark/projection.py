@@ -14,7 +14,7 @@ from functools import cache
 from itertools import chain, compress
 from typing import Collection, Mapping, NamedTuple, Sequence
 
-from .corpus import Alignment, NpAnnotation, ParallelCorpus, VersionId, write_output
+from .corpus import Alignment, NpAnnotation, ParallelCorpus, VersionId, read_lines, write_output
 from .errors import ConfigurationError
 
 
@@ -210,3 +210,30 @@ def dump_parallel_nps(parallel_nps: Sequence[ParallelNp], corpus: ParallelCorpus
             surface = " ".join([tokens[i] for i in token_indices])
             lines.append(f"{verse_id}\t{names[version]}\t{index_text(token_indices)}\t{surface}\n")
     write_output(path, "".join(lines))
+
+
+def read_parallel_nps(path, sources: Collection[VersionId]) -> list[ParallelNp]:
+    """The parallel NP set of a `dump_parallel_nps` file, given the annotated
+    versions `sources`: a line of a source starts an NP, and the lines after
+    it are its projections. Raises ValueError for a line that is not four
+    tab-separated fields or names no `<language>-<edition>` version."""
+    versions, spans = {}, {"": ()}  # each distinct name and index text converted once
+    result: list[ParallelNp] = []
+    lines = read_lines(path)
+    if not lines[-1]:  # after the newline that ends the last line
+        lines.pop()
+    for line in lines:
+        verse_id, name, index_text, _surface = line.split("\t")
+        if name not in versions:
+            version = VersionId.from_string(name)
+            versions[name] = version, version in sources
+        version, is_source = versions[name]
+        span = spans.get(index_text)
+        if span is None:
+            span = spans[index_text] = tuple(map(int, index_text.split(",")))
+        if is_source:
+            projections = {}
+            result.append(ParallelNp(verse_id, (version, span), projections))
+        else:
+            projections[version] = span
+    return result

@@ -104,6 +104,7 @@ CLI_WRITERS = [
     ("eval/diff/latin.tsv", "eval", 2),
     ("ablation/ablation.tsv", "ablate", 2),
     ("nps/parallel_nps.tsv", "project", 2),
+    ("nps/manifest.json", "project", 2),
     ("analysis/groups.txt", "analyze", 2),
     ("analysis/rows.txt", "analyze", 2),
     ("analysis/cols.txt", "analyze", 2),

@@ -16,7 +16,7 @@ from helpers import tiny_corpus_files, write_lines
 from synthcorpus import build_fixture
 
 import casemark
-from casemark import cli, extraction
+from casemark import cli, extraction, projection
 from casemark.cli import CONFIG_KEYS, load_run_config, main
 from casemark.errors import ConfigurationError
 
@@ -418,12 +418,17 @@ class TestAnalyzeAndProject:
             (["zzz", "yyy"], ["zzz", "yyy"], "no verse files for languages: yyy, zzz"),
             (["zzz"], ["zzz", "tercia"], "no verse files for languages: zzz"),
             ([], ["tercia"], "no marker files for languages: tercia"),
+            (["english"], ["english"], "no unannotated versions for languages: english"),
+            (["english", "zzz"], ["english", "zzz"], "no verse files for languages: zzz"),
+            (["english"], ["english", "tercia"], "no unannotated versions for languages: english"),
         ],
     )
     def test_analysis_language_without_inputs_exits_2(self, workdir, tmp_path, capsys, copies, named, message):
-        """A marker file is not enough: a language with no verse file would
-        read `-` in every group. As for `extract --languages`, each such
-        language is named and nothing is written; verse files come first."""
+        """A marker file is not enough: a language with no verse file, or
+        whose every version is an annotated source (english), has no
+        projection and would read `-` in every group. As for `extract
+        --languages`, each such language is named and nothing is written;
+        verse files come first, then unannotated versions."""
         config, out = workdir
         assert main(["extract", "--config", str(config)]) == 0
         given = tmp_path / "given"
@@ -442,6 +447,102 @@ class TestAnalyzeAndProject:
         assert main(["project", "--config", str(config)]) == 0
         dump = (out / "nps" / "parallel_nps.tsv").read_text(encoding="utf-8")
         assert dump.count("\n") == 3000  # 1000 NPs x (source + 2 projections)
+
+
+class TestDumpReuse:
+    """After `project`, `analyze` in the same output directory reads the NP
+    set back from the dump when `nps/manifest.json` is the record that the
+    current inputs and that dump give, and projects nothing; on any other
+    record, or none, it parses and projects as a cold run does. Either way
+    its `analysis/` files are the bytes of a cold `analyze` in a fresh
+    output directory."""
+
+    @pytest.fixture
+    def ready(self, synth, workdir, tmp_path, monkeypatch):  # workdir writes the paradigm file that is copied
+        """A copy of the fixture's inputs with given marker files, after
+        `project`; the config, the output directory, the cold `analysis/`
+        files and the list of `build_parallel_np_set` calls from here on."""
+        root = relative_workdir(synth, tmp_path / "m1")
+        config = root / "run.yaml"
+        assert main(["extract", "--config", str(config), "--out", str(tmp_path / "extracted")]) == 0
+        shutil.copytree(tmp_path / "extracted" / "markers", root / "given")
+        write_lines(config, [config.read_text(encoding="utf-8"), "markers_dir: given"])
+        assert main(["project", "--config", str(config)]) == 0
+        cold = self.cold(config, tmp_path / "cold")
+        calls, build = [], projection.build_parallel_np_set
+        monkeypatch.setattr(projection, "build_parallel_np_set", lambda *args: calls.append(1) or build(*args))
+        return config, root / "out", cold, calls
+
+    @staticmethod
+    def cold(config, out):
+        assert main(["analyze", "--config", str(config), "--out", str(out)]) == 0
+        return snapshot(out / "analysis")
+
+    def test_analyze_after_project_reads_the_dump(self, ready):
+        config, out, cold, calls = ready
+        record = json.loads((out / "nps" / "manifest.json").read_text(encoding="utf-8"))
+        assert record["parallel_nps"] == hashlib.sha256((out / "nps" / "parallel_nps.tsv").read_bytes()).hexdigest()
+        assert main(["analyze", "--config", str(config)]) == 0
+        assert calls == []
+        assert snapshot(out / "analysis") == cold
+        assert len(cold) == 4 and all(cold.values())
+
+    @staticmethod
+    def lower_first_link(root):
+        """One byte of an alignment file changed: the target index of a
+        link, to a lower one, so the file stays valid."""
+        path = root / "alignments" / "align_english-e1_lingua-l1.tsv"
+        data = bytearray(path.read_bytes())
+        at = re.search(rb"-[1-9]", data).start() + 1
+        data[at] = ord("0")
+        path.write_bytes(bytes(data))
+
+    @staticmethod
+    def allow_some_verses(root):
+        config = root / "run.yaml"
+        write_lines(config, [config.read_text(encoding="utf-8"), "verse_allowlist: [v001, v002, v003, v010, v011]"])
+
+    @staticmethod
+    def edit_a_dump_line(root):
+        path = root / "out" / "nps" / "parallel_nps.tsv"
+        first, rest = path.read_text(encoding="utf-8").split("\n", 1)
+        path.write_text(first + "x\n" + rest, encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lower_first_link,
+            allow_some_verses,
+            edit_a_dump_line,
+            lambda root: (root / "out" / "nps" / "manifest.json").unlink(),
+            lambda root: (root / "out" / "nps" / "manifest.json").write_text("{not json", encoding="utf-8"),
+            lambda root: (root / "out" / "nps" / "manifest.json").write_text("[]\n", encoding="utf-8"),
+            lambda root: (root / "out" / "nps" / "manifest.json").write_text("[" * 100000, encoding="utf-8"),
+        ],
+        ids=["alignment byte", "allowlist added", "dump line edited", "record deleted", "record not JSON",
+             "record a list", "record nested too deep"],
+    )
+    def test_any_other_record_is_a_miss(self, ready, tmp_path, change):
+        config, out, _cold, calls = ready
+        change(config.parent)
+        cold = self.cold(config, tmp_path / "cold_after")  # the inputs may have changed
+        calls.clear()
+        assert main(["analyze", "--config", str(config)]) == 0
+        assert calls == [1]
+        assert snapshot(out / "analysis") == cold
+
+    def test_a_file_listed_twice_is_checked_as_before(self, ready, capsys):
+        """The input hashes are keyed by name, so they do not show an
+        annotation file listed twice; the record's list of names does, and
+        `analyze` reports the duplicate as a cold run does."""
+        config, out, _cold, calls = ready
+        text = config.read_text(encoding="utf-8")
+        name = re.search(r'annotation_files: \["(.*)"\]', text).group(1)
+        config.write_text(text.replace(f'["{name}"]', f'["{name}", "{name}"]'), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["analyze", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == "casemark analyze: duplicate annotation for version english-e1\n"
+        assert calls == [1]
 
 
 class TestAnalysisFileBytes:
@@ -679,6 +780,7 @@ class TestWorkingDirectoryIndependence:
         shutil.rmtree(root / "out")
         assert run_every_command("m1/run.yaml", tmp_path, monkeypatch) == first
         inputs = json.loads(first[Path("manifest.json")])["inputs"]
+        assert sorted(json.loads(first[Path("nps/manifest.json")])["inputs"]) == sorted(inputs)
         assert sorted(inputs) == sorted(
             [f"verses/{p.name}" for p in synth.fixture.verse_files]
             + [f"alignments/{p.name}" for p in synth.fixture.alignment_files]
@@ -689,7 +791,7 @@ class TestWorkingDirectoryIndependence:
 class TestLineOrderInvariance:
     """Shuffling the lines of every verse, annotation and alignment file (the
     alignment header kept first) changes no output but the input hashes in
-    `manifest.json`."""
+    `manifest.json` and `nps/manifest.json`."""
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_shuffled_input_lines_change_no_output(self, synth, workdir, tmp_path, monkeypatch, seed):
@@ -702,15 +804,16 @@ class TestLineOrderInvariance:
             rng.shuffle(body)
             write_lines(path, lines[:head] + body)
         shuffled = run_every_command("run.yaml", root, monkeypatch)
-        manifests = [json.loads(tree.pop(Path("manifest.json"))) for tree in (plain, shuffled)]
+        for relative in ("manifest.json", "nps/manifest.json"):
+            manifests = [json.loads(tree.pop(Path(relative))) for tree in (plain, shuffled)]
+            inputs = [manifest.pop("inputs") for manifest in manifests]
+            assert inputs[0].keys() == inputs[1].keys()
+            assert all(inputs[0][name] != inputs[1][name] for name in inputs[0])  # every input was reordered
+            assert manifests[0] == manifests[1]  # corpus_fingerprint (and the dump's hash) included
         assert shuffled == plain
         assert {"markers/lingua.tsv", "silver/lingua.txt", "ablation/ablation.tsv", "nps/parallel_nps.tsv"} <= {
             str(path) for path in plain
         }
-        inputs = [manifest.pop("inputs") for manifest in manifests]
-        assert inputs[0].keys() == inputs[1].keys()
-        assert all(inputs[0][name] != inputs[1][name] for name in inputs[0])  # every input was reordered
-        assert manifests[0] == manifests[1]  # corpus_fingerprint included
 
 
 def copy_alignment(root, version, copy):
@@ -742,6 +845,11 @@ class TestDuplicatedEditionInvariance:
         copied = run_every_command("run.yaml", root, monkeypatch, self.COMMANDS)
         for tree in (plain, copied):
             del tree[Path("manifest.json")]
+        records = [json.loads(tree.pop(Path("nps/manifest.json"))) for tree in (plain, copied)]
+        # The dump changes, and with it the record; the copy adds one input of each kind.
+        added = {"verses/lingua-l2.txt", "alignments/align_english-e1_lingua-l2.tsv"}
+        assert records[1]["inputs"] == {**records[0]["inputs"], **{name: records[1]["inputs"][name] for name in added}}
+        assert len(records[1]["inputs"]) == len(records[0]["inputs"]) + 2
         dump = Path("nps/parallel_nps.tsv")
         plain_nps, copied_nps = plain.pop(dump).decode().splitlines(), copied.pop(dump).decode().splitlines()
         assert copied == plain
@@ -813,7 +921,8 @@ class TestRelabeledLanguageInvariance:
 class TestUnsharedVerseInvariance:
     """A line with a fresh verse id in one verse file only, a verse that no
     other version has, changes no output of any subcommand but that file's
-    input hash in `manifest.json`; the corpus fingerprint stays."""
+    input hash in `manifest.json` and `nps/manifest.json`; the corpus
+    fingerprint stays."""
 
     def test_verse_of_one_version_changes_only_its_input_hash(self, synth, workdir, tmp_path, monkeypatch):
         plain = run_every_command("run.yaml", relative_workdir(synth, tmp_path / "plain"), monkeypatch)
@@ -821,14 +930,15 @@ class TestUnsharedVerseInvariance:
         verses = root / "verses" / "lingua-l1.txt"
         verses.write_text(verses.read_text(encoding="utf-8") + "v999\tsatorum nova\n", encoding="utf-8")
         unshared = run_every_command("run.yaml", root, monkeypatch)
-        manifests = [json.loads(tree.pop(Path("manifest.json"))) for tree in (plain, unshared)]
+        for relative in ("manifest.json", "nps/manifest.json"):
+            manifests = [json.loads(tree.pop(Path(relative))) for tree in (plain, unshared)]
+            inputs = [manifest.pop("inputs") for manifest in manifests]
+            assert inputs[0].keys() == inputs[1].keys()
+            assert [name for name in inputs[0] if inputs[0][name] != inputs[1][name]] == ["verses/lingua-l1.txt"]
+            assert manifests[0] == manifests[1]  # corpus_fingerprint (and the dump's hash) included
         assert unshared == plain
         assert {"markers/lingua.tsv", "silver/lingua.txt", "ablation/ablation.tsv", "nps/parallel_nps.tsv",
                 "analysis/groups.txt"} <= {str(path) for path in plain}
-        inputs = [manifest.pop("inputs") for manifest in manifests]
-        assert inputs[0].keys() == inputs[1].keys()
-        assert [name for name in inputs[0] if inputs[0][name] != inputs[1][name]] == ["verses/lingua-l1.txt"]
-        assert manifests[0] == manifests[1]  # corpus_fingerprint included
 
 
 class TestRunConfigLoading:

@@ -4,7 +4,8 @@ Small seeded corpora from `perfbench/gen.py`, in the shapes of the
 benchmark's three workloads (`extract`; `silver` then `ablate`; `project`
 then `analyze`), are run through `cli.main`, and `perfbench/check.py`, an
 oracle written from the paper's method without casemark, must find no
-difference in their outputs. The oracle supports set `phi` and `chi`
+difference in their outputs. `analyze`, which reads back the NP set that
+`project` dumped, must also write what a cold `analyze` writes. The oracle supports set `phi` and `chi`
 thresholds only, which is what `Workload.prepare` writes.
 
 `gen.py`, `workloads.py` and `check.py` are loaded by path; while the tests
@@ -66,3 +67,12 @@ def test_outputs_match_the_oracle(perfbench, tmp_path, seed):
     for command in commands:
         assert main([command, "--config", str(tmp_path / "run.yaml")]) == 0, command
     assert perfbench.check.check_against_oracle(tmp_path, tmp_path / "out", commands, generated.planted) == []
+    if "analyze" in commands:  # after `project` it read the dump back: a cold run writes the same files
+        assert main(["analyze", "--config", str(tmp_path / "run.yaml"), "--out", str(tmp_path / "cold")]) == 0
+        assert analysis_files(tmp_path / "cold") == analysis_files(tmp_path / "out")
+
+
+def analysis_files(out):
+    files = {path.relative_to(out): path.read_bytes() for path in (out / "analysis").rglob("*") if path.is_file()}
+    assert len(files) == 4
+    return files

@@ -26,6 +26,7 @@ from casemark.projection import (
     build_parallel_np_set,
     dump_parallel_nps,
     partition_word_types,
+    read_parallel_nps,
 )
 
 ENG = VersionId("english", "e1")
@@ -314,11 +315,11 @@ def per_token_inside_outside(corpus, parallel_nps, language, copies):
 
 
 @st.composite
-def hand_annotated_worlds(draw):
-    """English e1 and e2 are annotated by hand with spans that may overlap;
-    English e3, a second edition of a source language, and lingua are
-    targets. Every link lies inside both verses; links may repeat, and a
-    verse may have none."""
+def hand_annotated_worlds(draw, min_span=1):
+    """English e1 and e2 are annotated by hand with spans of at least
+    `min_span` tokens that may overlap; English e3, a second edition of a
+    source language, and lingua are targets. Every link lies inside both
+    verses; links may repeat, and a verse may have none."""
     eng3 = VersionId("english", "e3")
     versions = (ENG, ENG2, eng3, TGT)
     verse_ids = [f"v{i}" for i in range(draw(st.integers(1, 3)))]
@@ -332,7 +333,7 @@ def hand_annotated_worlds(draw):
     )
 
     def spans(source, vid):
-        indices = st.sets(st.integers(0, length[source, vid] - 1), min_size=1)
+        indices = st.sets(st.integers(0, length[source, vid] - 1), min_size=min_span)
         return tuple(tuple(sorted(draw(indices))) for _ in range(draw(st.integers(0, 3))))
 
     def links(source, target, vid):
@@ -427,3 +428,34 @@ class TestInsideOutsideMatchesPerTokenLoop:
             inside, outside = per_token_inside_outside(synth.corpus, pnps, language, sources)
             assert (counts.inside, counts.outside) == (inside, outside)
             assert 0 not in counts.outside.values()
+
+
+class TestReadParallelNps:
+    """`read_parallel_nps` is the inverse of `dump_parallel_nps`: the list it
+    reads back equals the one dumped, NPs without a projection, repeated,
+    overlapping and empty hand-built spans included, in the same order and
+    with each NP's projections in the same order."""
+
+    @settings(max_examples=200)
+    @given(hand_annotated_worlds(min_span=0))
+    def test_random_worlds(self, tmp_path_factory, world):
+        corpus, annotations, alignments = world
+        pnps = build_parallel_np_set(corpus, annotations, alignments)
+        path = tmp_path_factory.getbasetemp() / "round_trip.tsv"
+        dump_parallel_nps(pnps, corpus, path)
+        read = read_parallel_nps(path, {ENG, ENG2})
+        assert read == pnps
+        assert [list(p.projections) for p in read] == [list(p.projections) for p in pnps]
+
+    def test_synthetic_corpus(self, synth, tmp_path):
+        pnps = build_parallel_np_set(synth.corpus, synth.annotations, synth.alignments)
+        dump_parallel_nps(pnps, synth.corpus, tmp_path / "nps.tsv")
+        assert read_parallel_nps(tmp_path / "nps.tsv", {a.version for a in synth.annotations}) == pnps
+        dump_parallel_nps([], synth.corpus, tmp_path / "empty.tsv")
+        assert read_parallel_nps(tmp_path / "empty.tsv", {ENG}) == []
+
+    @pytest.mark.parametrize("line", ["v1\tenglish-e1\t0", "v1\tenglish\t0\ta", "v1\tenglish\tx-e1\t0\ta"])
+    def test_a_line_it_cannot_read_is_a_value_error(self, tmp_path, line):
+        path = write_lines(tmp_path / "nps.tsv", [line])
+        with pytest.raises(ValueError):
+            read_parallel_nps(path, {ENG})
