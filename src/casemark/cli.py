@@ -351,57 +351,66 @@ def cmd_ablate(config: RunConfig) -> int:
     return 0
 
 
-def _project_record(config: RunConfig, corpus, dump: Path) -> dict:
+def _project_record(config: RunConfig, dump: Path) -> dict:
     """What `project` records in `nps/manifest.json` beside its dump `dump`:
-    the inputs' hashes, the annotation and alignment files by name in config
-    order (a name in `inputs` does not say which list holds it, or how
-    often), the corpus fingerprint and the dump's hash."""
+    the inputs' hashes; the verse, annotation and alignment files by name in
+    config order (a name in `inputs` does not say which list holds it, or
+    how often); the SHA-256 of the effective verse allowlist's sorted ids,
+    one per line, or None without one; and the dump's hash."""
     names = {path: name for name, path in config.inputs.items()}
+    allowlist = config.verse_allowlist
+    if allowlist is not None:
+        allowlist = hashlib.sha256("\n".join(sorted(allowlist)).encode("utf-8")).hexdigest()
     return {
         "inputs": _input_hashes(config),
+        "verse_files": [names[p] for p in config.verse_files],
+        "verse_allowlist": allowlist,
         "annotation_files": [names[p] for p in config.annotation_files],
         "alignment_files": [names[p] for p in config.alignment_files],
-        "corpus_fingerprint": corpus_fingerprint(corpus),
         "parallel_nps": _sha256(dump),
     }
 
 
-def _dumped_parallel_nps(config: RunConfig, corpus) -> Optional[list]:
-    """The parallel NP set from `project`'s dump in the output directory, if
-    the record beside it is the one these inputs and that dump give; None on
-    any miss, never an error. An equal record means that `project` parsed
-    and projected these very annotation and alignment bytes, against this
-    corpus, without an error."""
+def _dumped_parallel_nps(config: RunConfig) -> Optional[list]:
+    """The NP records of `project`'s dump in the output directory, if the
+    record beside it is the one these inputs and that dump give; None on any
+    miss, never an error. An equal record means that `project` parsed these
+    very verse, annotation and alignment bytes under this allowlist, and
+    projected them without an error, so no input is parsed here."""
     dump = config.output_dir / "nps" / "parallel_nps.tsv"
     try:
         stored = json.loads(dump.with_name("manifest.json").read_bytes())  # before any hashing
-        if stored != _project_record(config, corpus, dump):
+        if stored != _project_record(config, dump):
             return None
-        sources = {VersionId.from_filename(p) for p in config.annotation_files}
+        sources = {str(VersionId.from_filename(p)) for p in config.annotation_files}
         return projection.read_parallel_nps(dump, sources)
     except (OSError, ValueError, RecursionError):  # RecursionError: JSON nested too deep
         return None
 
 
 def cmd_analyze(config: RunConfig) -> int:
-    corpus = _load_corpus(config)
-    parallel_nps = _dumped_parallel_nps(config, corpus)
-    if parallel_nps is None:
+    parallel_nps = _dumped_parallel_nps(config)
+    if parallel_nps is None:  # a miss: parse the inputs as a cold run does
+        corpus = _load_corpus(config)
         annotations, alignments = _load_links(config, corpus)
-    _require_named(config.analysis_languages, corpus.languages(), "verse files")
+    # The versions as `load_corpus` takes them; on a hit, `project` loaded these very files.
+    versions = {VersionId.from_filename(p) for p in config.verse_files}
+    languages_with_verses = {version.language for version in versions}
+    _require_named(config.analysis_languages, languages_with_verses, "verse files")
     sources = {VersionId.from_filename(p) for p in config.annotation_files}  # names already checked
     # A language with annotated sources alone has no projection to read a marker from.
-    unannotated = {version.language for version in corpus.versions if version not in sources}
+    unannotated = {version.language for version in versions if version not in sources}
     _require_named(config.analysis_languages, unannotated, "unannotated versions")
-    marker_sets = _read_markers(config, set(config.analysis_languages or corpus.languages()).__contains__)
+    marker_sets = _read_markers(config, set(config.analysis_languages or languages_with_verses).__contains__)
     languages = config.analysis_languages or sorted(marker_sets)
     _require_named(languages, marker_sets, "marker files")
     if parallel_nps is None:  # projected after the checks above, as their errors come first
-        parallel_nps = projection.build_parallel_np_set(corpus, annotations, alignments)
+        found = projection.build_parallel_np_set(corpus, annotations, alignments)
+        parallel_nps = projection.format_parallel_nps(found, corpus)
     analysis_dir = config.output_dir / "analysis"
-    groups = analysis.group_by_marker_combination(parallel_nps, corpus, marker_sets, languages)
-    write_output(analysis_dir / "groups.txt", analysis.render_group_report(groups, corpus, config.samples_per_group))
-    matrix = analysis.build_cooccurrence_matrix(parallel_nps, corpus)
+    groups = analysis.group_by_marker_combination(parallel_nps, marker_sets, languages)
+    write_output(analysis_dir / "groups.txt", analysis.render_group_report(groups, config.samples_per_group))
+    matrix = analysis.build_cooccurrence_matrix(parallel_nps)
     analysis.export_matrix(matrix, analysis_dir)
     return 0
 
@@ -412,7 +421,7 @@ def cmd_project(config: RunConfig) -> int:
     dump = config.output_dir / "nps" / "parallel_nps.tsv"
     projection.dump_parallel_nps(parallel_nps, corpus, dump)
     # After the dump: a run cut short between the two writes leaves a record that no longer matches it.
-    record = json.dumps(_project_record(config, corpus, dump), sort_keys=True, indent=2)
+    record = json.dumps(_project_record(config, dump), sort_keys=True, indent=2)
     write_output(dump.with_name("manifest.json"), record + "\n")
     return 0
 

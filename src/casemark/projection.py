@@ -27,10 +27,11 @@ class ParallelNp(NamedTuple):
     source: tuple[VersionId, tuple[int, ...]]
     projections: Mapping[VersionId, tuple[int, ...]]
 
-    @property
-    def np_id(self) -> str:
-        version, span = self.source
-        return format_np_id(self.verse, str(version), format_indices(span))
+
+# A parallel NP as the text of its dump lines, source line first: per line,
+# its four fields `[verse id, version name, index text, surface text]`. The
+# surface is the span's tokens joined by single spaces, "" for an empty span.
+NpLines = list[list[str]]
 
 
 def format_indices(indices: Sequence[int]) -> str:
@@ -197,43 +198,50 @@ def partition_word_types(counts: InsideOutsideCounts) -> WordPartition:
     )
 
 
-def dump_parallel_nps(parallel_nps: Sequence[ParallelNp], corpus: ParallelCorpus, path) -> None:
-    """Write the parallel NP set as inspectable lines:
-    `<verse-id>\\t<version>\\t<idx,idx,...>\\t<surface text>`, source line first."""
+def format_parallel_nps(parallel_nps: Sequence[ParallelNp], corpus: ParallelCorpus) -> list[NpLines]:
+    """Each parallel NP as the fields of its dump lines: the source line
+    first, then one line per projection in sorted version order."""
     versions = corpus.versions
     names = {version: str(version) for version in versions}
     index_text = cache(format_indices)  # few distinct index tuples
-    lines = []
+    records = []
     for verse_id, (source, span), projections in parallel_nps:
+        record = []
         for version, token_indices in ((source, span), *sorted(projections.items())):
             tokens = versions[version][verse_id]
             surface = " ".join([tokens[i] for i in token_indices])
-            lines.append(f"{verse_id}\t{names[version]}\t{index_text(token_indices)}\t{surface}\n")
-    write_output(path, "".join(lines))
+            record.append([verse_id, names[version], index_text(token_indices), surface])
+        records.append(record)
+    return records
 
 
-def read_parallel_nps(path, sources: Collection[VersionId]) -> list[ParallelNp]:
-    """The parallel NP set of a `dump_parallel_nps` file, given the annotated
-    versions `sources`: a line of a source starts an NP, and the lines after
-    it are its projections. Raises ValueError for a line that is not four
-    tab-separated fields or names no `<language>-<edition>` version."""
-    versions, spans = {}, {"": ()}  # each distinct name and index text converted once
-    result: list[ParallelNp] = []
+def dump_parallel_nps(parallel_nps: Sequence[ParallelNp], corpus: ParallelCorpus, path) -> None:
+    """Write the parallel NP set as inspectable lines:
+    `<verse-id>\\t<version>\\t<idx,idx,...>\\t<surface text>`, source line first."""
+    records = format_parallel_nps(parallel_nps, corpus)
+    write_output(path, "".join([f"{verse}\t{name}\t{indices}\t{surface}\n"
+                                for record in records for verse, name, indices, surface in record]))
+
+
+def read_parallel_nps(path, sources: Collection[str]) -> list[NpLines]:
+    """The records of a `dump_parallel_nps` file, as `format_parallel_nps`
+    gives them, given the names of the annotated versions `sources`: a line
+    of a source starts an NP, and the lines after it are its projections.
+    Nothing is parsed past the fields. Raises ValueError for a line that is
+    not four tab-separated fields, or a first line of no source."""
+    records: list[NpLines] = []
     lines = read_lines(path)
     if not lines[-1]:  # after the newline that ends the last line
         lines.pop()
     for line in lines:
-        verse_id, name, index_text, _surface = line.split("\t")
-        if name not in versions:
-            version = VersionId.from_string(name)
-            versions[name] = version, version in sources
-        version, is_source = versions[name]
-        span = spans.get(index_text)
-        if span is None:
-            span = spans[index_text] = tuple(map(int, index_text.split(",")))
-        if is_source:
-            projections = {}
-            result.append(ParallelNp(verse_id, (version, span), projections))
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise ValueError(f"{path}: expected 4 tab-separated fields, got {len(fields)}")
+        if fields[1] in sources:
+            record = [fields]
+            records.append(record)
+        elif records:
+            record.append(fields)
         else:
-            projections[version] = span
-    return result
+            raise ValueError(f"{path}: the first line is of no annotated version, got {fields[1]!r}")
+    return records

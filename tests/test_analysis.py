@@ -15,7 +15,7 @@ from casemark.analysis import (
 )
 from casemark.corpus import ParallelCorpus, VersionId
 from casemark.extraction import CandidateMarker, MarkerSet
-from casemark.projection import ParallelNp, build_parallel_np_set
+from casemark.projection import ParallelNp, build_parallel_np_set, format_parallel_nps
 
 
 def marker_set(language, grams):
@@ -127,10 +127,15 @@ def world():
     return corpus, pnps, markers
 
 
+def records(corpus, pnps):
+    """The NPs as `analyze` sees them: the text of their dump lines."""
+    return format_parallel_nps(pnps, corpus)
+
+
 class TestGrouping:
     def test_syncretic_marker_splits_by_second_language(self):
         corpus, pnps, markers = world()
-        groups = group_by_marker_combination(pnps, corpus, markers, ["latin", "russian"])
+        groups = group_by_marker_combination(records(corpus, pnps), markers, ["latin", "russian"])
         keys = {g.key for g in groups}
         assert len(groups) == 3
         assert keys == {
@@ -141,8 +146,8 @@ class TestGrouping:
 
     def test_head_word_is_the_last_span_token(self):
         corpus, pnps, markers = world()
-        groups = group_by_marker_combination(pnps, corpus, markers, ["latin"])
-        # v2's latin head is "bonis", matched by is$
+        groups = group_by_marker_combination(records(corpus, pnps), markers, ["latin"])
+        # v2's latin head is "bonis", the last word of "operibus bonis", matched by is$
         assert (("latin", "is$"),) in {g.key for g in groups}
 
     def test_missing_projection_keeps_none_slot(self):
@@ -150,37 +155,37 @@ class TestGrouping:
         clipped = [
             ParallelNp("v1", pnps[0].source, {LAT: pnps[0].projections[LAT]}),
         ]
-        groups = group_by_marker_combination(clipped, corpus, markers, ["latin", "russian"])
+        groups = group_by_marker_combination(records(corpus, clipped), markers, ["latin", "russian"])
         assert groups[0].key == (("latin", "ibus$"), ("russian", None))
 
     def test_groups_partition_the_input(self):
         corpus, pnps, markers = world()
-        groups = group_by_marker_combination(pnps * 2, corpus, markers, ["latin", "russian"])
+        groups = group_by_marker_combination(records(corpus, pnps * 2), markers, ["latin", "russian"])
         total = sum(len(g.members) for g in groups)
         assert total == len(pnps) * 2
         assert all(len(g.members) == 2 for g in groups)
 
     def test_identical_assignments_merge(self):
         corpus, pnps, markers = world()
-        groups = group_by_marker_combination([pnps[0], pnps[0]], corpus, markers, ["latin"])
+        groups = group_by_marker_combination(records(corpus, [pnps[0], pnps[0]]), markers, ["latin"])
         assert len(groups) == 1
         assert len(groups[0].members) == 2
 
     def test_no_language_puts_every_np_in_one_group(self):
         # `analyze` with no marker file and no `analysis.languages` groups by no language.
         corpus, pnps, markers = world()
-        groups = group_by_marker_combination(pnps, corpus, markers, [])
-        assert groups == [MarkerCombinationGroup(key=(), members=tuple(pnps))]
+        groups = group_by_marker_combination(records(corpus, pnps), markers, [])
+        assert groups == [MarkerCombinationGroup(key=(), members=tuple(records(corpus, pnps)))]
 
     def test_missing_marker_set_rejected(self):
         corpus, pnps, markers = world()
         with pytest.raises(KeyError):
-            group_by_marker_combination(pnps, corpus, markers, ["klingon"])
+            group_by_marker_combination(records(corpus, pnps), markers, ["klingon"])
 
     def test_report_renders_samples(self):
         corpus, pnps, markers = world()
-        groups = group_by_marker_combination(pnps, corpus, markers, ["latin", "russian"])
-        text = render_group_report(groups, corpus, samples_per_group=2)
+        groups = group_by_marker_combination(records(corpus, pnps), markers, ["latin", "russian"])
+        text = render_group_report(groups, samples_per_group=2)
         assert "latin=ibus$" in text
         assert "the houses" in text
 
@@ -188,7 +193,7 @@ class TestGrouping:
 class TestCooccurrenceMatrix:
     def test_single_np_rows(self):
         corpus, pnps, _markers = world()
-        matrix = build_cooccurrence_matrix([pnps[1]], corpus)
+        matrix = build_cooccurrence_matrix(records(corpus, [pnps[1]]))
         assert matrix.rows == (
             "english:deeds", "english:good", "latin:bonis", "latin:operibus", "russian:делами", "russian:добрыми"
         )
@@ -197,13 +202,13 @@ class TestCooccurrenceMatrix:
 
     def test_absent_word_has_no_row(self):
         corpus, pnps, _markers = world()
-        matrix = build_cooccurrence_matrix([pnps[0]], corpus)
+        matrix = build_cooccurrence_matrix(records(corpus, [pnps[0]]))
         assert "latin:domibus" in matrix.rows
         assert "latin:patribus" not in matrix.rows and "english:parents" not in matrix.rows
 
     def test_row_sums_match_brute_force(self):
         corpus, pnps, _markers = world()
-        matrix = build_cooccurrence_matrix(pnps, corpus)
+        matrix = build_cooccurrence_matrix(records(corpus, pnps))
         sums = Counter()
         for row_i, _col_i, count in matrix.cells:
             sums[matrix.rows[row_i]] += count
@@ -226,12 +231,26 @@ class TestCooccurrenceMatrix:
         versions = dict(corpus.versions)
         versions[VersionId("english", "e2")] = corpus.versions[ENG]
         corpus2 = ParallelCorpus(versions=versions, shared_verses=corpus.shared_verses)
-        matrix = build_cooccurrence_matrix([pnps[0], other_edition], corpus2)
+        matrix = build_cooccurrence_matrix(records(corpus2, [pnps[0], other_edition]))
         assert len(matrix.cols) == 2
+
+    def test_empty_source_span_adds_no_row(self, tmp_path):
+        """An empty span's surface is "", which is no token, not the token
+        "": its NP keeps its column, and only its projection gives rows."""
+        corpus, _pnps, _markers = world()
+        empty = records(corpus, [ParallelNp("v1", (ENG, ()), {LAT: (0,)})])
+        assert empty[0][0] == ["v1", "english-e1", "", ""]
+        matrix = build_cooccurrence_matrix(empty)
+        assert matrix.rows == ("latin:domibus",)
+        assert matrix.cols == ("v1|english-e1|",)
+        assert matrix.cells == ((0, 0, 1),)
+        export_matrix(matrix, tmp_path)
+        assert (tmp_path / "cols.txt").read_text(encoding="utf-8") == "v1|english-e1|\t\n"
+        assert (tmp_path / "matrix.tsv").read_text(encoding="utf-8") == "0\t0\t1\n"
 
     def test_export_is_deterministic(self, tmp_path):
         corpus, pnps, _markers = world()
-        matrix = build_cooccurrence_matrix(pnps, corpus)
+        matrix = build_cooccurrence_matrix(records(corpus, pnps))
         first = tmp_path / "one"
         second = tmp_path / "two"
         export_matrix(matrix, first)
@@ -241,14 +260,14 @@ class TestCooccurrenceMatrix:
 
     def test_export_empty_matrix(self, tmp_path):
         corpus, _pnps, _markers = world()
-        matrix = build_cooccurrence_matrix([], corpus)
+        matrix = build_cooccurrence_matrix(records(corpus, []))
         export_matrix(matrix, tmp_path)
         assert (tmp_path / "matrix.tsv").read_text() == ""
         assert (tmp_path / "rows.txt").read_text() == ""
 
     def test_triplet_lines(self, tmp_path):
         corpus, pnps, _markers = world()
-        matrix = build_cooccurrence_matrix(pnps, corpus)
+        matrix = build_cooccurrence_matrix(records(corpus, pnps))
         export_matrix(matrix, tmp_path)
         lines = (tmp_path / "matrix.tsv").read_text().splitlines()
         assert len(lines) == len(matrix.cells)
@@ -265,7 +284,7 @@ def test_grouping_on_synthetic_pipeline_output(synth):
     config = PipelineConfig(theta=synth.fixture.theta, languages=("lingua",))
     marker_sets = run_pipeline(synth.corpus, synth.annotations, synth.alignments, config)
     pnps = build_parallel_np_set(synth.corpus, synth.annotations, synth.alignments)
-    groups = group_by_marker_combination(pnps, synth.corpus, marker_sets, ["lingua"])
+    groups = group_by_marker_combination(records(synth.corpus, pnps), marker_sets, ["lingua"])
     keys = {g.key for g in groups}
     assert (("lingua", "um$"),) in keys
     assert (("lingua", "ibus$"),) in keys
@@ -331,8 +350,9 @@ class TestGroupingMatchesSortedProjections:
     )
     def test_same_groups_as_the_reference(self, world, languages):
         corpus, pnps, markers = world
-        groups = group_by_marker_combination(pnps, corpus, markers, sorted(languages))
-        assert {g.key: g.members for g in groups} == sorted_projection_groups(pnps, corpus, markers, languages)
+        groups = group_by_marker_combination(records(corpus, pnps), markers, sorted(languages))
+        expected = sorted_projection_groups(pnps, corpus, markers, languages)
+        assert {g.key: g.members for g in groups} == {key: tuple(records(corpus, nps)) for key, nps in expected.items()}
         sizes = [len(g.members) for g in groups]
         assert sizes == sorted(sizes, reverse=True)
 
@@ -342,7 +362,8 @@ class TestGroupingMatchesSortedProjections:
             shared_verses=("v1",),
         )
         pnp = ParallelNp("v1", (ENG, (0,)), {LAT2: (0,), LAT: (0,)})
-        groups = group_by_marker_combination([pnp], corpus, {"latin": marker_set("latin", {"is$", "ibus$"})}, ["latin"])
+        markers = {"latin": marker_set("latin", {"is$", "ibus$"})}
+        groups = group_by_marker_combination(records(corpus, [pnp]), markers, ["latin"])
         assert groups[0].key == (("latin", "is$"),)
 
 
@@ -389,16 +410,17 @@ def matrix_worlds(draw):
 
 
 def brute_force_export(pnps, corpus):
-    """Reference: one Counter over `(language:form, np_id)`, then the three
+    """Reference: one Counter over `(language:form, NP id)`, then the three
     files written from its sorted keys."""
     counts = Counter()
     col_text = {}
     for pnp in pnps:
         source, span = pnp.source
-        col_text[pnp.np_id] = " ".join(corpus.verse(source, pnp.verse)[i] for i in span)
+        np_id = f"{pnp.verse}|{source.language}-{source.edition}|{','.join(map(str, span))}"
+        col_text[np_id] = " ".join(corpus.verse(source, pnp.verse)[i] for i in span)
         for version, indices in [*pnp.projections.items(), (source, span)]:
             for i in indices:
-                counts[f"{version.language}:{corpus.verse(version, pnp.verse)[i]}", pnp.np_id] += 1
+                counts[f"{version.language}:{corpus.verse(version, pnp.verse)[i]}", np_id] += 1
     rows = sorted({row for row, _col in counts})
     cols = sorted(col_text)
     cells = sorted((rows.index(row), cols.index(col), n) for (row, col), n in counts.items())
@@ -415,7 +437,7 @@ class TestCooccurrenceMatrixMatchesCounter:
     def test_random_worlds(self, world, tmp_path_factory):
         corpus, pnps = world
         expected, cells = brute_force_export(pnps, corpus)
-        matrix = build_cooccurrence_matrix(pnps, corpus)
+        matrix = build_cooccurrence_matrix(records(corpus, pnps))
         assert list(matrix.cells) == cells
         assert max(count for _row, _col, count in matrix.cells) >= 2
         assert matrix.rows.index("old-norse:x") < matrix.rows.index("old:x")
@@ -436,7 +458,7 @@ class TestCooccurrenceMatrixMatchesCounter:
             ParallelNp("v1", (ENG, (0, 1)), {}),
         ]
         expected, cells = brute_force_export(pnps, corpus)
-        matrix = build_cooccurrence_matrix(pnps, corpus)
+        matrix = build_cooccurrence_matrix(records(corpus, pnps))
         assert matrix.cols == ("v1|english-e1|0,1", "v2|english-e1|0,1")
         assert list(matrix.cells) == cells
         assert (matrix.rows.index("english:the"), 0, 4) in cells

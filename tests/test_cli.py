@@ -452,10 +452,10 @@ class TestAnalyzeAndProject:
 class TestDumpReuse:
     """After `project`, `analyze` in the same output directory reads the NP
     set back from the dump when `nps/manifest.json` is the record that the
-    current inputs and that dump give, and projects nothing; on any other
-    record, or none, it parses and projects as a cold run does. Either way
-    its `analysis/` files are the bytes of a cold `analyze` in a fresh
-    output directory."""
+    current inputs and that dump give, and parses no verse file and projects
+    nothing; on any other record, or none, it parses and projects as a cold
+    run does. Either way its `analysis/` files are the bytes of a cold
+    `analyze` in a fresh output directory."""
 
     @pytest.fixture
     def ready(self, synth, workdir, tmp_path, monkeypatch):  # workdir writes the paradigm file that is copied
@@ -478,10 +478,17 @@ class TestDumpReuse:
         assert main(["analyze", "--config", str(config), "--out", str(out)]) == 0
         return snapshot(out / "analysis")
 
-    def test_analyze_after_project_reads_the_dump(self, ready):
+    def test_analyze_after_project_reads_the_dump(self, ready, monkeypatch):
         config, out, cold, calls = ready
         record = json.loads((out / "nps" / "manifest.json").read_text(encoding="utf-8"))
         assert record["parallel_nps"] == hashlib.sha256((out / "nps" / "parallel_nps.tsv").read_bytes()).hexdigest()
+        assert record["verse_files"] == sorted(name for name in record["inputs"] if name.startswith("verses/"))
+        assert record["verse_allowlist"] is None
+
+        def no_parse(*args):
+            raise AssertionError("a verse file was parsed")
+
+        monkeypatch.setattr(cli, "load_corpus", no_parse)
         assert main(["analyze", "--config", str(config)]) == 0
         assert calls == []
         assert snapshot(out / "analysis") == cold
@@ -495,6 +502,16 @@ class TestDumpReuse:
         data = bytearray(path.read_bytes())
         at = re.search(rb"-[1-9]", data).start() + 1
         data[at] = ord("0")
+        path.write_bytes(bytes(data))
+
+    @staticmethod
+    def change_a_verse_byte(root):
+        """One byte of a target's verse file changed: the first letter of
+        its first token, so the file stays valid and a row changes."""
+        path = root / "verses" / "lingua-l1.txt"
+        data = bytearray(path.read_bytes())
+        at = data.index(b"\t") + 1
+        data[at] = ord("y" if data[at] == ord("z") else "z")
         path.write_bytes(bytes(data))
 
     @staticmethod
@@ -512,6 +529,7 @@ class TestDumpReuse:
         "change",
         [
             lower_first_link,
+            change_a_verse_byte,
             allow_some_verses,
             edit_a_dump_line,
             lambda root: (root / "out" / "nps" / "manifest.json").unlink(),
@@ -519,13 +537,31 @@ class TestDumpReuse:
             lambda root: (root / "out" / "nps" / "manifest.json").write_text("[]\n", encoding="utf-8"),
             lambda root: (root / "out" / "nps" / "manifest.json").write_text("[" * 100000, encoding="utf-8"),
         ],
-        ids=["alignment byte", "allowlist added", "dump line edited", "record deleted", "record not JSON",
+        ids=["alignment byte", "verse byte", "allowlist added", "dump line edited", "record deleted", "record not JSON",
              "record a list", "record nested too deep"],
     )
     def test_any_other_record_is_a_miss(self, ready, tmp_path, change):
         config, out, _cold, calls = ready
         change(config.parent)
         cold = self.cold(config, tmp_path / "cold_after")  # the inputs may have changed
+        calls.clear()
+        assert main(["analyze", "--config", str(config)]) == 0
+        assert calls == [1]
+        assert snapshot(out / "analysis") == cold
+
+    def test_a_changed_allowlist_file_is_a_miss(self, ready, tmp_path):
+        """The record holds the hash of the effective allowlist, not only of
+        the input files: the allowlist file is not one of them."""
+        config, out, _cold, calls = ready
+        allowlist = write_lines(config.parent / "allow.txt", ["v001", "v002", "v003", "v010", "v011"])
+        write_lines(config, [config.read_text(encoding="utf-8"), "verse_allowlist_file: allow.txt"])
+        assert main(["project", "--config", str(config)]) == 0
+        calls.clear()
+        assert main(["analyze", "--config", str(config)]) == 0
+        assert calls == []
+        assert snapshot(out / "analysis") == self.cold(config, tmp_path / "cold_allowed")
+        write_lines(allowlist, ["v001", "v002", "v010"])
+        cold = self.cold(config, tmp_path / "cold_after")
         calls.clear()
         assert main(["analyze", "--config", str(config)]) == 0
         assert calls == [1]

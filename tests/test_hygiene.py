@@ -243,6 +243,19 @@ class TestTracedCommands:
         dump_lines = (out / "nps" / "parallel_nps.tsv").read_bytes().splitlines()
         assert nps["nps"] + nps["hits"] == len(dump_lines)
 
+    def test_analyze_after_project(self, workdir, tmp_path):
+        """The benchmark's traced `analyze` runs after `project`: it reads
+        the NPs from the dump and loads no corpus."""
+        config, out = workdir
+        assert cli.main(["extract", "--config", str(config)]) == 0
+        assert cli.main(["project", "--config", str(config)]) == 0
+        analyze = self.traced(tmp_path, config, out, "analyze")
+        matrix_lines = (out / "analysis" / "matrix.tsv").read_bytes().splitlines()
+        assert matrix_lines
+        assert analyze["analysis.build_cooccurrence_matrix"] == {"cells": len(matrix_lines)}
+        assert "corpus.load_corpus" not in analyze
+        assert "projection.build_parallel_np_set" not in analyze
+
 
 def readme_flag_table() -> dict[str, set[str]]:
     """The README's "subcommand | flags" table: each subcommand named in a

@@ -25,6 +25,7 @@ from casemark.projection import (
     build_inside_outside,
     build_parallel_np_set,
     dump_parallel_nps,
+    format_parallel_nps,
     partition_word_types,
     read_parallel_nps,
 )
@@ -431,31 +432,52 @@ class TestInsideOutsideMatchesPerTokenLoop:
 
 
 class TestReadParallelNps:
-    """`read_parallel_nps` is the inverse of `dump_parallel_nps`: the list it
-    reads back equals the one dumped, NPs without a projection, repeated,
+    """`read_parallel_nps` reads back the records `format_parallel_nps` gave
+    `dump_parallel_nps` to write: NPs without a projection, repeated,
     overlapping and empty hand-built spans included, in the same order and
-    with each NP's projections in the same order."""
+    with each NP's projections in sorted version order. Splitting a surface
+    on single spaces gives back the span's tokens; "" is an empty span."""
+
+    @staticmethod
+    def expected_records(pnps, corpus):
+        """Reference: each NP's lines, source first, built field by field."""
+        def line(verse, version, span):
+            tokens = corpus.verse(version, verse)
+            return [verse, str(version), ",".join(map(str, span)), " ".join(tokens[i] for i in span)]
+
+        return [
+            [line(pnp.verse, version, span) for version, span in (pnp.source, *sorted(pnp.projections.items()))]
+            for pnp in pnps
+        ]
 
     @settings(max_examples=200)
     @given(hand_annotated_worlds(min_span=0))
     def test_random_worlds(self, tmp_path_factory, world):
         corpus, annotations, alignments = world
         pnps = build_parallel_np_set(corpus, annotations, alignments)
+        records = format_parallel_nps(pnps, corpus)
+        assert records == self.expected_records(pnps, corpus)
         path = tmp_path_factory.getbasetemp() / "round_trip.tsv"
         dump_parallel_nps(pnps, corpus, path)
-        read = read_parallel_nps(path, {ENG, ENG2})
-        assert read == pnps
-        assert [list(p.projections) for p in read] == [list(p.projections) for p in pnps]
+        assert read_parallel_nps(path, {"english-e1", "english-e2"}) == records
+        for record, pnp in zip(records, pnps):
+            for line, (version, span) in zip(record, (pnp.source, *sorted(pnp.projections.items()))):
+                surface = line[3]
+                assert (surface.split(" ") if surface else []) == [corpus.verse(version, pnp.verse)[i] for i in span]
 
     def test_synthetic_corpus(self, synth, tmp_path):
         pnps = build_parallel_np_set(synth.corpus, synth.annotations, synth.alignments)
+        records = format_parallel_nps(pnps, synth.corpus)
+        assert records == self.expected_records(pnps, synth.corpus)
         dump_parallel_nps(pnps, synth.corpus, tmp_path / "nps.tsv")
-        assert read_parallel_nps(tmp_path / "nps.tsv", {a.version for a in synth.annotations}) == pnps
+        assert read_parallel_nps(tmp_path / "nps.tsv", {str(a.version) for a in synth.annotations}) == records
         dump_parallel_nps([], synth.corpus, tmp_path / "empty.tsv")
-        assert read_parallel_nps(tmp_path / "empty.tsv", {ENG}) == []
+        assert (tmp_path / "empty.tsv").read_bytes() == b""
+        assert read_parallel_nps(tmp_path / "empty.tsv", {"english-e1"}) == []
 
     @pytest.mark.parametrize("line", ["v1\tenglish-e1\t0", "v1\tenglish\t0\ta", "v1\tenglish\tx-e1\t0\ta"])
     def test_a_line_it_cannot_read_is_a_value_error(self, tmp_path, line):
+        # Three fields; a first line of no annotated version; five fields.
         path = write_lines(tmp_path / "nps.tsv", [line])
         with pytest.raises(ValueError):
-            read_parallel_nps(path, {ENG})
+            read_parallel_nps(path, {"english-e1"})
