@@ -395,13 +395,13 @@ def cmd_analyze(config: RunConfig) -> int:
         annotations, alignments = _load_links(config, corpus)
     # The versions as `load_corpus` takes them; on a hit, `project` loaded these very files.
     versions = {VersionId.from_filename(p) for p in config.verse_files}
-    languages_with_verses = {version.language for version in versions}
-    _require_named(config.analysis_languages, languages_with_verses, "verse files")
+    _require_named(config.analysis_languages, {version.language for version in versions}, "verse files")
     sources = {VersionId.from_filename(p) for p in config.annotation_files}  # names already checked
-    # A language with annotated sources alone has no projection to read a marker from.
+    # A language with annotated sources alone has no projection to read a marker from: it
+    # is an error to name one, and no default groups by it.
     unannotated = {version.language for version in versions if version not in sources}
     _require_named(config.analysis_languages, unannotated, "unannotated versions")
-    marker_sets = _read_markers(config, set(config.analysis_languages or languages_with_verses).__contains__)
+    marker_sets = _read_markers(config, set(config.analysis_languages or unannotated).__contains__)
     languages = config.analysis_languages or sorted(marker_sets)
     _require_named(languages, marker_sets, "marker files")
     if parallel_nps is None:  # projected after the checks above, as their errors come first

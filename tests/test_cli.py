@@ -362,10 +362,22 @@ class TestAnalyzeAndProject:
         assert main(["analyze", "--config", str(config)]) == 0
         groups = (out / "analysis" / "groups.txt").read_bytes()
         write_lines(out / "markers" / malformed, ["not a marker line"])
-        # Grouped: analysis.languages when set, else the corpus languages.
+        # Grouped: analysis.languages when set, else the languages with an unannotated version.
         limited = write_lines(tmp_path / "limited.yaml", [config.read_text(encoding="utf-8"), *analysis])
         assert main(["analyze", "--config", str(limited)]) == 0
         assert (out / "analysis" / "groups.txt").read_bytes() == groups
+
+    def test_default_languages_skip_a_source_only_language(self, workdir):
+        """Without `analysis.languages`, `analyze` groups only the languages
+        with an unannotated version: english, whose one version is the
+        annotated source, gets no column, and its marker file is not read."""
+        config, out = workdir
+        assert main(["extract", "--config", str(config), "--languages", "english,lingua"]) == 0
+        write_lines(out / "markers" / "english.tsv", ["not a marker line"])
+        assert main(["analyze", "--config", str(config)]) == 0
+        lines = (out / "analysis" / "groups.txt").read_text(encoding="utf-8").splitlines()
+        keys = [line.split("\t")[1] for line in lines if line.startswith("group\t")]
+        assert keys and all(key.startswith("lingua=") and " " not in key for key in keys)
 
     def test_analyze_skips_marker_files_the_manifest_does_not_list(self, workdir, tmp_path):
         """As in `eval`: lingua's marker file is stale after an extract of tercia alone."""
@@ -585,7 +597,9 @@ class TestAnalysisFileBytes:
     """The `analyze` and `project` outputs of the synthetic fixture, pinned
     by SHA-256 (hashes taken before the matrix was counted row by row).
     `groups.txt` depends on the marker files; the matrix and the NP dump do
-    not."""
+    not. The second `groups.txt` hash was taken again when `analyze` stopped
+    grouping by english, a source-only language, by default: the only change
+    was its `english=-` column."""
 
     MATRIX = {
         "analysis/rows.txt": "3b5845bbe304c08fda7e91027bbb425fb3da717ea9b42df41cc8678f522d76cd",
@@ -596,7 +610,7 @@ class TestAnalysisFileBytes:
     GROUPS = {
         (): "f7138e50017b63060e90365297ff55ed57fe2cc3231b08e21f5186de93363b09",
         ("--languages", "english,lingua,tercia", "--theta", "1", "--no-suffix-only"):
-            "6856203e5d5cd27e8ab0a23e01fec95f8d796a103996de9592ea93218ce90351",
+            "8f41bbb3e7a65fcbf2aa721b70a7dec5a07508396ee6c3447872a5693bde628e",
     }
 
     @pytest.mark.parametrize("flags", list(GROUPS))
