@@ -383,7 +383,7 @@ def _dumped_parallel_nps(config: RunConfig) -> Optional[list]:
         if stored != _project_record(config, dump):
             return None
         sources = {str(VersionId.from_filename(p)) for p in config.annotation_files}
-        return projection.read_parallel_nps(dump, sources)
+        return projection.read_parallel_nps(dump.read_text(encoding="utf-8"), sources)
     except (OSError, ValueError, RecursionError):  # RecursionError: JSON nested too deep
         return None
 
@@ -405,8 +405,9 @@ def cmd_analyze(config: RunConfig) -> int:
     languages = config.analysis_languages or sorted(marker_sets)
     _require_named(languages, marker_sets, "marker files")
     if parallel_nps is None:  # projected after the checks above, as their errors come first
-        found = projection.build_parallel_np_set(corpus, annotations, alignments)
-        parallel_nps = projection.format_parallel_nps(found, corpus)
+        # Read from the dump's text, as on a hit, so that both paths analyse the same records.
+        text = projection.format_parallel_nps(projection.build_parallel_np_set(corpus, annotations, alignments), corpus)
+        parallel_nps = projection.read_parallel_nps(text, {str(version) for version in sources})
     analysis_dir = config.output_dir / "analysis"
     groups = analysis.group_by_marker_combination(parallel_nps, marker_sets, languages)
     write_output(analysis_dir / "groups.txt", analysis.render_group_report(groups, config.samples_per_group))

@@ -14,7 +14,7 @@ from functools import cache
 from itertools import chain, compress
 from typing import Collection, Mapping, NamedTuple, Sequence
 
-from .corpus import Alignment, NpAnnotation, ParallelCorpus, VersionId, read_lines, write_output
+from .corpus import Alignment, NpAnnotation, ParallelCorpus, VersionId, write_output
 from .errors import ConfigurationError
 
 
@@ -198,50 +198,46 @@ def partition_word_types(counts: InsideOutsideCounts) -> WordPartition:
     )
 
 
-def format_parallel_nps(parallel_nps: Sequence[ParallelNp], corpus: ParallelCorpus) -> list[NpLines]:
-    """Each parallel NP as the fields of its dump lines: the source line
-    first, then one line per projection in sorted version order."""
+def format_parallel_nps(parallel_nps: Sequence[ParallelNp], corpus: ParallelCorpus) -> str:
+    """The text of the NP dump: per NP, its source line and then one line
+    per projection in sorted version order, each
+    `<verse-id>\\t<version>\\t<idx,idx,...>\\t<surface text>`."""
     versions = corpus.versions
     names = {version: str(version) for version in versions}
     index_text = cache(format_indices)  # few distinct index tuples
-    records = []
+    lines = []
     for verse_id, (source, span), projections in parallel_nps:
-        record = []
         for version, token_indices in ((source, span), *sorted(projections.items())):
             tokens = versions[version][verse_id]
             surface = " ".join([tokens[i] for i in token_indices])
-            record.append([verse_id, names[version], index_text(token_indices), surface])
-        records.append(record)
-    return records
+            lines.append(f"{verse_id}\t{names[version]}\t{index_text(token_indices)}\t{surface}\n")
+    return "".join(lines)
 
 
 def dump_parallel_nps(parallel_nps: Sequence[ParallelNp], corpus: ParallelCorpus, path) -> None:
-    """Write the parallel NP set as inspectable lines:
-    `<verse-id>\\t<version>\\t<idx,idx,...>\\t<surface text>`, source line first."""
-    records = format_parallel_nps(parallel_nps, corpus)
-    write_output(path, "".join([f"{verse}\t{name}\t{indices}\t{surface}\n"
-                                for record in records for verse, name, indices, surface in record]))
+    """Write the parallel NP set as inspectable lines (`format_parallel_nps`)."""
+    write_output(path, format_parallel_nps(parallel_nps, corpus))
 
 
-def read_parallel_nps(path, sources: Collection[str]) -> list[NpLines]:
-    """The records of a `dump_parallel_nps` file, as `format_parallel_nps`
-    gives them, given the names of the annotated versions `sources`: a line
-    of a source starts an NP, and the lines after it are its projections.
-    Nothing is parsed past the fields. Raises ValueError for a line that is
-    not four tab-separated fields, or a first line of no source."""
+def read_parallel_nps(text: str, sources: Collection[str]) -> list[NpLines]:
+    """The NPs of the dump text `text`, given the names of the annotated
+    versions `sources`: a line of a source starts an NP, and the lines after
+    it are its projections. Nothing is parsed past the fields. Raises
+    ValueError for a line that is not four tab-separated fields, or a first
+    line of no source."""
     records: list[NpLines] = []
-    lines = read_lines(path)
+    lines = text.split("\n")
     if not lines[-1]:  # after the newline that ends the last line
         lines.pop()
     for line in lines:
         fields = line.split("\t")
         if len(fields) != 4:
-            raise ValueError(f"{path}: expected 4 tab-separated fields, got {len(fields)}")
+            raise ValueError(f"expected 4 tab-separated fields in an NP dump line, got {len(fields)}")
         if fields[1] in sources:
             record = [fields]
             records.append(record)
         elif records:
             record.append(fields)
         else:
-            raise ValueError(f"{path}: the first line is of no annotated version, got {fields[1]!r}")
+            raise ValueError(f"the first NP dump line is of no annotated version, got {fields[1]!r}")
     return records

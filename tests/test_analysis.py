@@ -15,7 +15,7 @@ from casemark.analysis import (
 )
 from casemark.corpus import ParallelCorpus, VersionId
 from casemark.extraction import CandidateMarker, MarkerSet
-from casemark.projection import ParallelNp, build_parallel_np_set, format_parallel_nps
+from casemark.projection import ParallelNp, build_parallel_np_set, format_parallel_nps, read_parallel_nps
 
 
 def marker_set(language, grams):
@@ -129,7 +129,8 @@ def world():
 
 def records(corpus, pnps):
     """The NPs as `analyze` sees them: the text of their dump lines."""
-    return format_parallel_nps(pnps, corpus)
+    sources = {str(pnp.source[0]) for pnp in pnps}
+    return read_parallel_nps(format_parallel_nps(pnps, corpus), sources)
 
 
 class TestGrouping:

@@ -432,11 +432,12 @@ class TestInsideOutsideMatchesPerTokenLoop:
 
 
 class TestReadParallelNps:
-    """`read_parallel_nps` reads back the records `format_parallel_nps` gave
-    `dump_parallel_nps` to write: NPs without a projection, repeated,
-    overlapping and empty hand-built spans included, in the same order and
-    with each NP's projections in sorted version order. Splitting a surface
-    on single spaces gives back the span's tokens; "" is an empty span."""
+    """`read_parallel_nps` reads the NPs from the text that
+    `format_parallel_nps` gives and `dump_parallel_nps` writes: NPs without
+    a projection, repeated, overlapping and empty hand-built spans included,
+    in the same order and with each NP's projections in sorted version
+    order. Splitting a surface on single spaces gives back the span's
+    tokens; "" is an empty span."""
 
     @staticmethod
     def expected_records(pnps, corpus):
@@ -455,11 +456,12 @@ class TestReadParallelNps:
     def test_random_worlds(self, tmp_path_factory, world):
         corpus, annotations, alignments = world
         pnps = build_parallel_np_set(corpus, annotations, alignments)
-        records = format_parallel_nps(pnps, corpus)
-        assert records == self.expected_records(pnps, corpus)
         path = tmp_path_factory.getbasetemp() / "round_trip.tsv"
         dump_parallel_nps(pnps, corpus, path)
-        assert read_parallel_nps(path, {"english-e1", "english-e2"}) == records
+        text = format_parallel_nps(pnps, corpus)
+        assert path.read_text(encoding="utf-8") == text
+        records = read_parallel_nps(text, {"english-e1", "english-e2"})
+        assert records == self.expected_records(pnps, corpus)
         for record, pnp in zip(records, pnps):
             for line, (version, span) in zip(record, (pnp.source, *sorted(pnp.projections.items()))):
                 surface = line[3]
@@ -467,17 +469,17 @@ class TestReadParallelNps:
 
     def test_synthetic_corpus(self, synth, tmp_path):
         pnps = build_parallel_np_set(synth.corpus, synth.annotations, synth.alignments)
-        records = format_parallel_nps(pnps, synth.corpus)
-        assert records == self.expected_records(pnps, synth.corpus)
         dump_parallel_nps(pnps, synth.corpus, tmp_path / "nps.tsv")
-        assert read_parallel_nps(tmp_path / "nps.tsv", {str(a.version) for a in synth.annotations}) == records
+        text = (tmp_path / "nps.tsv").read_text(encoding="utf-8")
+        assert text == format_parallel_nps(pnps, synth.corpus)
+        sources = {str(a.version) for a in synth.annotations}
+        assert read_parallel_nps(text, sources) == self.expected_records(pnps, synth.corpus)
         dump_parallel_nps([], synth.corpus, tmp_path / "empty.tsv")
         assert (tmp_path / "empty.tsv").read_bytes() == b""
-        assert read_parallel_nps(tmp_path / "empty.tsv", {"english-e1"}) == []
+        assert read_parallel_nps("", {"english-e1"}) == []
 
     @pytest.mark.parametrize("line", ["v1\tenglish-e1\t0", "v1\tenglish\t0\ta", "v1\tenglish\tx-e1\t0\ta"])
-    def test_a_line_it_cannot_read_is_a_value_error(self, tmp_path, line):
+    def test_a_line_it_cannot_read_is_a_value_error(self, line):
         # Three fields; a first line of no annotated version; five fields.
-        path = write_lines(tmp_path / "nps.tsv", [line])
         with pytest.raises(ValueError):
-            read_parallel_nps(path, {"english-e1"})
+            read_parallel_nps(line + "\n", {"english-e1"})
