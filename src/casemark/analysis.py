@@ -68,8 +68,8 @@ def group_by_marker_combination(
 
     The last word of a projection's surface stands in for the head word
     (suffixing languages), taken from the language's first projection; the
-    projection lines are in sorted version order, as `format_parallel_nps`
-    and the dump give them, so a language's lines are adjacent. NPs lacking
+    projection lines are in sorted version order, as the dump text holds
+    them, so a language's lines are adjacent. NPs lacking
     a projection in a requested language keep a None slot for it. Groups
     come out largest first (ties in key order).
     """
