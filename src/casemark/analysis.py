@@ -14,7 +14,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .corpus import BOUNDARY, VersionId, write_output
 from .extraction import MarkerSet
-from .projection import NpLines, format_np_id
+from .projection import NpLines
 
 GroupKey = tuple[tuple[str, Optional[str]], ...]
 
@@ -112,13 +112,15 @@ def build_cooccurrence_matrix(parallel_nps: Sequence[NpLines]) -> CooccurrenceMa
     """Count how often each word form occurs inside each parallel NP.
 
     Rows cover the projected spans and the source span, each split from its
-    surface; NPs from different source editions stay distinct columns. The
-    NPs are walked in the order of their column ids, and each distinct id
-    takes the next column number, so NPs with equal ids share a column and
-    each row's list of columns, one entry per occurrence, comes out sorted.
-    A row name is its version's `language:` prefix plus the token.
+    surface. A column id is `<verse-id>|<version>|<idx,idx,...>`, the first
+    three fields of the NP's source line, so NPs from different source
+    editions stay distinct columns. The NPs are walked in the order of their
+    column ids, and each distinct id takes the next column number, so NPs
+    with equal ids share a column and each row's list of columns, one entry
+    per occurrence, comes out sorted. A row name is its version's
+    `language:` prefix plus the token.
     """
-    ids = [format_np_id(*record[0][:3]) for record in parallel_nps]
+    ids = ["|".join(record[0][:3]) for record in parallel_nps]
     prefixes: dict[str, str] = {}  # per version name, its `language:` prefix
     cols: list[str] = []
     col_text: dict[str, str] = {}

@@ -190,22 +190,14 @@ def _input_hashes(config: RunConfig) -> dict[str, str]:
     return {name: _sha256(path) for name, path in config.inputs.items()}
 
 
-def _load_corpus(config: RunConfig):
+def _load_corpus_inputs(config: RunConfig):
+    """The corpus, then the NP annotations and the alignments parsed against it."""
     _require_existing(config.verse_files, "verse files")
     _require_existing(config.alignment_files, "alignment files")
     _require_existing(config.annotation_files, "annotation files")
-    return load_corpus(config.verse_files, config.verse_allowlist)
-
-
-def _load_links(config: RunConfig, corpus):
-    """The NP annotations and the alignments, parsed against `corpus`."""
+    corpus = load_corpus(config.verse_files, config.verse_allowlist)
     annotations = [load_np_annotation(p, corpus) for p in config.annotation_files]
-    return annotations, [load_alignment(p, corpus) for p in config.alignment_files]
-
-
-def _load_corpus_inputs(config: RunConfig):
-    corpus = _load_corpus(config)
-    return (corpus, *_load_links(config, corpus))
+    return corpus, annotations, [load_alignment(p, corpus) for p in config.alignment_files]
 
 
 def _require_named(named, available, what: str) -> None:
@@ -351,12 +343,12 @@ def cmd_ablate(config: RunConfig) -> int:
     return 0
 
 
-def _project_record(config: RunConfig, dump: Path) -> dict:
-    """What `project` records in `nps/manifest.json` beside its dump `dump`:
-    the inputs' hashes; the verse, annotation and alignment files by name in
-    config order (a name in `inputs` does not say which list holds it, or
-    how often); the SHA-256 of the effective verse allowlist's sorted ids,
-    one per line, or None without one; and the dump's hash."""
+def _project_record(config: RunConfig, dump_hash: str) -> dict:
+    """What `project` records in `nps/manifest.json` beside its dump of
+    SHA-256 `dump_hash`: the inputs' hashes; the verse, annotation and
+    alignment files by name in config order (a name in `inputs` does not say
+    which list holds it, or how often); the SHA-256 of the effective verse
+    allowlist's sorted ids, one per line, or None without one; `dump_hash`."""
     names = {path: name for name, path in config.inputs.items()}
     allowlist = config.verse_allowlist
     if allowlist is not None:
@@ -367,36 +359,33 @@ def _project_record(config: RunConfig, dump: Path) -> dict:
         "verse_allowlist": allowlist,
         "annotation_files": [names[p] for p in config.annotation_files],
         "alignment_files": [names[p] for p in config.alignment_files],
-        "parallel_nps": _sha256(dump),
+        "parallel_nps": dump_hash,
     }
 
 
-def _dumped_parallel_nps(config: RunConfig) -> Optional[list]:
-    """The NP records of `project`'s dump in the output directory, if the
-    record beside it is the one these inputs and that dump give; None on any
-    miss, never an error. An equal record means that `project` parsed these
+def _dumped_np_text(config: RunConfig) -> Optional[str]:
+    """The text of `project`'s NP dump in the output directory, if the record
+    beside it is the one these inputs and that dump give; None on any miss,
+    never an error. The dump is read once: its bytes are hashed for the
+    compare, then decoded. An equal record means that `project` parsed these
     very verse, annotation and alignment bytes under this allowlist, and
     projected them without an error, so no input is parsed here."""
     dump = config.output_dir / "nps" / "parallel_nps.tsv"
     try:
         stored = json.loads(dump.with_name("manifest.json").read_bytes())  # before any hashing
-        if stored != _project_record(config, dump):
+        data = dump.read_bytes()
+        if stored != _project_record(config, hashlib.sha256(data).hexdigest()):
             return None
-        sources = {str(VersionId.from_filename(p)) for p in config.annotation_files}
-        return projection.read_parallel_nps(dump.read_text(encoding="utf-8"), sources)
+        return data.decode("utf-8")
     except (OSError, ValueError, RecursionError):  # RecursionError: JSON nested too deep
         return None
 
 
 def cmd_analyze(config: RunConfig) -> int:
-    parallel_nps = _dumped_parallel_nps(config)
-    if parallel_nps is None:  # a miss: parse the inputs as a cold run does
-        corpus = _load_corpus(config)
-        annotations, alignments = _load_links(config, corpus)
-    # The versions as `load_corpus` takes them; on a hit, `project` loaded these very files.
+    # The names are checked first, from the file names alone, as `load_corpus` takes the versions.
     versions = {VersionId.from_filename(p) for p in config.verse_files}
     _require_named(config.analysis_languages, {version.language for version in versions}, "verse files")
-    sources = {VersionId.from_filename(p) for p in config.annotation_files}  # names already checked
+    sources = {VersionId.from_filename(p) for p in config.annotation_files}
     # A language with annotated sources alone has no projection to read a marker from: it
     # is an error to name one, and no default groups by it.
     unannotated = {version.language for version in versions if version not in sources}
@@ -404,10 +393,11 @@ def cmd_analyze(config: RunConfig) -> int:
     marker_sets = _read_markers(config, set(config.analysis_languages or unannotated).__contains__)
     languages = config.analysis_languages or sorted(marker_sets)
     _require_named(languages, marker_sets, "marker files")
-    if parallel_nps is None:  # projected after the checks above, as their errors come first
-        # Read from the dump's text, as on a hit, so that both paths analyse the same records.
+    text = _dumped_np_text(config)
+    if text is None:  # a miss: parse and project as `project` does, to the text its dump would hold
+        corpus, annotations, alignments = _load_corpus_inputs(config)
         text = projection.format_parallel_nps(projection.build_parallel_np_set(corpus, annotations, alignments), corpus)
-        parallel_nps = projection.read_parallel_nps(text, {str(version) for version in sources})
+    parallel_nps = projection.read_parallel_nps(text, {str(version) for version in sources})
     analysis_dir = config.output_dir / "analysis"
     groups = analysis.group_by_marker_combination(parallel_nps, marker_sets, languages)
     write_output(analysis_dir / "groups.txt", analysis.render_group_report(groups, config.samples_per_group))
@@ -422,7 +412,7 @@ def cmd_project(config: RunConfig) -> int:
     dump = config.output_dir / "nps" / "parallel_nps.tsv"
     projection.dump_parallel_nps(parallel_nps, corpus, dump)
     # After the dump: a run cut short between the two writes leaves a record that no longer matches it.
-    record = json.dumps(_project_record(config, dump), sort_keys=True, indent=2)
+    record = json.dumps(_project_record(config, _sha256(dump)), sort_keys=True, indent=2)
     write_output(dump.with_name("manifest.json"), record + "\n")
     return 0
 

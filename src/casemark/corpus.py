@@ -45,8 +45,10 @@ class VersionId(NamedTuple):
 
     @classmethod
     def from_string(cls, text: str) -> "VersionId":
+        """The version named `text`; a name with a tab or a line break, which
+        would split a line of the NP dump, is no version id."""
         language, sep, edition = text.rpartition("-")
-        if not sep or not language or not edition:
+        if not sep or not language or not edition or "\t" in text or "\n" in text or "\r" in text:
             raise ValueError(f"version id must look like <language>-<edition>, got {text!r}")
         return cls(language, edition)
 

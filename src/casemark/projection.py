@@ -34,17 +34,6 @@ class ParallelNp(NamedTuple):
 NpLines = list[list[str]]
 
 
-def format_indices(indices: Sequence[int]) -> str:
-    """`idx,idx,...`, the text of a span's token indices in ids and dumps."""
-    return ",".join(map(str, indices))
-
-
-def format_np_id(verse: str, version_name: str, index_text: str) -> str:
-    """`<verse-id>|<version>|<idx,idx,...>`, the id of a source-edition NP,
-    from its span's `format_indices` text."""
-    return f"{verse}|{version_name}|{index_text}"
-
-
 class InsideOutsideCounts(NamedTuple):
     """Per-language multisets of tokens inside and outside projected NPs."""
 
@@ -204,7 +193,7 @@ def format_parallel_nps(parallel_nps: Sequence[ParallelNp], corpus: ParallelCorp
     `<verse-id>\\t<version>\\t<idx,idx,...>\\t<surface text>`."""
     versions = corpus.versions
     names = {version: str(version) for version in versions}
-    index_text = cache(format_indices)  # few distinct index tuples
+    index_text = cache(lambda indices: ",".join(map(str, indices)))  # few distinct index tuples
     lines = []
     for verse_id, (source, span), projections in parallel_nps:
         for version, token_indices in ((source, span), *sorted(projections.items())):

@@ -454,6 +454,27 @@ class TestAnalyzeAndProject:
         assert capsys.readouterr() == ("", f"casemark analyze: {message}\n")
         assert not (out / "analysis").exists()
 
+    @pytest.mark.parametrize("broken", ["missing", "malformed"])
+    def test_a_cold_analyze_checks_the_names_before_it_reads_an_input(self, workdir, tmp_path, capsys, broken):
+        """The language names are checked against the file names and the
+        marker files before any input is parsed, as on a reuse of the dump:
+        a cold run reports a named language without verse files, not an
+        alignment file that is missing or does not parse."""
+        config, out = workdir
+        assert main(["extract", "--config", str(config)]) == 0
+        alignment = tmp_path / "broken.tsv"
+        if broken == "malformed":
+            write_lines(alignment, ["no header"])
+        text = config.read_text(encoding="utf-8").replace("alignment_files:\n", f'alignment_files:\n  - "{alignment}"\n')
+        configured = write_lines(tmp_path / "broken.yaml", [text, "analysis:", "  languages: [lingua, zzz]"])
+        capsys.readouterr()
+        assert main(["analyze", "--config", str(configured)]) == 2
+        assert capsys.readouterr() == ("", "casemark analyze: no verse files for languages: zzz\n")
+        configured = write_lines(tmp_path / "broken.yaml", [text])
+        assert main(["analyze", "--config", str(configured)]) == 2
+        assert str(alignment) in capsys.readouterr().err
+        assert not (out / "analysis").exists()
+
     def test_project_dumps_parallel_nps(self, workdir):
         config, out = workdir
         assert main(["project", "--config", str(config)]) == 0
@@ -1367,6 +1388,32 @@ class TestFileNameWithoutVersion:
         assert f"{tmp_path / name}: file name must look like <language>-<edition>.<ext>" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["project", "analyze"])
+    @pytest.mark.parametrize("breaker", ["\t", "\n", "\r"], ids=["tab", "newline", "carriage return"])
+    def test_a_tab_or_line_break_in_the_version_exits_2(self, tmp_path, capsys, command, breaker):
+        """A version name is a field of the NP dump's tab-separated lines, so
+        a name holding a tab or a line break would split them: two annotated
+        versions, one of them `la<tab>tin-e1`, once made `project` write
+        5-field lines and `analyze` fail with a traceback."""
+        name = f"la{breaker}tin-e1"
+        verses = {f"{name}.txt": {"v1": "domus alba"}, "greek-e1.txt": {"v1": "oikos leukos"}}
+        verse_files = tiny_corpus_files(tmp_path, verses)
+        annotations = [write_lines(tmp_path / f"{version}.np", ["v1\t0:2"]) for version in (name, "greek-e1")]
+        (tmp_path / "markers").mkdir()
+        config = write_lines(
+            tmp_path / "run.yaml",
+            [
+                f"verse_files: {json.dumps([str(p) for p in verse_files])}",
+                f"annotation_files: {json.dumps([str(p) for p in annotations])}",
+                f'output_dir: "{tmp_path / "out"}"',
+                'markers_dir: "markers"',
+            ],
+        )
+        assert main([command, "--config", str(config)]) == 2
+        message = f"{verse_files[0]}: file name must look like <language>-<edition>.<ext>"
+        assert capsys.readouterr() == ("", f"casemark {command}: {message}\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestFlagsPerSubcommand:
     """Each subcommand accepts exactly the flags it reads; any other flag is
@@ -1511,3 +1558,96 @@ class TestMarkerFileWithUndefinedOdds:
         assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in markers} == self.EXPECTED
         # The pinned bytes: `anu$`, `nu$` and `u$`, each `3 0 1.0 NA`.
         assert (out / "markers" / "lingua.tsv").read_text(encoding="utf-8").count("\t1.0\tNA\n") == 3
+
+
+class TestErrorBranches:
+    """Error branches that the other tests do not reach: each exits with its
+    code and its message on stderr, never a traceback."""
+
+    def test_a_config_that_is_a_list_exits_2(self, tmp_path, capsys):
+        config = write_lines(tmp_path / "run.yaml", ["- verse_files", "- alignment_files"])
+        assert main(["extract", "--config", str(config)]) == 2
+        assert capsys.readouterr() == ("", f"casemark extract: config file {config} must hold a mapping at top level\n")
+
+    def test_a_glob_that_matches_no_file_exits_2(self, tmp_path, capsys):
+        config = write_lines(tmp_path / "run.yaml", ['verse_files: ["verses/*.txt"]'])
+        assert main(["project", "--config", str(config)]) == 2
+        assert capsys.readouterr() == ("", "casemark project: glob 'verses/*.txt' matched no files\n")
+
+    @pytest.mark.parametrize(
+        "command, kind, producer", [("eval", "silver", "silver"), ("analyze", "markers", "extract")]
+    )
+    def test_a_missing_output_directory_exits_2(self, workdir, capsys, command, kind, producer):
+        config, out = workdir
+        assert main([command, "--config", str(config)]) == 2
+        message = f"{kind} directory {out / kind} does not exist (run `{producer}` first?)"
+        assert capsys.readouterr() == ("", f"casemark {command}: {message}\n")
+        assert not out.exists()
+
+    def test_an_alignment_header_version_without_a_hyphen_exits_2(self, tmp_path, capsys):
+        verse_files = tiny_corpus_files(tmp_path, {"english-e1.txt": {"v1": "the houses"}, "latin-l1.txt": {"v1": "domibus"}})
+        alignment = write_lines(tmp_path / "english-latin.tsv", ["#\tenglish\tlatin-l1", "v1\t1-0"])
+        annotation = write_lines(tmp_path / "english-e1.np", ["v1\t0:2"])
+        config = write_lines(
+            tmp_path / "run.yaml",
+            [
+                "verse_files:",
+                *[f'  - "{p}"' for p in verse_files],
+                f'alignment_files: ["{alignment}"]',
+                f'annotation_files: ["{annotation}"]',
+                f'output_dir: "{tmp_path / "out"}"',
+            ],
+        )
+        assert main(["project", "--config", str(config)]) == 2
+        message = f"{alignment}:1: version id must look like <language>-<edition>, got 'english'"
+        assert capsys.readouterr() == ("", f"casemark project: {message}\n")
+
+    def test_a_silver_language_without_verse_files_exits_2_in_ablate(self, workdir, tmp_path, capsys):
+        """With no language selection every silver standard is scored, and
+        one of a language with no verse file has no extraction output."""
+        config, out = workdir
+        text = config.read_text(encoding="utf-8").replace('  languages: ["lingua"]\n', "")
+        unselected = write_lines(tmp_path / "unselected.yaml", [text])
+        assert main(["silver", "--config", str(unselected)]) == 0
+        write_lines(out / "silver" / "zzz.txt", ["um$"])
+        capsys.readouterr()
+        assert main(["ablate", "--config", str(unselected)]) == 2
+        assert capsys.readouterr() == ("", "casemark ablate: no extraction output for silver language 'zzz'\n")
+        assert not (out / "ablation").exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("um$\t3\t1\t0.5", "expected 5 fields, got 4"),
+            ("um$\tthree\t1\t0.5\t2.0", "invalid literal for int() with base 10: 'three'"),
+        ],
+        ids=["four fields", "count not an integer"],
+    )
+    def test_a_malformed_marker_file_line_exits_2_in_eval(self, workdir, capsys, line, message):
+        config, out = workdir
+        assert main(["extract", "--config", str(config)]) == 0
+        assert main(["silver", "--config", str(config)]) == 0
+        markers = out / "markers" / "lingua.tsv"
+        lines = markers.read_text(encoding="utf-8").splitlines()
+        write_lines(markers, [*lines, line])
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config)]) == 2
+        assert capsys.readouterr() == ("", f"casemark eval: {markers}:{len(lines) + 1}: {message}\n")
+        assert not (out / "eval").exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("\tdomus\tN;NOM;SG", "empty lemma or form"), ("dom\tdomus\t;", "empty feature string")],
+        ids=["empty lemma", "empty features"],
+    )
+    def test_a_malformed_paradigm_line_fails_its_language_alone(self, workdir, tmp_path, capsys, line, message):
+        config, out = workdir
+        broken = write_lines(tmp_path / "zzz.paradigms.tsv", ["dom\tdomibus\tN;DAT;PL", line])
+        text = config.read_text(encoding="utf-8").replace('  languages: ["lingua"]\n', "")
+        text = text.replace("paradigm_files:\n", f'paradigm_files:\n  zzz: "{broken}"\n')
+        both = write_lines(tmp_path / "both.yaml", [text])
+        assert main(["silver", "--config", str(both)]) == 1
+        assert capsys.readouterr() == ("", f"silver: zzz: {broken}:2: {message}\n")
+        assert (out / "silver" / "lingua.txt").read_text(encoding="utf-8") == "ibus$\num$\n"
+        assert not (out / "silver" / "zzz.txt").exists()
+        assert (out / "silver" / "diagnostics.tsv").read_text(encoding="utf-8").splitlines()[1:] == ["lingua\t1\t2"]

@@ -81,6 +81,12 @@ class TestVersionId:
         with pytest.raises(ValueError):
             VersionId.from_string("english")
 
+    @pytest.mark.parametrize("name", ["la\ttin-e1", "latin-e\t1", "la\ntin-e1", "latin-e1\r", "\rlatin-e1"])
+    def test_rejects_a_tab_or_line_break(self, name):
+        # A version name is a field of the NP dump's tab-separated lines.
+        with pytest.raises(ValueError, match="version id must look like"):
+            VersionId.from_string(name)
+
 
 class TestLoadCorpus:
     def test_shared_verses_are_the_intersection(self, two_version_paths):

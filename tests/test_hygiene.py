@@ -2,12 +2,13 @@
 uses, the package root exports nothing and no file imports a name from it,
 no module imports `dataclasses` and a fresh `import casemark.cli` loads none
 of the code-inspection modules, only `corpus.write_output` writes files,
-every output file has a failed-write test, every function the benchmark
-tracer wraps still exists, a traced `extract`, `analyze` and `project` still
-run, the README's table of flags per subcommand matches the parser, and its
-example configuration names every accepted config key.
+every output file has a failed-write test, one function of the CLI parses
+the corpus inputs, every function the benchmark tracer wraps still exists,
+a traced `extract`, `analyze` and `project` still run, the README's table
+of flags per subcommand matches the parser, and its example configuration
+names every accepted config key.
 
-The import, writer and tracer checks read source files with `ast` only; the
+The import, writer, loader and tracer checks read source files with `ast` only; the
 tracer is never imported, only run in a subprocess, as is the fresh import.
 """
 
@@ -102,6 +103,20 @@ def file_writes(source: str, writer=None) -> list[int]:
     return sorted(lines)
 
 
+def users_of(source: str, names) -> list[str]:
+    """The top-level functions and classes of `source` that name one of
+    `names`, as a name or an attribute, and `<module>` for a use elsewhere
+    outside an import."""
+    users = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if any(isinstance(inner, ast.Name) and inner.id in names or isinstance(inner, ast.Attribute) and inner.attr in names
+               for inner in ast.walk(node)):
+            users.add(node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>")
+    return sorted(users)
+
+
 def wrapped_functions() -> list[tuple[str, str]]:
     """The (module, function) pairs of the tracer's WRAPPED tuple."""
     for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
@@ -165,6 +180,28 @@ class TestImportPath:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
+
+
+class TestOneLoader:
+    """In the CLI, `_load_corpus_inputs` is the one function that parses the
+    verse, annotation and alignment files, so every command that reads them
+    checks and loads them in one way."""
+
+    PARSERS = {"load_corpus", "load_np_annotation", "load_alignment"}
+
+    def test_only_load_corpus_inputs_names_the_parsers(self):
+        assert users_of((PACKAGE / "cli.py").read_text(encoding="utf-8"), self.PARSERS) == ["_load_corpus_inputs"]
+
+    def test_detects_each_kind_of_use(self):
+        source = (
+            "from .corpus import load_corpus\nimport corpus\n"
+            "def a():\n    return load_corpus()\n"
+            "def b():\n    return corpus.load_alignment\n"
+            "class C:\n    parse = load_np_annotation\n"
+            "parse = load_corpus\n"
+            "def d():\n    return load_corpus_inputs()\n"
+        )
+        assert users_of(source, self.PARSERS) == ["<module>", "C", "a", "b"]
 
 
 class TestSingleWriter:

@@ -11,8 +11,9 @@ from casemark.errors import UndefinedOddsError
 from casemark.stats import ContingencyTable, ExactTest, fisher_exact_two_sided, odds_ratio
 
 
-def exact_two_sided(a, b, c, d, slack=0):
-    """Arbitrary precision enumeration oracle for the two-sided exact test.
+def exact_p_value(a, b, c, d, slack=0):
+    """Arbitrary precision enumeration oracle for the two-sided exact test,
+    as a Fraction.
 
     Point probabilities with shared margins have a common denominator, so the
     qualifying-table comparison is an exact comparison of integers, here with
@@ -27,7 +28,12 @@ def exact_two_sided(a, b, c, d, slack=0):
         t = math.comb(r1, k) * math.comb(r2, c1 - k)
         if t <= limit:
             numerator += t
-    return float(Fraction(numerator, math.comb(r1 + r2, c1)))
+    return Fraction(numerator, math.comb(r1 + r2, c1))
+
+
+def exact_two_sided(a, b, c, d, slack=0):
+    """`exact_p_value` rounded to a float."""
+    return float(exact_p_value(a, b, c, d, slack))
 
 
 tables = st.tuples(
@@ -150,6 +156,16 @@ class TestExactTest:
             expected = exact_two_sided(table.a, table.b, table.c, table.d, slack=Fraction(1, 10**7))
             worst = max(worst, abs(fisher_exact_two_sided(table) - expected) / expected)
         assert worst <= 1e-12
+
+
+    def test_a_p_value_below_the_smallest_float_is_zero(self):
+        """[600, 0; 0, 600]: the true p-value, 2 / C(1200, 600), is far below
+        the smallest subnormal float, and the walk's product of point
+        probability ratios from the mode underflows to zero on its way."""
+        true_p = exact_p_value(600, 0, 0, 600)
+        assert true_p == Fraction(2, math.comb(1200, 600))
+        assert 0 < true_p < Fraction(math.ulp(0.0))
+        assert ExactTest(600, 600).p_value(600, 0) == 0.0
 
 
 class TestOddsRatio:
