@@ -22,10 +22,8 @@ from typing import NamedTuple, Optional
 import yaml
 
 from . import analysis, evaluation, extraction, projection, silver
-from .corpus import (
-    VersionId, corpus_fingerprint, load_alignment, load_corpus, load_np_annotation, open_input, write_output,
-)
-from .errors import CasemarkError, ConfigurationError
+from .corpus import VersionId, load_alignment, load_corpus, load_np_annotation, open_input, write_output
+from .errors import CasemarkError, ConfigurationError, CorpusError
 from .extraction import ABLATION_VARIANTS, POSITIONS, PipelineConfig
 
 # The shape of a key whose value, null included, must pass `test`; the error
@@ -185,11 +183,6 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _input_hashes(config: RunConfig) -> dict[str, str]:
-    """The SHA-256 of each input file, keyed by its name in the config."""
-    return {name: _sha256(path) for name, path in config.inputs.items()}
-
-
 def _load_corpus_inputs(config: RunConfig):
     """The corpus, then the NP annotations and the alignments parsed against it."""
     _require_existing(config.verse_files, "verse files")
@@ -237,11 +230,7 @@ def cmd_extract(config: RunConfig) -> int:
     corpus, annotations, alignments = _load_corpus_inputs(config)
     _select(config, corpus.languages(), "verse files")
     marker_sets = extraction.extract_marker_sets(corpus, annotations, alignments, config.pipeline)
-    manifest = {
-        "pipeline": config.pipeline._asdict(),
-        "inputs": _input_hashes(config),
-        "corpus_fingerprint": corpus_fingerprint(corpus),
-    }
+    manifest = {"pipeline": config.pipeline._asdict(), **_input_record(config)}
     written = []  # only these go in the manifest: `eval` would score an earlier file of the others
 
     def write_manifest(languages):
@@ -343,38 +332,37 @@ def cmd_ablate(config: RunConfig) -> int:
     return 0
 
 
-def _project_record(config: RunConfig, dump_hash: str) -> dict:
-    """What `project` records in `nps/manifest.json` beside its dump of
-    SHA-256 `dump_hash`: the inputs' hashes; the verse, annotation and
+def _input_record(config: RunConfig) -> dict:
+    """What both manifests record of the inputs: the SHA-256 of each input
+    file, keyed by its name in the config; the verse, annotation and
     alignment files by name in config order (a name in `inputs` does not say
     which list holds it, or how often); the SHA-256 of the effective verse
-    allowlist's sorted ids, one per line, or None without one; `dump_hash`."""
+    allowlist's sorted ids, one per line, or None without one."""
     names = {path: name for name, path in config.inputs.items()}
     allowlist = config.verse_allowlist
     if allowlist is not None:
         allowlist = hashlib.sha256("\n".join(sorted(allowlist)).encode("utf-8")).hexdigest()
     return {
-        "inputs": _input_hashes(config),
+        "inputs": {name: _sha256(path) for name, path in config.inputs.items()},
         "verse_files": [names[p] for p in config.verse_files],
         "verse_allowlist": allowlist,
         "annotation_files": [names[p] for p in config.annotation_files],
         "alignment_files": [names[p] for p in config.alignment_files],
-        "parallel_nps": dump_hash,
     }
 
 
-def _dumped_np_text(config: RunConfig) -> Optional[str]:
-    """The text of `project`'s NP dump in the output directory, if the record
-    beside it is the one these inputs and that dump give; None on any miss,
-    never an error. The dump is read once: its bytes are hashed for the
-    compare, then decoded. An equal record means that `project` parsed these
-    very verse, annotation and alignment bytes under this allowlist, and
-    projected them without an error, so no input is parsed here."""
-    dump = config.output_dir / "nps" / "parallel_nps.tsv"
+def _dumped_np_text(config: RunConfig, dump: Path) -> Optional[str]:
+    """The text of `project`'s NP dump `dump`, if the record beside it is
+    these inputs' `_input_record` with that dump's SHA-256 as `parallel_nps`;
+    None on any miss, never an error. The dump is read once: its bytes are
+    hashed for the compare, then decoded. An equal record means that
+    `project` parsed these very verse, annotation and alignment bytes under
+    this allowlist, and projected them without an error, so no input is
+    parsed here."""
     try:
         stored = json.loads(dump.with_name("manifest.json").read_bytes())  # before any hashing
         data = dump.read_bytes()
-        if stored != _project_record(config, hashlib.sha256(data).hexdigest()):
+        if stored != {**_input_record(config), "parallel_nps": hashlib.sha256(data).hexdigest()}:
             return None
         return data.decode("utf-8")
     except (OSError, ValueError, RecursionError):  # RecursionError: JSON nested too deep
@@ -393,11 +381,15 @@ def cmd_analyze(config: RunConfig) -> int:
     marker_sets = _read_markers(config, set(config.analysis_languages or unannotated).__contains__)
     languages = config.analysis_languages or sorted(marker_sets)
     _require_named(languages, marker_sets, "marker files")
-    text = _dumped_np_text(config)
+    dump = config.output_dir / "nps" / "parallel_nps.tsv"
+    text = _dumped_np_text(config, dump)
     if text is None:  # a miss: parse and project as `project` does, to the text its dump would hold
         corpus, annotations, alignments = _load_corpus_inputs(config)
         text = projection.format_parallel_nps(projection.build_parallel_np_set(corpus, annotations, alignments), corpus)
-    parallel_nps = projection.read_parallel_nps(text, {str(version) for version in sources})
+    try:
+        parallel_nps = projection.read_parallel_nps(text, {str(version) for version in sources})
+    except ValueError as exc:  # only a hit's text can fail: a dump under a matching record, not written by `project`
+        raise CorpusError(f"{dump}: {exc}") from None
     analysis_dir = config.output_dir / "analysis"
     groups = analysis.group_by_marker_combination(parallel_nps, marker_sets, languages)
     write_output(analysis_dir / "groups.txt", analysis.render_group_report(groups, config.samples_per_group))
@@ -412,7 +404,7 @@ def cmd_project(config: RunConfig) -> int:
     dump = config.output_dir / "nps" / "parallel_nps.tsv"
     projection.dump_parallel_nps(parallel_nps, corpus, dump)
     # After the dump: a run cut short between the two writes leaves a record that no longer matches it.
-    record = json.dumps(_project_record(config, _sha256(dump)), sort_keys=True, indent=2)
+    record = json.dumps({**_input_record(config), "parallel_nps": _sha256(dump)}, sort_keys=True, indent=2)
     write_output(dump.with_name("manifest.json"), record + "\n")
     return 0
 

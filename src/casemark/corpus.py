@@ -323,7 +323,9 @@ def load_np_annotation(path, corpus: ParallelCorpus) -> NpAnnotation:
 
 
 def corpus_fingerprint(corpus: ParallelCorpus) -> str:
-    """Content hash of the corpus, stable across load order."""
+    """Content hash of the corpus, stable across load order. No command
+    writes it (the manifests record each input file's SHA-256); the
+    benchmark's tracer still looks it up by name."""
     digest = hashlib.sha256()
     for version in sorted(corpus.versions):
         verses = corpus.versions[version]

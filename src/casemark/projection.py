@@ -211,10 +211,12 @@ def dump_parallel_nps(parallel_nps: Sequence[ParallelNp], corpus: ParallelCorpus
 def read_parallel_nps(text: str, sources: Collection[str]) -> list[NpLines]:
     """The NPs of the dump text `text`, given the names of the annotated
     versions `sources`: a line of a source starts an NP, and the lines after
-    it are its projections. Nothing is parsed past the fields. Raises
-    ValueError for a line that is not four tab-separated fields, or a first
-    line of no source."""
+    it are its projections. Nothing is parsed past the fields but the
+    version names, each distinct one checked once. Raises ValueError for a
+    line that is not four tab-separated fields, a version field that is no
+    version id, or a first line of no source."""
     records: list[NpLines] = []
+    checked: set[str] = set()  # the well-formed version names of projection lines
     lines = text.split("\n")
     if not lines[-1]:  # after the newline that ends the last line
         lines.pop()
@@ -226,6 +228,9 @@ def read_parallel_nps(text: str, sources: Collection[str]) -> list[NpLines]:
             record = [fields]
             records.append(record)
         elif records:
+            if fields[1] not in checked:
+                VersionId.from_string(fields[1])
+                checked.add(fields[1])
             record.append(fields)
         else:
             raise ValueError(f"the first NP dump line is of no annotated version, got {fields[1]!r}")

@@ -78,6 +78,23 @@ class TestExtract:
         assert manifest["languages"] == ["lingua"]
         assert all(len(digest) == 64 for digest in manifest["inputs"].values())
 
+    def test_manifest_records_the_inputs_as_project_does(self, workdir):
+        """`manifest.json` holds the input record of `nps/manifest.json`, with
+        the pipeline and languages where that holds the dump's hash, so an
+        inline allowlist shows in both."""
+        config, out = workdir
+        for command in ("extract", "project"):
+            assert main([command, "--config", str(config)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        record = json.loads((out / "nps" / "manifest.json").read_text(encoding="utf-8"))
+        del manifest["pipeline"], manifest["languages"], record["parallel_nps"]
+        assert manifest == record
+        assert manifest["verse_allowlist"] is None
+        write_lines(config, [config.read_text(encoding="utf-8"), "verse_allowlist: [v003, v001, v002]"])
+        assert main(["extract", "--config", str(config)]) == 0
+        allowed = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert allowed["verse_allowlist"] == hashlib.sha256(b"v001\nv002\nv003").hexdigest()
+
     def test_threshold_override_changes_results(self, workdir):
         config, out = workdir
         assert main(["extract", "--config", str(config), "--theta", "61"]) == 0
@@ -528,6 +545,34 @@ class TestDumpReuse:
         assert len(cold) == 4 and all(cold.values())
 
     @staticmethod
+    def unhyphenate_a_projection(text):
+        """The dump text with the version field of its first projection
+        line, a line of no source, made `nohyphen`."""
+        lines = [line.split("\t") for line in text.splitlines()]
+        next(fields for fields in lines if fields[1] != "english-e1")[1] = "nohyphen"
+        return "".join("\t".join(fields) + "\n" for fields in lines)
+
+    @pytest.mark.parametrize(
+        "forge", [lambda _text: "v1\tbad line\n", unhyphenate_a_projection], ids=["two fields", "version nohyphen"],
+    )
+    def test_a_matching_record_over_an_unreadable_dump_exits_2(self, ready, capsys, forge):
+        """A dump that `project` cannot write, under a record rewritten to
+        its hash, is a hit; its text does not read as a dump, and `analyze`
+        exits 2 naming the dump before it writes anything."""
+        config, out, _cold, calls = ready
+        dump = out / "nps" / "parallel_nps.tsv"
+        dump.write_text(forge(dump.read_text(encoding="utf-8")), encoding="utf-8")
+        record = json.loads(dump.with_name("manifest.json").read_text(encoding="utf-8"))
+        record["parallel_nps"] = hashlib.sha256(dump.read_bytes()).hexdigest()
+        dump.with_name("manifest.json").write_text(json.dumps(record), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["analyze", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"casemark analyze: {dump}: ") and err.count("\n") == 1
+        assert calls == []
+        assert not (out / "analysis").exists()
+
+    @staticmethod
     def lower_first_link(root):
         """One byte of an alignment file changed: the target index of a
         link, to a lower one, so the file stays valid."""
@@ -862,7 +907,9 @@ class TestWorkingDirectoryIndependence:
 class TestLineOrderInvariance:
     """Shuffling the lines of every verse, annotation and alignment file (the
     alignment header kept first) changes no output but the input hashes in
-    `manifest.json` and `nps/manifest.json`."""
+    `manifest.json` and `nps/manifest.json`. The rest of each manifest stays:
+    the pipeline and languages, or the dump's hash, and the file lists and
+    the allowlist hash."""
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_shuffled_input_lines_change_no_output(self, synth, workdir, tmp_path, monkeypatch, seed):
@@ -880,7 +927,7 @@ class TestLineOrderInvariance:
             inputs = [manifest.pop("inputs") for manifest in manifests]
             assert inputs[0].keys() == inputs[1].keys()
             assert all(inputs[0][name] != inputs[1][name] for name in inputs[0])  # every input was reordered
-            assert manifests[0] == manifests[1]  # corpus_fingerprint (and the dump's hash) included
+            assert manifests[0] == manifests[1]  # pipeline, languages, file lists, allowlist and dump hashes
         assert shuffled == plain
         assert {"markers/lingua.tsv", "silver/lingua.txt", "ablation/ablation.tsv", "nps/parallel_nps.tsv"} <= {
             str(path) for path in plain
@@ -992,8 +1039,9 @@ class TestRelabeledLanguageInvariance:
 class TestUnsharedVerseInvariance:
     """A line with a fresh verse id in one verse file only, a verse that no
     other version has, changes no output of any subcommand but that file's
-    input hash in `manifest.json` and `nps/manifest.json`; the corpus
-    fingerprint stays."""
+    input hash in `manifest.json` and `nps/manifest.json`. The rest of each
+    manifest stays: the pipeline and languages, or the dump's hash, and the
+    file lists and the allowlist hash."""
 
     def test_verse_of_one_version_changes_only_its_input_hash(self, synth, workdir, tmp_path, monkeypatch):
         plain = run_every_command("run.yaml", relative_workdir(synth, tmp_path / "plain"), monkeypatch)
@@ -1006,7 +1054,7 @@ class TestUnsharedVerseInvariance:
             inputs = [manifest.pop("inputs") for manifest in manifests]
             assert inputs[0].keys() == inputs[1].keys()
             assert [name for name in inputs[0] if inputs[0][name] != inputs[1][name]] == ["verses/lingua-l1.txt"]
-            assert manifests[0] == manifests[1]  # corpus_fingerprint (and the dump's hash) included
+            assert manifests[0] == manifests[1]  # pipeline, languages, file lists, allowlist and dump hashes
         assert unshared == plain
         assert {"markers/lingua.tsv", "silver/lingua.txt", "ablation/ablation.tsv", "nps/parallel_nps.tsv",
                 "analysis/groups.txt"} <= {str(path) for path in plain}

@@ -3,13 +3,15 @@ uses, the package root exports nothing and no file imports a name from it,
 no module imports `dataclasses` and a fresh `import casemark.cli` loads none
 of the code-inspection modules, only `corpus.write_output` writes files,
 every output file has a failed-write test, one function of the CLI parses
-the corpus inputs, every function the benchmark tracer wraps still exists,
-a traced `extract`, `analyze` and `project` still run, the README's table
-of flags per subcommand matches the parser, and its example configuration
-names every accepted config key.
+the corpus inputs and one builds the manifests' input record (and the CLI
+never names `corpus_fingerprint`), every function the benchmark tracer
+wraps still exists, a traced `extract`, `analyze` and `project` still run,
+the README's table of flags per subcommand matches the parser, and its
+example configuration names every accepted config key.
 
-The import, writer, loader and tracer checks read source files with `ast` only; the
-tracer is never imported, only run in a subprocess, as is the fresh import.
+The import, writer, loader, record and tracer checks read source files with
+`ast` only; the tracer is never imported, only run in a subprocess, as is
+the fresh import.
 """
 
 import ast
@@ -103,18 +105,28 @@ def file_writes(source: str, writer=None) -> list[int]:
     return sorted(lines)
 
 
-def users_of(source: str, names) -> list[str]:
+def users_of(source: str, names, attributes_only: bool = False) -> list[str]:
     """The top-level functions and classes of `source` that name one of
-    `names`, as a name or an attribute, and `<module>` for a use elsewhere
-    outside an import."""
+    `names`, as a name or an attribute (only as an attribute if
+    `attributes_only`), and `<module>` for a use elsewhere outside an
+    import."""
     users = set()
     for node in ast.parse(source).body:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
-        if any(isinstance(inner, ast.Name) and inner.id in names or isinstance(inner, ast.Attribute) and inner.attr in names
+        if any(isinstance(inner, ast.Attribute) and inner.attr in names
+               or not attributes_only and isinstance(inner, ast.Name) and inner.id in names
                for inner in ast.walk(node)):
             users.add(node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>")
     return sorted(users)
+
+
+def identifiers(source: str) -> set[str]:
+    """Every identifier of `source`: each name, attribute, argument, definition
+    and imported name or alias."""
+    fields = ("id", "attr", "arg", "name", "asname")
+    return {value for node in ast.walk(ast.parse(source)) for field in fields
+            if isinstance(value := getattr(node, field, None), str)}
 
 
 def wrapped_functions() -> list[tuple[str, str]]:
@@ -202,6 +214,27 @@ class TestOneLoader:
             "def d():\n    return load_corpus_inputs()\n"
         )
         assert users_of(source, self.PARSERS) == ["<module>", "C", "a", "b"]
+
+
+class TestOneInputRecord:
+    """In the CLI, `_input_record` is the one function that reads the run's
+    `inputs`, so `manifest.json` and `nps/manifest.json` record the inputs in
+    one way, and no command fingerprints the parsed corpus."""
+
+    CLI = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+
+    def test_only_input_record_reads_the_inputs(self):
+        assert users_of(self.CLI, {"inputs"}, attributes_only=True) == ["_input_record"]
+
+    def test_cli_never_names_corpus_fingerprint(self):
+        assert "corpus_fingerprint" not in identifiers(self.CLI)
+
+    def test_detects_each_kind_of_use(self):
+        source = "def a(config):\n    inputs = 1\n    return inputs\ndef b(config):\n    return config.inputs\n"
+        assert users_of(source, {"inputs"}, attributes_only=True) == ["b"]
+        for line in ("from .corpus import corpus_fingerprint as f", "import corpus as c\nc.corpus_fingerprint",
+                     "def f(corpus_fingerprint): pass", "corpus_fingerprint = 1"):
+            assert "corpus_fingerprint" in identifiers(line)
 
 
 class TestSingleWriter:
