@@ -11,13 +11,13 @@ from __future__ import annotations
 import argparse
 import gc
 import glob
-import hashlib
-import json
 import os
 import sys
 from collections import namedtuple
 from pathlib import Path
 from typing import NamedTuple, Optional
+# `hashlib` and `json` are imported by the functions that use them: `silver`
+# and `ablate` neither hash nor read JSON, and need not load OpenSSL.
 
 import yaml
 
@@ -176,6 +176,8 @@ def load_run_config(path, flags: Optional[dict] = None) -> RunConfig:
 
 
 def _sha256(path) -> str:
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for block in iter(lambda: handle.read(65536), b""):
@@ -227,6 +229,8 @@ def _per_language(command: str, items, step) -> int:
 
 
 def cmd_extract(config: RunConfig) -> int:
+    import json
+
     corpus, annotations, alignments = _load_corpus_inputs(config)
     _select(config, corpus.languages(), "verse files")
     marker_sets = extraction.extract_marker_sets(corpus, annotations, alignments, config.pipeline)
@@ -282,6 +286,8 @@ def _read_markers(config: RunConfig, wanted) -> dict:
     that `<output_dir>/manifest.json` does not list is stale, left by an
     earlier extract, and is not read; any other `markers_dir` holds given
     marker files and is read whole."""
+    import json
+
     manifest, extracted = config.output_dir / "manifest.json", None
     if config.markers_dir == config.output_dir / "markers" and manifest.exists():
         try:
@@ -338,6 +344,8 @@ def _input_record(config: RunConfig) -> dict:
     alignment files by name in config order (a name in `inputs` does not say
     which list holds it, or how often); the SHA-256 of the effective verse
     allowlist's sorted ids, one per line, or None without one."""
+    import hashlib
+
     names = {path: name for name, path in config.inputs.items()}
     allowlist = config.verse_allowlist
     if allowlist is not None:
@@ -359,6 +367,9 @@ def _dumped_np_text(config: RunConfig, dump: Path) -> Optional[str]:
     `project` parsed these very verse, annotation and alignment bytes under
     this allowlist, and projected them without an error, so no input is
     parsed here."""
+    import hashlib
+    import json
+
     try:
         stored = json.loads(dump.with_name("manifest.json").read_bytes())  # before any hashing
         data = dump.read_bytes()
@@ -399,6 +410,8 @@ def cmd_analyze(config: RunConfig) -> int:
 
 
 def cmd_project(config: RunConfig) -> int:
+    import json
+
     corpus, annotations, alignments = _load_corpus_inputs(config)
     parallel_nps = projection.build_parallel_np_set(corpus, annotations, alignments)
     dump = config.output_dir / "nps" / "parallel_nps.tsv"

@@ -17,7 +17,6 @@ a newline, and a verse id appears at most once per file):
 
 from __future__ import annotations
 
-import hashlib
 import os
 import re
 import unicodedata
@@ -326,6 +325,8 @@ def corpus_fingerprint(corpus: ParallelCorpus) -> str:
     """Content hash of the corpus, stable across load order. No command
     writes it (the manifests record each input file's SHA-256); the
     benchmark's tracer still looks it up by name."""
+    import hashlib
+
     digest = hashlib.sha256()
     for version in sorted(corpus.versions):
         verses = corpus.versions[version]

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from operator import add
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -234,7 +234,8 @@ def build_candidate_counts(
     if theta > 1:  # at theta=1 every gram stays, and a copy would only cost memory
         inside = {gram: count for gram, count in inside.items() if count >= theta}
     outside = Counter(filter(inside.__contains__, chain.from_iterable(outside_grams)))
-    return {gram: (count, outside[gram]) for gram, count in inside.items()}
+    # `outside.get`, not `outside[gram]`: a Counter's `__missing__` is a Python call per absent gram.
+    return dict(zip(inside, zip(inside.values(), map(outside.get, inside, repeat(0)))))
 
 
 def frequency_filter(counts: Mapping[str, tuple[int, int]], theta: int) -> set[str]:
@@ -282,7 +283,7 @@ def inside_outside_filter(
 
 def suffix_restrict(grams: Iterable[str]) -> set[str]:
     """Keep exactly the word-final grams (trailing boundary marker)."""
-    return {gram for gram in grams if gram.endswith(BOUNDARY)}
+    return {gram for gram in grams if gram[-1:] == BOUNDARY}  # BOUNDARY is one character; no method call per gram
 
 
 def _by_position(grams: set[str], positions: frozenset[str]) -> dict[str, set[str]]:

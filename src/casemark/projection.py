@@ -173,18 +173,9 @@ def build_inside_outside(
 def partition_word_types(counts: InsideOutsideCounts) -> WordPartition:
     """Strict majority split: a type is NP-relevant iff it occurs inside NPs
     more often than outside; ties go to the irrelevant side."""
-    relevant = set()
-    irrelevant = set()
-    for word in counts.word_types():
-        if counts.inside[word] > counts.outside[word]:
-            relevant.add(word)
-        else:
-            irrelevant.add(word)
-    return WordPartition(
-        language=counts.language,
-        np_relevant=frozenset(relevant),
-        np_irrelevant=frozenset(irrelevant),
-    )
+    outside = counts.outside.get  # a type never seen inside an NP is irrelevant: only the inside ones are tested
+    relevant = frozenset([word for word, inside in counts.inside.items() if inside > outside(word, 0)])
+    return WordPartition(language=counts.language, np_relevant=relevant, np_irrelevant=counts.word_types() - relevant)
 
 
 def format_parallel_nps(parallel_nps: Sequence[ParallelNp], corpus: ParallelCorpus) -> str:

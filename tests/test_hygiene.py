@@ -1,13 +1,14 @@
 """Guards for deletions and drift: no module keeps an import it no longer
 uses, the package root exports nothing and no file imports a name from it,
 no module imports `dataclasses` and a fresh `import casemark.cli` loads none
-of the code-inspection modules, only `corpus.write_output` writes files,
-every output file has a failed-write test, one function of the CLI parses
-the corpus inputs and one builds the manifests' input record (and the CLI
-never names `corpus_fingerprint`), every function the benchmark tracer
-wraps still exists, a traced `extract`, `analyze` and `project` still run,
-the README's table of flags per subcommand matches the parser, and its
-example configuration names every accepted config key.
+of the code-inspection modules nor `hashlib` or `json`, only
+`corpus.write_output` writes files, every output file has a failed-write
+test, one function of the CLI parses the corpus inputs and one builds the
+manifests' input record (and the CLI never names `corpus_fingerprint`),
+every function the benchmark tracer wraps still exists, a traced `extract`,
+`analyze`, `project`, `silver` and `ablate` still run, the README's table of
+flags per subcommand matches the parser, and its example configuration
+names every accepted config key.
 
 The import, writer, loader, record and tracer checks read source files with
 `ast` only; the tracer is never imported, only run in a subprocess, as is
@@ -184,14 +185,27 @@ class TestImportPath:
         source = "import dataclasses\nfrom dataclasses import dataclass\nimport os, dataclasses as dc\nimport dataclass\n"
         assert dataclasses_imports(source) == [1, 2, 3]
 
-    def test_a_fresh_import_loads_no_code_inspection_module(self):
+    @staticmethod
+    def loaded_by_a_fresh_import(modules: set[str]) -> str:
+        """Which of `modules` a fresh `import casemark.cli` adds to
+        `sys.modules`, as the printed sorted list."""
         code = (
             "import sys\nbefore = set(sys.modules)\nimport casemark.cli\n"
-            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & (set(sys.modules) - before)))\n"
+            f"print(sorted(set({sorted(modules)!r}) & (set(sys.modules) - before)))\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
+        assert run.returncode == 0, run.stderr
+        return run.stdout
+
+    def test_a_fresh_import_loads_no_code_inspection_module(self):
+        assert self.loaded_by_a_fresh_import({"dataclasses", "inspect", "ast", "dis"}) == "[]\n"
+
+    def test_a_fresh_import_loads_neither_hashlib_nor_json(self):
+        """`silver` and `ablate` hash nothing and read no JSON, so the
+        functions that do import `hashlib` and `json` themselves: a fresh
+        import loads neither, nor OpenSSL's `_hashlib`."""
+        assert self.loaded_by_a_fresh_import({"hashlib", "_hashlib", "json"}) == "[]\n"
 
 
 class TestOneLoader:
@@ -312,6 +326,19 @@ class TestTracedCommands:
         # One dump line per NP and one per projection.
         dump_lines = (out / "nps" / "parallel_nps.tsv").read_bytes().splitlines()
         assert nps["nps"] + nps["hits"] == len(dump_lines)
+
+    def test_silver_and_ablate(self, workdir, tmp_path):
+        """Traced, `ablate` writes the table an untraced run writes, and its
+        candidate counts pass through the tracer's wrapper."""
+        config, out = workdir
+        self.traced(tmp_path, config, out, "silver")
+        ablate = self.traced(tmp_path, config, out, "ablate")
+        assert ablate["extraction.build_candidate_counts"]["candidates"] > 0
+        plain = tmp_path / "plain"
+        assert cli.main(["silver", "--config", str(config), "--out", str(plain)]) == 0
+        assert cli.main(["ablate", "--config", str(config), "--out", str(plain)]) == 0
+        table = (out / "ablation" / "ablation.tsv").read_bytes()
+        assert table == (plain / "ablation" / "ablation.tsv").read_bytes()
 
     def test_analyze_after_project(self, workdir, tmp_path):
         """The benchmark's traced `analyze` runs after `project`: it reads

@@ -274,6 +274,8 @@ class TestPartition:
         domain = {w for w in words if inside[w] + outside[w] > 0}
         assert partition.np_relevant | partition.np_irrelevant == domain
         assert not partition.np_relevant & partition.np_irrelevant
+        # Types seen only inside and only outside are both among the random counts.
+        assert partition.np_relevant == {w for w in domain if inside[w] > outside[w]}
 
 
 def test_dump_parallel_nps(tmp_path, synth):
