@@ -128,11 +128,12 @@ def open_input(path):
 
 
 def read_lines(path) -> list[str]:
-    """The lines of the input file `path`. A line ends only at a newline
-    (`\\n`, `\\r\\n` or `\\r`); other line-break characters, such as U+2028
-    or a form feed, stay inside it."""
+    """The lines of the input file `path`, without a leading byte-order mark
+    (U+FEFF). A line ends only at a newline (`\\n`, `\\r\\n` or `\\r`);
+    other line-break characters, such as U+2028 or a form feed, stay inside
+    it."""
     with open_input(path) as handle:
-        return handle.read().split("\n")
+        return handle.read().removeprefix("\ufeff").split("\n")
 
 
 def _records(path, lines: Iterable[str], payload_name: str, verses: Optional[Mapping[str, Verse]] = None,
@@ -166,9 +167,11 @@ def _parse_verse_file(path) -> dict[str, Verse]:
     for line_no, verse_id, text in _records(path, read_lines(path), "tokens", bare_ids=False):
         tokens = text.split(" ")
         # A clean line has no empty token, no boundary character and no
-        # other whitespace, so splitting on any whitespace gives the same
-        # tokens; only a line that fails this is searched for the culprit.
-        if BOUNDARY in text or text.split() != tokens:
+        # whitespace but the spaces it was split on; every other whitespace
+        # character is not printable. Only a line that fails this is searched
+        # for the culprit (a format character such as U+200C is not printable
+        # either, and the search accepts it).
+        if "" in tokens or BOUNDARY in text or not text.isprintable():
             for token in tokens:
                 if not token:
                     raise ParseError(path, line_no, "empty token (double or trailing space?)")
@@ -281,8 +284,9 @@ def load_alignment(path, corpus: ParallelCorpus) -> Alignment:
                 walked += (i, j)
             flat = tuple(walked)
         links[verse_id] = flat
-    for verse_id in corpus.shared_verses:
-        links.setdefault(verse_id, ())
+    if len(links) < len(corpus.shared_verses):  # the file's verses are shared ones, each listed once
+        for verse_id in corpus.shared_verses:
+            links.setdefault(verse_id, ())
     return Alignment(source_version=source, target_version=target, links=links)
 
 
@@ -316,8 +320,9 @@ def load_np_annotation(path, corpus: ParallelCorpus) -> NpAnnotation:
             if s2 < e1:
                 raise CorpusError(f"{path}: verse {verse_id!r} has overlapping spans {s1}:{e1} and {s2}:{_e2}")
         spans[verse_id] = tuple(tuple(range(s, e)) for s, e in ranges)
-    for verse_id in corpus.shared_verses:
-        spans.setdefault(verse_id, ())
+    if len(spans) < len(corpus.shared_verses):
+        for verse_id in corpus.shared_verses:
+            spans.setdefault(verse_id, ())
     return NpAnnotation(version=version, spans=spans)
 
 

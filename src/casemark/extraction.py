@@ -31,7 +31,7 @@ from functools import lru_cache
 from itertools import chain, compress, repeat
 from operator import add
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .corpus import BOUNDARY, Alignment, ParallelCorpus, read_lines, write_output
 from .errors import ConfigurationError, ParseError, UndefinedOddsError
@@ -286,7 +286,7 @@ def suffix_restrict(grams: Iterable[str]) -> set[str]:
     return {gram for gram in grams if gram[-1:] == BOUNDARY}  # BOUNDARY is one character; no method call per gram
 
 
-def _by_position(grams: set[str], positions: frozenset[str]) -> dict[str, set[str]]:
+def _by_position(grams: AbstractSet[str], positions: frozenset[str]) -> dict[str, set[str]]:
     """The grams in each of `positions`: final ones end in the boundary,
     initial ones only start with it, and internal ones are the rest."""
     split = {"final": suffix_restrict(grams)}
@@ -308,7 +308,8 @@ def extract_markers_per_config(
     histogram = Counter(counts.values())  # grams per (inside, outside) pair, for the row totals
     selected: dict[int, list[CandidateMarker]] = {}
     for theta in {config.theta for config in configs}:
-        survivors = frequency_filter(counts, theta)
+        # Counts taken at this theta all reach it, and then the cut is the keys, not a copy of them.
+        survivors = counts.keys() if all(a >= theta for a, _c in histogram) else frequency_filter(counts, theta)
         rows = [(a * grams, c * grams) for (a, c), grams in histogram.items() if a >= theta]
         test, ratios = ExactTest(sum(a for a, _c in rows), sum(c for _a, c in rows)), {}
         at_theta = {i: config for i, config in enumerate(configs) if config.theta == theta}

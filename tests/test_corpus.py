@@ -485,7 +485,7 @@ class TestVerseLineErrors:
         other = tiny_corpus_files(tmp_path, {"beta-b1.txt": {"v1": "x"}})[0]
         return load_corpus([path, other])
 
-    @pytest.mark.parametrize("space", ["\u00a0", "\x0b", "\x1c"])
+    @pytest.mark.parametrize("space", ["\u00a0", "\u2028", "\u3000", "\x0b", "\x1c"])
     def test_other_whitespace_names_the_token(self, tmp_path, space):
         token = f"a{space}b"
         with pytest.raises(ParseError, match=re.escape(f"token {token!r} contains whitespace")):
@@ -502,6 +502,12 @@ class TestVerseLineErrors:
         with pytest.raises(ParseError, match=re.escape("empty token (double or trailing space?)")):
             self.load(tmp_path, text)
 
+    @pytest.mark.parametrize("char", ["\u200c", "\u00ad", "\u200b"])
+    def test_format_character_loads_unchanged(self, tmp_path, char):
+        # Not printable, so the line is walked, but not whitespace either.
+        corpus = self.load(tmp_path, f"a{char}b {char}c")
+        assert corpus.verse(VersionId("alpha", "a1"), "v1") == (f"a{char}b", f"{char}c")
+
     def test_boundary_character_names_the_token(self, tmp_path):
         with pytest.raises(ParseError, match=re.escape("token 'b$c' contains reserved character '$'")):
             self.load(tmp_path, "a b$c d")
@@ -517,3 +523,72 @@ class TestVerseLineErrors:
         tokens = corpus.verse(VersionId("alpha", "a1"), "v1")
         assert tokens == ("déjà", "café", "x", "Ångström")
         assert all(unicodedata.is_normalized("NFC", token) for token in tokens)
+
+
+def reference_verse_line(text):
+    """What a verse line `text` loads as: its NFC tokens, or the message for
+    its first token that is empty, holds the boundary or holds whitespace."""
+    for token in text.split(" "):
+        if token == "":
+            return "empty token (double or trailing space?)"
+        if "$" in token:
+            return f"token {token!r} contains reserved character '$'"
+        if re.search(r"\s", token):
+            return f"token {token!r} contains whitespace"
+    return tuple(unicodedata.normalize("NFC", token) for token in text.split(" "))
+
+
+# Tab, carriage return and newline end a field or a line, so they are left out.
+VERSE_LINE_ALPHABET = [
+    "a", "b", "e\u0301", "é", "$", " ", "  ", "\xa0", "\u2028", "\u3000", "\x0b", "\x0c", "\x1c", "\x85",
+    "\u200c", "\u00ad", "\u200b", "\ufeff", "\x00",
+]
+
+
+class TestVerseLineCheck:
+    """`_parse_verse_file` walks only the lines that fail its whole-line check;
+    on any line it must load or reject what a token-by-token check does."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(VERSE_LINE_ALPHABET), max_size=10).map("".join))
+    def test_matches_a_token_by_token_check(self, text):
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "alpha-a1.txt"
+            path.write_text(f"v1\t{text}\n", encoding="utf-8")
+            try:
+                loaded = corpus_module._parse_verse_file(path)["v1"]
+            except ParseError as exc:
+                loaded = str(exc).removeprefix(f"{path}:1: ")
+        assert loaded == reference_verse_line(text)
+
+
+class TestByteOrderMark:
+    """A leading U+FEFF is not part of an input file's first line."""
+
+    BOM = "\ufeff"
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        versions = {"alpha-a1.txt": {"v1": "a b", "v2": "c"}, "beta-b1.txt": {"v1": "x", "v2": "y"}}
+        paths = tiny_corpus_files(tmp_path, versions)
+        paths[0].write_text(self.BOM + paths[0].read_text(encoding="utf-8"), encoding="utf-8")
+        return load_corpus(paths)
+
+    def test_verse_file(self, corpus):
+        assert corpus.shared_verses == ("v1", "v2")
+        assert corpus.verse(VersionId("alpha", "a1"), "v1") == ("a", "b")
+
+    def test_alignment_file(self, tmp_path, corpus):
+        path = tmp_path / "align.tsv"
+        path.write_text(f"{self.BOM}#\talpha-a1\tbeta-b1\nv1\t1-0\n", encoding="utf-8")
+        assert load_alignment(path, corpus).links == {"v1": (1, 0), "v2": ()}
+
+    def test_annotation_file(self, tmp_path, corpus):
+        path = tmp_path / "alpha-a1.np"
+        path.write_text(f"{self.BOM}v1\t0:2\n", encoding="utf-8")
+        assert load_np_annotation(path, corpus).spans == {"v1": ((0, 1),), "v2": ()}
+
+    def test_only_one_leading_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "alpha-a1.txt"
+        path.write_text(f"{self.BOM}{self.BOM}v1\ta\n", encoding="utf-8")
+        assert corpus_module.read_lines(path) == [f"{self.BOM}v1\ta", ""]

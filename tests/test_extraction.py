@@ -10,6 +10,7 @@ from casemark import extraction
 from casemark.errors import ConfigurationError, UndefinedOddsError
 from casemark.extraction import (
     ABLATION_VARIANTS,
+    POSITIONS,
     CandidateMarker,
     MarkerSet,
     PipelineConfig,
@@ -396,6 +397,43 @@ class TestSelectionPerPair:
         assert len({(row1, row2) for row1, row2, _a, _c in calls}) == len(thetas) == 2
         pairs = {theta: {counts[gram] for gram in frequency_filter(counts, theta)} for theta in thetas}
         assert len(calls) <= sum(map(len, pairs.values())) < len(counts)
+
+
+class TestThetaCutOnCountsAtTheta:
+    """Where every counted gram reaches a config's theta, the theta cut is the
+    counts' keys rather than a `frequency_filter` copy; a gram below theta
+    must still be cut, and kept out of the exact test's row totals."""
+
+    @pytest.mark.parametrize(
+        "theta, below",
+        [(1, {"b$": (0, 4)}), (3, {"b$": (2, 1)}), (3, {"b$": (2, 1), "$ab": (0, 2)})],
+    )
+    def test_a_gram_below_theta_is_cut_and_left_out_of_the_totals(self, monkeypatch, theta, below):
+        counts = {"a$": (5, 1), "ba$": (4, 0), "$a": (3, 3), "ab": (6, 2), **below}
+        at_theta = {gram: pair for gram, pair in counts.items() if gram not in below}
+        configs = [PipelineConfig(theta=theta, phi=None, chi=None, positions=POSITIONS), PipelineConfig(theta=theta)]
+        cuts = []
+        monkeypatch.setattr(extraction, "frequency_filter", lambda c, t: cuts.append(t) or frequency_filter(c, t))
+        selected = extract_markers_per_config(counts, configs)
+        assert cuts == [theta]
+        assert selected[0] and not {marker.gram for marker in selected[0]} & set(below)
+        assert selected == [plain_selection(counts, config) for config in configs]
+        # Statistics taken on the totals of the other grams alone.
+        assert extract_markers_per_config(at_theta, configs) == selected
+        assert cuts == [theta]  # no gram of `at_theta` is below theta: no copy
+
+    def test_counts_at_theta_select_as_the_plain_stages(self, synth, monkeypatch):
+        theta = synth.fixture.theta
+        config = PipelineConfig(theta=theta, languages=("lingua",))
+        ((_language, counts),) = count_grams(synth.corpus, synth.annotations, synth.alignments, config)
+        # Every variant but no_theta, so the middle and beginning position splits too.
+        configs = [config.with_variant(v) for v in ABLATION_VARIANTS if v != "no_theta"]
+        monkeypatch.setattr(extraction, "frequency_filter", None)  # the keys serve; a call would fail
+        selected = extract_markers_per_config(counts, configs)
+        monkeypatch.undo()
+        assert selected == [plain_selection(counts, c) for c in configs]
+        assert all(selected)
+        assert extraction._by_position(counts.keys(), POSITIONS) == extraction._by_position(set(counts), POSITIONS)
 
 
 class TestSuffixRestrict:
