@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 import yaml
 
 from . import analysis, evaluation, extraction, projection, silver
-from .corpus import VersionId, load_alignment, load_corpus, load_np_annotation, open_input, write_output
+from .corpus import VersionId, load_alignment, load_corpus, load_np_annotation, open_input, read_lines, write_output
 from .errors import CasemarkError, ConfigurationError, CorpusError
 from .extraction import ABLATION_VARIANTS, POSITIONS, PipelineConfig
 
@@ -155,8 +155,7 @@ def load_run_config(path, flags: Optional[dict] = None) -> RunConfig:
 
     allowlist = frozenset(raw["verse_allowlist"]) if "verse_allowlist" in raw else None
     if raw.get("verse_allowlist_file"):
-        with open_input(base / raw["verse_allowlist_file"]) as handle:
-            from_file = frozenset(line.strip() for line in handle if line.strip())
+        from_file = frozenset(filter(None, map(str.strip, read_lines(base / raw["verse_allowlist_file"]))))
         allowlist = from_file if allowlist is None else allowlist | from_file
     output_dir = base / raw.get("output_dir", "out")
     return RunConfig(

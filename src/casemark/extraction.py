@@ -206,11 +206,44 @@ def _grams_within(words: list[str], joined: tuple[str, list[str]], frequent: set
         start = end + 1
 
 
+class GramCounts(Mapping):
+    """Each counted gram mapped to its (inside, outside) type-containment
+    counts, held as the two sides: `inside` has every gram, `outside` only
+    grams of `inside` (one it lacks counts 0). A pair is built only on
+    lookup; `len`, `in` and iteration order are those of `inside`."""
+
+    __slots__ = ("inside", "outside")
+
+    def __init__(self, inside: Mapping[str, int], outside: Mapping[str, int]):
+        self.inside = inside
+        self.outside = outside
+
+    def __getitem__(self, gram: str) -> tuple[int, int]:
+        # `get`, not `[]`: `inside` may be a Counter, which reads 0 for any gram.
+        inside = self.inside.get(gram)
+        if inside is None:
+            raise KeyError(gram)
+        return inside, self.outside.get(gram, 0)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.inside)
+
+    def __len__(self) -> int:
+        return len(self.inside)
+
+
+def _sides(counts: Mapping[str, tuple[int, int]]) -> GramCounts:
+    """`counts` as `GramCounts`; a plain mapping of pairs is split once."""
+    if isinstance(counts, GramCounts):
+        return counts
+    return GramCounts({gram: a for gram, (a, _c) in counts.items()}, {gram: c for gram, (_a, c) in counts.items()})
+
+
 def build_candidate_counts(
     np_relevant: Iterable[str],
     np_irrelevant: Iterable[str],
     theta: int = 1,
-) -> dict[str, tuple[int, int]]:
+) -> GramCounts:
     """Map each gram drawn from NP-relevant words that at least `theta` of
     them contain to its type-containment counts (types containing it among
     NP-relevant / NP-irrelevant words).
@@ -233,25 +266,24 @@ def build_candidate_counts(
     inside = Counter(chain.from_iterable(inside_grams))
     if theta > 1:  # at theta=1 every gram stays, and a copy would only cost memory
         inside = {gram: count for gram, count in inside.items() if count >= theta}
-    outside = Counter(filter(inside.__contains__, chain.from_iterable(outside_grams)))
-    # `outside.get`, not `outside[gram]`: a Counter's `__missing__` is a Python call per absent gram.
-    return dict(zip(inside, zip(inside.values(), map(outside.get, inside, repeat(0)))))
+    return GramCounts(inside, Counter(filter(inside.__contains__, chain.from_iterable(outside_grams))))
 
 
 def frequency_filter(counts: Mapping[str, tuple[int, int]], theta: int) -> set[str]:
     """Grams whose NP-relevant containment count reaches the threshold."""
     if theta < 1:
         raise ConfigurationError(f"theta must be >= 1, got {theta}")
-    return {gram for gram, (inside, _outside) in counts.items() if inside >= theta}
+    return {gram for gram, inside in _sides(counts).inside.items() if inside >= theta}
 
 
 def _select(grams: Iterable[str], counts, test: ExactTest, ratios: dict, phi, chi) -> dict[str, ExactTestResult]:
-    """The grams, sorted, whose (inside, outside) pair has odds ratio > chi,
-    then p < phi (a None threshold keeps all), mapped to their results. Each
+    """The grams, sorted, whose (inside, outside) pair in the `GramCounts`
+    `counts` has odds ratio > chi, then p < phi (a None threshold keeps
+    all), mapped to their results. Each
     distinct pair is tested once: `ratios` caches its odds ratio under `test`
     (None where 0/0), and a pair the cheap ratio drops needs no p-value."""
     grams = list(grams)
-    pairs = list(map(counts.__getitem__, grams))
+    pairs = list(zip(map(counts.inside.__getitem__, grams), map(counts.outside.get, grams, repeat(0))))
     passing: dict[tuple[int, int], ExactTestResult] = {}
     for pair in set(pairs):
         if pair not in ratios:
@@ -264,7 +296,7 @@ def _select(grams: Iterable[str], counts, test: ExactTest, ratios: dict, phi, ch
             p_value = test.p_value(*pair)
             if phi is None or p_value < phi:
                 passing[pair] = ExactTestResult(p_value, ratio)
-    return {gram: passing[counts[gram]] for gram in sorted(compress(grams, map(passing.__contains__, pairs)))}
+    return {gram: passing[pair] for gram, pair in sorted(compress(zip(grams, pairs), map(passing.__contains__, pairs)))}
 
 
 def inside_outside_filter(
@@ -275,9 +307,13 @@ def inside_outside_filter(
 ) -> dict[str, ExactTestResult]:
     """The candidates with odds ratio > chi and p < phi (both strict; a None
     threshold keeps every candidate at that test), mapped to their test
-    results. An undefined (0/0) odds ratio fails any chi that is set."""
-    grams = set(candidates)
-    test = ExactTest(sum(counts[gram][0] for gram in grams), sum(counts[gram][1] for gram in grams))
+    results. An undefined (0/0) odds ratio fails any chi that is set. A
+    candidate that `counts` lacks is a KeyError."""
+    grams, counts = set(candidates), _sides(counts)
+    missing = grams - counts.inside.keys()  # a Counter side would read it as 0
+    if missing:
+        raise KeyError(min(missing))
+    test = ExactTest(sum(map(counts.inside.__getitem__, grams)), sum(map(counts.outside.get, grams, repeat(0))))
     return _select(grams, counts, test, {}, phi, chi)
 
 
@@ -305,13 +341,18 @@ def extract_markers_per_config(
     and each config tests the distinct (inside, outside) pairs of its grams:
     an odds ratio once per pair and theta, a p-value only for a pair that
     passes chi. The positional filter runs before the test, not after it."""
-    histogram = Counter(counts.values())  # grams per (inside, outside) pair, for the row totals
+    counts = _sides(counts)
+    inside, outside = counts.inside, counts.outside
+    lowest = min(inside.values(), default=1)
     selected: dict[int, list[CandidateMarker]] = {}
     for theta in {config.theta for config in configs}:
-        # Counts taken at this theta all reach it, and then the cut is the keys, not a copy of them.
-        survivors = counts.keys() if all(a >= theta for a, _c in histogram) else frequency_filter(counts, theta)
-        rows = [(a * grams, c * grams) for (a, c), grams in histogram.items() if a >= theta]
-        test, ratios = ExactTest(sum(a for a, _c in rows), sum(c for _a, c in rows)), {}
+        if lowest >= theta:  # every gram survives: the cut is the keys, and the totals the sides' sums
+            survivors = inside.keys()
+            test = ExactTest(sum(inside.values()), sum(outside.values()))
+        else:
+            survivors = frequency_filter(counts, theta)
+            test = ExactTest(sum(map(inside.__getitem__, survivors)), sum(map(outside.get, survivors, repeat(0))))
+        ratios: dict = {}
         at_theta = {i: config for i, config in enumerate(configs) if config.theta == theta}
         by_position = _by_position(survivors, frozenset().union(*(config.positions for config in at_theta.values())))
         for i, config in at_theta.items():
@@ -335,7 +376,7 @@ def count_grams(
     annotations: Sequence[NpAnnotation],
     alignments: Sequence[Alignment],
     config: PipelineConfig,
-) -> Iterator[tuple[str, dict[str, tuple[int, int]]]]:
+) -> Iterator[tuple[str, GramCounts]]:
     """Steps 1-3 of the pipeline: `(language, grams)` for every language the
     config wants, in sorted order, where `grams` maps each gram reaching
     `config.theta` to its (inside, outside) type-containment counts; no grams
@@ -347,7 +388,7 @@ def count_grams(
     by_pair = alignments_by_pair(corpus, annotations, alignments)
     languages = [lang for lang in corpus.languages() if config.wants_language(lang)]
 
-    def per_language() -> Iterator[tuple[str, dict[str, tuple[int, int]]]]:
+    def per_language() -> Iterator[tuple[str, GramCounts]]:
         for language in languages:
             partition = partition_word_types(build_inside_outside(corpus, annotations, by_pair, language))
             yield language, build_candidate_counts(partition.np_relevant, partition.np_irrelevant, config.theta)

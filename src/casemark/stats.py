@@ -84,27 +84,26 @@ class ExactTest:
             if not row1 + row2:
                 raise ValueError("Fisher's exact test is undefined for an all-zero table")
             return 1.0
-
-        def ratio(k: int, step: int) -> float:  # pmf(k + step) / pmf(k)
-            if step > 0:
-                return (row1 - k) * (col1 - k) / ((k + 1) * (row2 - col1 + k + 1))
-            return k * (row2 - col1 + k) / ((row1 - k + 1) * (col1 - k + 1))
-
         mode = (col1 + 1) * (row1 + 1) // (row1 + row2 + 2)  # always within the support
-        step = 1 if a > mode else -1
+        # From the mode, a step down the support lowers cells a and d by one
+        # and a step up lowers b and c; with (x, y) the two cells a step
+        # lowers, the pmf changes by the factor x * y / ((row1 + 1 - x) * (row2 + 1 - y)).
+        down, up = (mode, row2 - col1 + mode), (row1 - mode, col1 - mode)
+        n1, n2 = row1 + 1, row2 + 1
+        x, y = up if a > mode else down
         observed = 1.0
-        for k in range(mode, a, step):
-            observed *= ratio(k, step)
-            if not observed:  # below the smallest float: so is the p-value
-                return 0.0
+        for x, y in zip(range(x, x - abs(a - mode), -1), range(y, 0, -1)):
+            observed *= x * y / ((n1 - x) * (n2 - y))
+        if not observed:  # below the smallest float: so is the p-value
+            return 0.0
         cutoff = observed * _TIE_SLACK
         # Kept and dropped mass stay separate sums: with nothing dropped, the
         # p-value is kept / kept, exactly 1.0.
         kept, dropped = (1.0, 0.0) if cutoff >= 1.0 else (0.0, 1.0)
-        for step, end in ((-1, k_min), (1, k_max)):
+        for x, y in (down, up):  # each side ends where one of its two cells reaches 0
             term, side = 1.0, 0.0
-            for k in range(mode, end, step):
-                q = ratio(k, step)
+            for x, y in zip(range(x, 0, -1), range(y, 0, -1)):
+                q = x * y / ((n1 - x) * (n2 - y))
                 term *= q
                 if term > cutoff:
                     dropped += term

@@ -1150,6 +1150,11 @@ class TestRunConfigLoading:
         )
         assert load_run_config(config).verse_allowlist == {"v1", "v2", "v3"}
 
+    def test_verse_allowlist_file_with_a_byte_order_mark(self, tmp_path):
+        (tmp_path / "allow.txt").write_text("\ufeff01.000\n01.001\n", encoding="utf-8")
+        config = write_lines(tmp_path / "c.yaml", ['verse_allowlist_file: "allow.txt"'])
+        assert load_run_config(config).verse_allowlist == {"01.000", "01.001"}
+
     def test_suffix_only_is_the_spelling_of_positions(self, tmp_path):
         default = write_lines(tmp_path / "a.yaml", ["pipeline:", "  theta: 5"])
         assert load_run_config(default).pipeline.positions == {"final"}

@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from itertools import repeat
 
 import pytest
 from hypothesis import example, given, settings
@@ -116,7 +118,12 @@ class TestCandidateCounts:
 
     def test_domain_comes_from_relevant_words_only(self):
         counts = build_candidate_counts({"ab"}, {"xy"})
-        assert "x" not in counts
+        # At theta=1 the inside side is a Counter, which reads 0 for any gram.
+        assert isinstance(counts.inside, Counter)
+        for gram in ("x", "q"):
+            assert gram not in counts and counts.get(gram) is None
+            with pytest.raises(KeyError):
+                counts[gram]
         assert counts["a"] == (1, 0)
 
     def test_repeated_gram_counts_once_per_type(self):
@@ -181,6 +188,28 @@ class TestCandidateCounts:
         assert counts == plain_gram_counts(relevant, irrelevant, 3)
 
 
+class TestGramCounts:
+    """`build_candidate_counts` keeps its two counters behind one mapping of
+    pairs, which reads as the dict of those pairs and selects as it does."""
+
+    @pytest.mark.parametrize("theta", ["fixture", 1])
+    def test_reads_as_the_dict_of_its_pairs(self, synth, theta):
+        counts = TestThetaFloor.lingua_counts(synth, synth.fixture.theta if theta == "fixture" else theta)
+        inside, outside = counts.inside, counts.outside
+        pairs = dict(zip(inside, zip(inside.values(), map(outside.get, inside, repeat(0)))))
+        assert counts == pairs and pairs == counts
+        assert len(counts) == len(pairs) and list(counts) == list(pairs)
+        assert list(counts.items()) == list(pairs.items())
+        assert any(pair[1] == 0 for pair in pairs.values())  # a gram the outside side lacks
+
+    def test_a_plain_dict_of_the_pairs_selects_the_same_markers(self, synth):
+        counts = TestThetaFloor.lingua_counts(synth, 1)
+        configs = [PipelineConfig(theta=synth.fixture.theta).with_variant(v) for v in ABLATION_VARIANTS]
+        selected = extract_markers_per_config(counts, configs)
+        assert extract_markers_per_config(dict(counts), configs) == selected
+        assert all(selected)
+
+
 class TestJoinedWindows:
     # An astral character, a combining mark, Cyrillic letters and empty words.
     @settings(max_examples=200)
@@ -224,6 +253,11 @@ class TestInsideOutsideFilter:
         assert "good" not in at_boundary
         above = inside_outside_filter({"good", "noise"}, counts, math.nextafter(p, 1.0), 0.34)
         assert "good" in above
+
+    def test_a_candidate_without_counts_is_a_key_error(self):
+        for counts in (build_candidate_counts({"ab"}, {"xy"}), {"a": (1, 0)}):
+            with pytest.raises(KeyError):
+                inside_outside_filter({"a", "x"}, counts, None, None)
 
     def test_undefined_odds_dropped_when_ratio_test_on(self):
         counts = {"only": (5, 0)}

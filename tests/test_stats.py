@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casemark.errors import UndefinedOddsError
@@ -111,6 +111,56 @@ def production_tables(count, seed, max_col1=3000):
         yield ContingencyTable(a, row1 - a, col1 - a, row2 - col1 + a)
 
 
+def ratio_call_two_sided(row1, row2, a, c):
+    """Reference for `ExactTest`'s walk, written with the pmf ratio as a
+    function called per step. The walk writes the same integer products and
+    the same float operations, in the same order, out in its loops, so the
+    two must give the same bytes."""
+    col1 = a + c
+    k_min, k_max = max(0, col1 - row2), min(row1, col1)
+    if k_min == k_max:
+        return 1.0
+
+    def ratio(k, step):  # pmf(k + step) / pmf(k)
+        if step > 0:
+            return (row1 - k) * (col1 - k) / ((k + 1) * (row2 - col1 + k + 1))
+        return k * (row2 - col1 + k) / ((row1 - k + 1) * (col1 - k + 1))
+
+    mode = (col1 + 1) * (row1 + 1) // (row1 + row2 + 2)
+    step = 1 if a > mode else -1
+    observed = 1.0
+    for k in range(mode, a, step):
+        observed *= ratio(k, step)
+        if not observed:
+            return 0.0
+    cutoff = observed * (1.0 + 1e-7)
+    kept, dropped = (1.0, 0.0) if cutoff >= 1.0 else (0.0, 1.0)
+    for step, end in ((-1, k_min), (1, k_max)):
+        term, side = 1.0, 0.0
+        for k in range(mode, end, step):
+            q = ratio(k, step)
+            term *= q
+            if term > cutoff:
+                dropped += term
+                continue
+            side += term
+            if term * q <= 1e-17 * side * (1.0 - q):
+                break
+        kept += side
+    return kept / (kept + dropped)
+
+
+# (row1, row2, a, c): production tables, and tables whose observed cell lies
+# anywhere in the support, on either side of the mode, far into the tails
+# (where the p-value underflows) or alone in it.
+walked_tables = st.one_of(
+    st.sampled_from([(t.a + t.b, t.c + t.d, t.a, t.c) for t in production_tables(300, seed=2024)]),
+    st.tuples(st.integers(0, 3000), st.integers(0, 3000)).flatmap(
+        lambda rows: st.tuples(st.just(rows[0]), st.just(rows[1]), st.integers(0, rows[0]), st.integers(0, rows[1]))
+    ),
+).filter(lambda table: table[0] + table[1] > 0)
+
+
 class TestAgainstScipy:
     def test_matches_scipy_at_production_margins(self):
         scipy_stats = pytest.importorskip("scipy.stats")
@@ -157,6 +207,16 @@ class TestExactTest:
             worst = max(worst, abs(fisher_exact_two_sided(table) - expected) / expected)
         assert worst <= 1e-12
 
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(walked_tables)
+    @example((600, 600, 600, 0))  # the p-value underflows: see the test below
+    @example((600, 600, 0, 600))
+    @example((7, 5, 0, 0))  # one table in the support
+    @example((7, 5, 7, 5))
+    def test_same_bytes_as_a_ratio_call_per_step(self, table):
+        row1, row2, a, c = table
+        assert ExactTest(row1, row2).p_value(a, c).hex() == ratio_call_two_sided(row1, row2, a, c).hex()
 
     def test_a_p_value_below_the_smallest_float_is_zero(self):
         """[600, 0; 0, 600]: the true p-value, 2 / C(1200, 600), is far below
