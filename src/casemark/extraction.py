@@ -29,9 +29,9 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import chain, compress, repeat
-from operator import add
+from operator import add, itemgetter
 from pathlib import Path
-from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .corpus import BOUNDARY, Alignment, ParallelCorpus, read_lines, write_output
 from .errors import ConfigurationError, ParseError, UndefinedOddsError
@@ -151,7 +151,6 @@ class ExactTestResult(NamedTuple):
     odds_ratio: Optional[float]
 
 
-@lru_cache(maxsize=None)  # one immutable entry per word length seen
 def _gram_slices(length: int) -> tuple[slice, ...]:
     """The slices of a boundary-wrapped word of `length` characters that hold
     a character other than the two boundaries."""
@@ -163,13 +162,29 @@ def _gram_slices(length: int) -> tuple[slice, ...]:
     )
 
 
+def _cutter(slices: tuple[slice, ...]) -> Callable[[str], tuple[str, ...]]:
+    """A function giving the tuple of a string's `slices` in one C call.
+    `itemgetter` returns a lone item bare and takes no zero items (the empty
+    word has no slices), so fewer than two slices take a Python loop."""
+    if len(slices) > 1:
+        return itemgetter(*slices)
+    return lambda wrapped: tuple(wrapped[s] for s in slices)
+
+
+# Keyed by length, not by slices: a slice is unhashable before Python 3.12.
+@lru_cache(maxsize=None)  # one immutable entry per word length seen
+def _gram_cutter(length: int) -> Callable[[str], tuple[str, ...]]:
+    """`_cutter` of the `_gram_slices` of a wrapped word of `length` characters."""
+    return _cutter(_gram_slices(length))
+
+
 def candidates_of_word(word: str) -> set[str]:
     """All substrings of `$word$` containing at least one non-boundary
     character; duplicates within the word collapse. The word itself holds no
     boundary character (the corpus loader rejects it), so only `$` and, for
     the empty word, `$$` consist of boundaries alone."""
     wrapped = BOUNDARY + word + BOUNDARY
-    return set(map(wrapped.__getitem__, _gram_slices(len(wrapped))))
+    return set(_gram_cutter(len(wrapped))(wrapped))
 
 
 # Window length of the frequency bound (see the module docstring); windows
@@ -178,12 +193,13 @@ _WINDOW = 3
 
 
 @lru_cache(maxsize=4096)  # one immutable entry per pattern; corpora show a few hundred
-def _frequent_slices(frequent_at: bytes) -> tuple[slice, ...]:
-    """The slices of `_gram_slices` of a wrapped word whose windows are all
-    frequent, where the window starting at i is frequent iff `frequent_at[i]`:
-    every slice shorter than a window, and the longer ones inside a run of
-    consecutive frequent windows."""
-    return tuple(s for s in _gram_slices(len(frequent_at) + 2) if all(frequent_at[s.start : s.stop - _WINDOW + 1]))
+def _frequent_cutter(frequent_at: bytes) -> Callable[[str], tuple[str, ...]]:
+    """`_cutter` of the slices of `_gram_slices` of a wrapped word whose
+    windows are all frequent, where the window starting at i is frequent iff
+    `frequent_at[i]`: every slice shorter than a window, and the longer ones
+    inside a run of consecutive frequent windows."""
+    slices = _gram_slices(len(frequent_at) + 2)
+    return _cutter(tuple(s for s in slices if all(frequent_at[s.start : s.stop - _WINDOW + 1])))
 
 
 def _joined(words: list[str]) -> tuple[str, list[str]]:
@@ -202,7 +218,7 @@ def _grams_within(words: list[str], joined: tuple[str, list[str]], frequent: set
     start = 0  # where the word's leading boundary sits in `text`
     for word in words:
         end = start + len(word)  # a word of n characters has n windows
-        yield set(map(text[start : end + 2].__getitem__, _frequent_slices(is_frequent[start:end])))
+        yield set(_frequent_cutter(is_frequent[start:end])(text[start : end + 2]))
         start = end + 1
 
 

@@ -79,10 +79,12 @@ def induce_root(forms: Sequence[str], nominative_singular: str) -> str:
 
 def extract_suffixes(forms: Iterable[str], root: str) -> set[str]:
     """Boundary-terminated remainders of the forms the root prefixes; bare
-    roots and forms the root does not prefix contribute nothing."""
+    roots, forms the root does not prefix and forms holding whitespace
+    contribute nothing (a marker is cut from one token, and a silver file
+    strips each line)."""
     suffixes = set()
     for form in forms:
-        if form.startswith(root) and len(form) > len(root):
+        if form.startswith(root) and len(form) > len(root) and form.split() == [form]:
             suffixes.add(form[len(root):] + BOUNDARY)
     return suffixes
 

@@ -32,6 +32,8 @@ from casemark.stats import ContingencyTable, ExactTest, fisher_exact_two_sided, 
 
 words = st.text(alphabet="ab", min_size=1, max_size=6)
 word_sets = st.sets(words, min_size=1, max_size=12)
+PIECES = ["a", "b", "(", ".", "\\", "\U0001d11e", "\u0301", "ab(", "a.\\", "\U0001d11e\u0301b"]
+long_words = st.lists(st.sampled_from(PIECES), max_size=12).map(lambda pieces: "".join(pieces)[:20])
 
 
 def brute_force_candidates(word):
@@ -110,6 +112,13 @@ class TestCandidatesOfWord:
     def test_matches_definition_on_non_ascii_words(self, word):
         assert candidates_of_word(word) == brute_force_candidates(word)
 
+    # Distinct characters make every slice a distinct gram, so each length's
+    # cached cutter is checked slice for slice; the empty word has none.
+    @pytest.mark.parametrize("n", range(31))
+    def test_every_length_up_to_30_matches_brute_force(self, n):
+        word = "".join(map(chr, range(0x100, 0x100 + n)))
+        assert candidates_of_word(word) == brute_force_candidates(word)
+
 
 class TestCandidateCounts:
     def test_type_level_counting(self):
@@ -166,6 +175,17 @@ class TestCandidateCounts:
         st.integers(2, 12),
     )
     def test_window_bound_matches_plain_counts(self, relevant, irrelevant, theta):
+        expected = plain_gram_counts(relevant, irrelevant, theta)
+        assert build_candidate_counts(relevant, irrelevant, theta) == expected
+
+    # Words of up to 20 characters over an alphabet with an astral
+    # character, a combining mark and regex metacharacters, built from
+    # shared pieces so that long runs of frequent windows recur and the
+    # frequent-window cutters see many patterns; the empty word has no grams.
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.sets(long_words, max_size=12), st.sets(long_words, max_size=12), st.integers(2, 6))
+    @example({"", "a(b", "a(b.", "\\a(b"}, {"", "a(b"}, 2)
+    def test_window_bound_matches_plain_counts_on_long_words(self, relevant, irrelevant, theta):
         expected = plain_gram_counts(relevant, irrelevant, theta)
         assert build_candidate_counts(relevant, irrelevant, theta) == expected
 
@@ -590,6 +610,14 @@ class TestThetaFloor:
         higher = PipelineConfig(theta=theta + 1, languages=("lingua",))
         expected = run_pipeline(synth.corpus, synth.annotations, synth.alignments, higher)["lingua"].markers
         assert set(extract_markers_for_language(floor, higher)) == expected
+
+    def test_counts_at_each_theta_are_the_theta_reaching_part_of_full_counts(self, synth):
+        full = self.lingua_counts(synth, 1)
+        above_all = max(inside for inside, _outside in full.values()) + 1
+        for theta in sorted({2, 3, 5, synth.fixture.theta, above_all}):
+            expected = {gram: pair for gram, pair in full.items() if pair[0] >= theta}
+            assert self.lingua_counts(synth, theta) == expected, theta
+        assert expected == {}
 
 
 class TestMarkerSet:

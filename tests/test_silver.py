@@ -137,6 +137,10 @@ class TestExtractSuffixes:
     def test_bare_root_contributes_nothing(self):
         assert extract_suffixes(["ab"], "ab") == set()
 
+    @pytest.mark.parametrize("form", ["casa de", "casa ", "casa\u00a0de", "casa\u3000de", "casa\rde"])
+    def test_form_holding_whitespace_contributes_nothing(self, form):
+        assert extract_suffixes(["casa", form, "casas"], "casa") == {"s$"}
+
     @settings(max_examples=150)
     @given(st.sets(st.text(alphabet="ab", min_size=1, max_size=6), min_size=1, max_size=6))
     def test_root_prefix_property(self, forms):
@@ -183,6 +187,15 @@ class TestBuildSilver:
             suffixes = build_silver(path, "german").suffixes
             baseline = suffixes if baseline is None else baseline
             assert suffixes == baseline
+
+    def test_multiword_form_gives_no_suffix_the_silver_file_cannot_hold(self, tmp_path):
+        # A line of a silver file is read back stripped, so ` de$` would
+        # come back as `de$`, a suffix no paradigm gave.
+        rows = ["casa\tcasa\tN;NOM;SG", "casa\tcasa de\tN;GEN;SG", "casa\tcasas\tN;NOM;PL"]
+        standard = build_silver(write_lines(tmp_path / "spa.tsv", rows), "spanish")
+        assert standard.suffixes == {"s$"}
+        write_silver_file(standard, tmp_path / "spanish.txt")
+        assert read_silver_file(tmp_path / "spanish.txt") == standard.suffixes
 
     def test_verb_only_file_yields_nothing(self, tmp_path):
         path = write_lines(tmp_path / "v.tsv", ["geh\tging\tV;PST"])
