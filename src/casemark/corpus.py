@@ -65,9 +65,6 @@ class ParallelCorpus(NamedTuple):
     versions: Mapping[VersionId, Mapping[str, Verse]]
     shared_verses: tuple[str, ...]
 
-    def verse(self, version: VersionId, verse_id: str) -> Verse:
-        return self.versions[version][verse_id]
-
     def languages(self) -> tuple[str, ...]:
         return tuple(sorted({v.language for v in self.versions}))
 
@@ -232,11 +229,12 @@ def write_output(path, text: str) -> None:
 
 def _is_index(text: str) -> bool:
     # ASCII only: str.isdigit also accepts digits such as "²" that int() rejects.
-    return text.isascii() and text.isdigit()
+    # At most 18 digits: int() rejects over 4,300, and no verse has 10**18 tokens.
+    return text.isascii() and text.isdigit() and len(text) <= 18
 
 
-# A clean line of links: only its bounds are left to check.
-_CLEAN_LINKS = re.compile(r" *(?:[0-9]+-[0-9]+(?: +|$))*")
+# A clean line of links, each index as `_is_index` takes it: only its bounds are left to check.
+_CLEAN_LINKS = re.compile(r" *(?:[0-9]{1,18}-[0-9]{1,18}(?: +|$))*")
 
 
 def load_alignment(path, corpus: ParallelCorpus) -> Alignment:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from operator import add, itemgetter
 from pathlib import Path
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -144,11 +144,6 @@ class MarkerSet:
 
     def sorted_markers(self) -> list[CandidateMarker]:
         return sorted(self.markers, key=lambda m: m.gram)
-
-
-class ExactTestResult(NamedTuple):
-    p_value: float
-    odds_ratio: Optional[float]
 
 
 def _gram_slices(length: int) -> tuple[slice, ...]:
@@ -292,27 +287,37 @@ def frequency_filter(counts: Mapping[str, tuple[int, int]], theta: int) -> set[s
     return {gram for gram, inside in _sides(counts).inside.items() if inside >= theta}
 
 
-def _select(grams: Iterable[str], counts, test: ExactTest, ratios: dict, phi, chi) -> dict[str, ExactTestResult]:
-    """The grams, sorted, whose (inside, outside) pair in the `GramCounts`
-    `counts` has odds ratio > chi, then p < phi (a None threshold keeps
-    all), mapped to their results. Each
-    distinct pair is tested once: `ratios` caches its odds ratio under `test`
-    (None where 0/0), and a pair the cheap ratio drops needs no p-value."""
-    grams = list(grams)
-    pairs = list(zip(map(counts.inside.__getitem__, grams), map(counts.outside.get, grams, repeat(0))))
-    passing: dict[tuple[int, int], ExactTestResult] = {}
-    for pair in set(pairs):
-        if pair not in ratios:
+def _table(counts: GramCounts, by_position: Mapping[str, AbstractSet[str]], test: ExactTest) -> dict:
+    """Per position of `by_position`, each distinct (inside, outside) pair of
+    its grams mapped to the pair's odds ratio under `test` (None where 0/0)
+    and those grams; a config's selection is a filter over it (`_filter`)."""
+    table, ratios = {}, {}  # `ratios` takes each pair's odds ratio once, across positions
+    for position, grams in by_position.items():
+        grams = list(grams)
+        pairs = list(zip(map(counts.inside.__getitem__, grams), map(counts.outside.get, grams, repeat(0))))
+        groups = {pair: [] for pair in set(pairs)}
+        any(map(list.append, map(groups.__getitem__, pairs), grams))  # append gives None: `any` runs it all, in C
+        for pair in groups.keys() - ratios.keys():
             try:
                 ratios[pair] = test.odds_ratio(*pair)
             except UndefinedOddsError:
                 ratios[pair] = None
-        ratio = ratios[pair]
-        if chi is None or (ratio is not None and ratio > chi):
-            p_value = test.p_value(*pair)
-            if phi is None or p_value < phi:
-                passing[pair] = ExactTestResult(p_value, ratio)
-    return {gram: passing[pair] for gram, pair in sorted(compress(zip(grams, pairs), map(passing.__contains__, pairs)))}
+        table[position] = {pair: (ratios[pair], of_pair) for pair, of_pair in groups.items()}
+    return table
+
+
+def _filter(test: ExactTest, table: dict, phi, chi, positions: AbstractSet[str]) -> list[CandidateMarker]:
+    """The markers, sorted by gram, of the grams in `positions` of each pair
+    of the `_table` with odds ratio > chi, then p < phi (a None threshold
+    keeps all); a pair the cheap ratio drops needs no p-value."""
+    markers: list[CandidateMarker] = []
+    for position in positions:
+        for (inside, outside), (ratio, grams) in table[position].items():
+            if chi is None or (ratio is not None and ratio > chi):
+                p_value = test.p_value(inside, outside)
+                if phi is None or p_value < phi:
+                    markers += map(CandidateMarker, grams, *map(repeat, (inside, outside, p_value, ratio)))
+    return sorted(markers)
 
 
 def inside_outside_filter(
@@ -320,17 +325,18 @@ def inside_outside_filter(
     counts: Mapping[str, tuple[int, int]],
     phi: Optional[float],
     chi: Optional[float],
-) -> dict[str, ExactTestResult]:
+) -> dict[str, CandidateMarker]:
     """The candidates with odds ratio > chi and p < phi (both strict; a None
-    threshold keeps every candidate at that test), mapped to their test
-    results. An undefined (0/0) odds ratio fails any chi that is set. A
+    threshold keeps every candidate at that test), each mapped to its marker,
+    in gram order. An undefined (0/0) odds ratio fails any chi that is set. A
     candidate that `counts` lacks is a KeyError."""
     grams, counts = set(candidates), _sides(counts)
     missing = grams - counts.inside.keys()  # a Counter side would read it as 0
     if missing:
         raise KeyError(min(missing))
     test = ExactTest(sum(map(counts.inside.__getitem__, grams)), sum(map(counts.outside.get, grams, repeat(0))))
-    return _select(grams, counts, test, {}, phi, chi)
+    markers = _filter(test, _table(counts, _by_position(grams, POSITIONS), test), phi, chi, POSITIONS)
+    return {marker.gram: marker for marker in markers}
 
 
 def suffix_restrict(grams: Iterable[str]) -> set[str]:
@@ -354,13 +360,12 @@ def extract_markers_per_config(
 ) -> list[list[CandidateMarker]]:
     """`extract_markers_for_language` for each config. Per distinct theta,
     one exact test on the totals of the theta survivors serves every config,
-    and each config tests the distinct (inside, outside) pairs of its grams:
-    an odds ratio once per pair and theta, a p-value only for a pair that
-    passes chi. The positional filter runs before the test, not after it."""
+    and one `_table` of the survivors in the positions some config keeps:
+    each config filters its distinct pairs, not its grams."""
     counts = _sides(counts)
     inside, outside = counts.inside, counts.outside
     lowest = min(inside.values(), default=1)
-    selected: dict[int, list[CandidateMarker]] = {}
+    tables = {}
     for theta in {config.theta for config in configs}:
         if lowest >= theta:  # every gram survives: the cut is the keys, and the totals the sides' sums
             survivors = inside.keys()
@@ -368,14 +373,9 @@ def extract_markers_per_config(
         else:
             survivors = frequency_filter(counts, theta)
             test = ExactTest(sum(map(inside.__getitem__, survivors)), sum(map(outside.get, survivors, repeat(0))))
-        ratios: dict = {}
-        at_theta = {i: config for i, config in enumerate(configs) if config.theta == theta}
-        by_position = _by_position(survivors, frozenset().union(*(config.positions for config in at_theta.values())))
-        for i, config in at_theta.items():
-            grams = chain.from_iterable(map(by_position.__getitem__, config.positions))
-            kept = _select(grams, counts, test, ratios, config.phi, config.chi)
-            selected[i] = [CandidateMarker(gram, *counts[gram], *result) for gram, result in kept.items()]
-    return [selected[i] for i in range(len(configs))]
+        positions = frozenset().union(*(config.positions for config in configs if config.theta == theta))
+        tables[theta] = test, _table(counts, _by_position(survivors, positions), test)
+    return [_filter(*tables[config.theta], config.phi, config.chi, config.positions) for config in configs]
 
 
 def extract_markers_for_language(

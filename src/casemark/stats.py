@@ -45,10 +45,6 @@ class ContingencyTable(_Cells):
                 raise ValueError(f"cell {name} must be nonnegative, got {value}")
         return self
 
-    @property
-    def total(self) -> int:
-        return self.a + self.b + self.c + self.d
-
 
 class ExactTest:
     """Fisher's exact test and the odds ratio for the 2x2 tables with row

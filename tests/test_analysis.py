@@ -217,7 +217,7 @@ class TestCooccurrenceMatrix:
         for pnp in pnps:
             rows = [*pnp.projections.items(), pnp.source]
             for version, indices in rows:
-                tokens = corpus.verse(version, pnp.verse)
+                tokens = corpus.versions[version][pnp.verse]
                 for i in indices:
                     brute[f"{version.language}:{tokens[i]}"] += 1
         assert sums == brute
@@ -308,7 +308,7 @@ def sorted_projection_groups(parallel_nps, corpus, marker_sets, languages):
             for version in sorted(pnp.projections):
                 if version.language == language:
                     indices = pnp.projections[version]
-                    word = corpus.verse(version, pnp.verse)[indices[-1]]
+                    word = corpus.versions[version][pnp.verse][indices[-1]]
                     marker = longest_endswith(word, marker_sets[language].grams())
                     break
             key.append((language, marker))
@@ -418,10 +418,10 @@ def brute_force_export(pnps, corpus):
     for pnp in pnps:
         source, span = pnp.source
         np_id = f"{pnp.verse}|{source.language}-{source.edition}|{','.join(map(str, span))}"
-        col_text[np_id] = " ".join(corpus.verse(source, pnp.verse)[i] for i in span)
+        col_text[np_id] = " ".join(corpus.versions[source][pnp.verse][i] for i in span)
         for version, indices in [*pnp.projections.items(), (source, span)]:
             for i in indices:
-                counts[f"{version.language}:{corpus.verse(version, pnp.verse)[i]}", np_id] += 1
+                counts[f"{version.language}:{corpus.versions[version][pnp.verse][i]}", np_id] += 1
     rows = sorted({row for row, _col in counts})
     cols = sorted(col_text)
     cells = sorted((rows.index(row), cols.index(col), n) for (row, col), n in counts.items())

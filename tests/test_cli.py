@@ -1,5 +1,7 @@
+import contextlib
 import gc
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -8,9 +10,13 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import tiny_corpus_files, write_lines
 from synthcorpus import build_fixture
@@ -185,6 +191,18 @@ class TestNonAsciiIndices:
     def test_superscript_span_end(self, tmp_path, capsys):
         assert self.run_project(tmp_path, "0-0", "0:\u00b9") == 2
         assert "bad span" in capsys.readouterr().err
+
+    # int() raises ValueError on a string of over 4,300 digits, which used to
+    # leave `main` as a traceback; an index of over 18 digits is bad.
+    @pytest.mark.parametrize(
+        "link, span, message",
+        [("0-" + "1" * 5000, "0:1", "bad link"), ("1" * 19 + "-0", "0:1", "bad link"),
+         ("0-0", "0:" + "9" * 5000, "bad span"), ("0-0", "0" * 19 + ":1", "bad span")],
+        ids=["5000-digit link", "19-digit link", "5000-digit span", "19-digit span"],
+    )
+    def test_an_index_of_too_many_digits(self, tmp_path, capsys, link, span, message):
+        assert self.run_project(tmp_path, link, span) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestSilverCommand:
@@ -1704,3 +1722,100 @@ class TestErrorBranches:
         assert (out / "silver" / "lingua.txt").read_text(encoding="utf-8") == "ibus$\num$\n"
         assert not (out / "silver" / "zzz.txt").exists()
         assert (out / "silver" / "diagnostics.tsv").read_text(encoding="utf-8").splitlines()[1:] == ["lingua\t1\t2"]
+
+
+# Characters for mutated lines, names and config strings: the separators of
+# every input format, the boundary, digits that only look ASCII, a
+# byte-order mark, a no-break space, a zero-width non-joiner, line breaks
+# other than "\n", control characters and a quote. File names also take a
+# newline, but no slash or NUL: a renamed file stays one file in its directory.
+FUZZ_CHARS = "a\t :-#$.01\ufeff\u00a0\u200c\u2028\x85\x0c\r\x01\u00e9\u00b9\u0663\"*"
+NAME_CHARS = FUZZ_CHARS + "\n"
+CONFIG_PATHS = [(key,) for key in CONFIG_KEYS] + [("not_a_key",)] + [
+    (key, inner)
+    for key, shape in CONFIG_KEYS.items()
+    if isinstance(shape, tuple) and isinstance(shape[1], dict)
+    for inner in shape[1]
+]
+config_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 200) | st.floats() | st.text(FUZZ_CHARS, max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(FUZZ_CHARS, max_size=5), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def mutate_line(path, data, longest_run):
+    """One line of the file `path` replaced, given one character or a run of
+    `longest_run` of one, cut by one character, dropped or repeated."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    line = lines[i]
+    edit = data.draw(st.sampled_from(["replace", "insert", "delete", "drop", "repeat"]), label="edit")
+    if edit == "replace":
+        lines[i] = data.draw(st.text(FUZZ_CHARS, max_size=12), label="text")
+    elif edit == "insert":
+        at = data.draw(st.integers(0, len(line)), label="at")
+        run = data.draw(st.sampled_from(FUZZ_CHARS), label="char") * data.draw(st.sampled_from([1, longest_run]))
+        lines[i] = line[:at] + run + line[at:]
+    elif edit == "delete":
+        at = data.draw(st.integers(0, max(len(line) - 1, 0)), label="at")
+        lines[i] = line[:at] + line[at + 1 :]
+    else:
+        lines[i : i + 1] = [] if edit == "drop" else [line, line]
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+
+class TestErrorContract:
+    """Whatever one input of `workdir` holds, every command exits 0, 1 or 2,
+    raises nothing and prints no traceback. Each example changes one input:
+    a line of a verse, alignment, annotation or paradigm file, the name of
+    one of those files, a leading byte-order mark on any of them or on the
+    config, or one config value, which becomes any YAML value."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_every_command_exits_0_1_or_2_without_a_traceback(self, synth, workdir, tmp_path, data):
+        # `workdir` writes the paradigm file that `relative_workdir` copies.
+        with tempfile.TemporaryDirectory(dir=tmp_path) as directory:
+            root = relative_workdir(synth, Path(directory))
+            config_path = root / "run.yaml"
+            config = yaml.safe_load(config_path.read_text(encoding="utf-8"))
+            inputs = {
+                "verse": sorted(root.glob("verses/*")),
+                "alignment": sorted(root.glob("alignments/*")),
+                "annotation": sorted(root.glob("*.np")),
+                "paradigm": [root / "lingua.paradigms.tsv"],
+            }
+            files = [path for paths in inputs.values() for path in paths]
+            mutation = data.draw(st.sampled_from([*inputs, "name", "bom", "config"]), label="mutation")
+            if mutation in inputs:
+                # A run of 5,000 characters makes an index or a form longer than
+                # any of the fixture's. In a verse it would make a word of over
+                # ten million grams, too many for a test to count.
+                longest_run = 1 if mutation == "verse" else 5000
+                mutate_line(data.draw(st.sampled_from(inputs[mutation]), label="file"), data, longest_run)
+            elif mutation == "bom":
+                path = data.draw(st.sampled_from([*files, config_path]), label="file")
+                path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
+            elif mutation == "name":
+                path = data.draw(st.sampled_from(files), label="file")
+                stem = data.draw(st.text(NAME_CHARS, min_size=1, max_size=10).filter(lambda s: s not in (".", "..")))
+                renamed = path.rename(path.with_name(stem + data.draw(st.sampled_from(["", "".join(path.suffixes)]))))
+                old, new = str(path.relative_to(root)), str(renamed.relative_to(root))
+                for key in ("alignment_files", "annotation_files"):
+                    config[key] = [new if entry == old else entry for entry in config[key]]
+                paradigms = config["paradigm_files"]
+                config["paradigm_files"] = {lang: new if entry == old else entry for lang, entry in paradigms.items()}
+            else:
+                *parents, key = data.draw(st.sampled_from(CONFIG_PATHS), label="key")
+                section = config.setdefault(parents[0], {}) if parents else config
+                section[key] = data.draw(config_values, label="value")
+            if mutation in ("name", "config"):
+                config_path.write_text(yaml.safe_dump(config), encoding="utf-8")
+            for command in ("extract", "silver", "eval", "ablate", "project", "analyze"):
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main([command, "--config", str(config_path)])
+                assert code in (0, 1, 2), (command, code)
+                assert "Traceback" not in stderr.getvalue(), (command, stderr.getvalue())

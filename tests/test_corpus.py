@@ -147,7 +147,7 @@ class TestLoadCorpus:
             {"alpha-a1.txt": {"v1": decomposed}, "beta-b1.txt": {"v1": "café"}},
         )
         corpus = load_corpus(paths)
-        assert corpus.verse(VersionId("alpha", "a1"), "v1") == ("café",)
+        assert corpus.versions[VersionId("alpha", "a1")]["v1"] == ("café",)
 
     def test_order_independence(self, two_version_paths):
         corpora = [load_corpus(list(perm)) for perm in itertools.permutations(two_version_paths)]
@@ -178,7 +178,7 @@ class TestLoadCorpus:
         for _ in range(200):
             version = rng.choice(versions)
             verse_id = rng.choice(synth.corpus.shared_verses)
-            tokens = synth.corpus.verse(version, verse_id)
+            tokens = synth.corpus.versions[version][verse_id]
             assert tokens
 
 
@@ -506,7 +506,7 @@ class TestVerseLineErrors:
     def test_format_character_loads_unchanged(self, tmp_path, char):
         # Not printable, so the line is walked, but not whitespace either.
         corpus = self.load(tmp_path, f"a{char}b {char}c")
-        assert corpus.verse(VersionId("alpha", "a1"), "v1") == (f"a{char}b", f"{char}c")
+        assert corpus.versions[VersionId("alpha", "a1")]["v1"] == (f"a{char}b", f"{char}c")
 
     def test_boundary_character_names_the_token(self, tmp_path):
         with pytest.raises(ParseError, match=re.escape("token 'b$c' contains reserved character '$'")):
@@ -520,7 +520,7 @@ class TestVerseLineErrors:
         normalize = unicodedata.normalize
         text = " ".join(["déjà", normalize("NFD", "café"), "x", normalize("NFD", "Ångström")])
         corpus = self.load(tmp_path, text)
-        tokens = corpus.verse(VersionId("alpha", "a1"), "v1")
+        tokens = corpus.versions[VersionId("alpha", "a1")]["v1"]
         assert tokens == ("déjà", "café", "x", "Ångström")
         assert all(unicodedata.is_normalized("NFC", token) for token in tokens)
 
@@ -576,7 +576,7 @@ class TestByteOrderMark:
 
     def test_verse_file(self, corpus):
         assert corpus.shared_verses == ("v1", "v2")
-        assert corpus.verse(VersionId("alpha", "a1"), "v1") == ("a", "b")
+        assert corpus.versions[VersionId("alpha", "a1")]["v1"] == ("a", "b")
 
     def test_alignment_file(self, tmp_path, corpus):
         path = tmp_path / "align.tsv"

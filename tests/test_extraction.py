@@ -339,7 +339,7 @@ class TestInsideOutsideFilterMatchesPlainLoop:
         candidates = frequency_filter(lingua, theta)
         kept = inside_outside_filter(candidates, lingua, phi, chi)
         expected = plain_inside_outside_filter(candidates, lingua, phi, chi)
-        assert {gram: tuple(result) for gram, result in kept.items()} == expected
+        assert {gram: (marker.p_value, marker.odds_ratio) for gram, marker in kept.items()} == expected
         assert kept
 
     def test_ratio_filter_drops_grams_the_p_value_test_keeps(self, lingua):
@@ -428,6 +428,12 @@ class TestSelectionPerConfigMatchesPlainReference:
         selected = extract_markers_per_config(counts, configs)
         assert selected == [plain_selection(counts, config) for config in configs]
         assert [extract_markers_for_language(counts, config) for config in configs] == selected
+        # Both entry points build the same table: over every position, they
+        # return the same records.
+        for config in configs:
+            (everywhere,) = extract_markers_per_config(counts, [config._replace(positions=POSITIONS)])
+            kept = inside_outside_filter(frequency_filter(counts, config.theta), counts, config.phi, config.chi)
+            assert kept == {marker.gram: marker for marker in everywhere}
 
 
 class TestSelectionPerPair:

@@ -146,7 +146,7 @@ class TestProjectionPaths:
             expected = {}
             for (pair_source, target), alignment in sorted(by_pair.items()):
                 if pair_source == source:
-                    projected = project_span(pnp.verse, span, alignment, synth.corpus.verse(target, pnp.verse))
+                    projected = project_span(pnp.verse, span, alignment, synth.corpus.versions[target][pnp.verse])
                     if projected is not None:
                         expected[target] = projected
             assert pnp.projections == expected
@@ -163,7 +163,7 @@ class TestProjectionPaths:
         with pytest.raises(ConfigurationError, match="points outside verse 'v1'"):
             alignments_by_pair(corpus, [annotation], alignments)
         with pytest.raises(ConfigurationError, match="points outside verse 'v1'"):
-            project_span("v1", annotation.spans["v1"][0], alignments[0], corpus.verse(TGT, "v1"))
+            project_span("v1", annotation.spans["v1"][0], alignments[0], corpus.versions[TGT]["v1"])
 
     def test_count_grams_raises_before_the_first_language(self, synth):
         config = PipelineConfig(theta=synth.fixture.theta)
@@ -174,7 +174,7 @@ class TestProjectionPaths:
             count_grams(synth.corpus, annotations, alignments[:-1], config)
         last = alignments[-1]
         verse_id, indices = next(iter(annotations[0].np_tokens.items()))
-        past_end = len(synth.corpus.verse(last.target_version, verse_id))
+        past_end = len(synth.corpus.versions[last.target_version][verse_id])
         links = dict(last.links)
         links[verse_id] += (min(indices), past_end)
         broken = Alignment(last.source_version, last.target_version, links)
@@ -309,7 +309,7 @@ def per_token_inside_outside(corpus, parallel_nps, language, copies):
                             marked.update(pnp.source[1])
                         if version in pnp.projections:
                             marked.update(pnp.projections[version])
-                for index, token in enumerate(corpus.verse(version, verse_id)):
+                for index, token in enumerate(corpus.versions[version][verse_id]):
                     if index in marked:
                         inside[token] += 1
                     else:
@@ -366,7 +366,7 @@ def per_span_parallel_nps(corpus, annotations, alignments):
                 projections = {}
                 for target in targets:
                     alignment = by_pair[(annotation.version, target)]
-                    projected = project_span(verse_id, span, alignment, corpus.verse(target, verse_id))
+                    projected = project_span(verse_id, span, alignment, corpus.versions[target][verse_id])
                     pairs = zip(alignment.links[verse_id][0::2], alignment.links[verse_id][1::2])
                     linked = tuple(sorted({j for i, j in pairs if i in span}))
                     assert (projected or ()) == linked
@@ -445,7 +445,7 @@ class TestReadParallelNps:
     def expected_records(pnps, corpus):
         """Reference: each NP's lines, source first, built field by field."""
         def line(verse, version, span):
-            tokens = corpus.verse(version, verse)
+            tokens = corpus.versions[version][verse]
             return [verse, str(version), ",".join(map(str, span)), " ".join(tokens[i] for i in span)]
 
         return [
@@ -467,7 +467,7 @@ class TestReadParallelNps:
         for record, pnp in zip(records, pnps):
             for line, (version, span) in zip(record, (pnp.source, *sorted(pnp.projections.items()))):
                 surface = line[3]
-                assert (surface.split(" ") if surface else []) == [corpus.verse(version, pnp.verse)[i] for i in span]
+                assert (surface.split(" ") if surface else []) == [corpus.versions[version][pnp.verse][i] for i in span]
 
     def test_synthetic_corpus(self, synth, tmp_path):
         pnps = build_parallel_np_set(synth.corpus, synth.annotations, synth.alignments)

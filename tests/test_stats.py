@@ -274,6 +274,3 @@ class TestContingencyTable:
             ContingencyTable(1.5, 0, 0, 0)
         with pytest.raises(ValueError):
             ContingencyTable(True, 0, 0, 1)
-
-    def test_total(self):
-        assert ContingencyTable(1, 2, 3, 4).total == 10
