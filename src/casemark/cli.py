@@ -232,7 +232,7 @@ def cmd_extract(config: RunConfig) -> int:
 
     corpus, annotations, alignments = _load_corpus_inputs(config)
     _select(config, corpus.languages(), "verse files")
-    marker_sets = extraction.extract_marker_sets(corpus, annotations, alignments, config.pipeline)
+    selections = extraction.extract_marker_sets(corpus, annotations, alignments, config.pipeline)
     manifest = {"pipeline": config.pipeline._asdict(), **_input_record(config)}
     written = []  # only these go in the manifest: `eval` would score an earlier file of the others
 
@@ -241,14 +241,14 @@ def cmd_extract(config: RunConfig) -> int:
         text = json.dumps({**manifest, "languages": languages}, sort_keys=True, indent=2, default=sorted)
         write_output(config.output_dir / "manifest.json", text + "\n")
 
-    def write(language, marker_set):
-        extraction.write_marker_file(marker_set, config.markers_dir / f"{language}.tsv")
+    def write(language, select):
+        extraction.write_marker_file(select(), config.markers_dir / f"{language}.tsv")
         write_manifest([*written, language])
         written.append(language)  # not when its manifest failed: the language failed
 
     # Rewritten after each language, so a run cut short leaves a manifest of the files it wrote.
     write_manifest(written)
-    return _per_language("extract", marker_sets, write)
+    return _per_language("extract", selections, write)
 
 
 def cmd_silver(config: RunConfig) -> int:

@@ -84,9 +84,9 @@ def run_ablation(
     theta = min((config.with_variant(variant).theta for variant in variants), default=config.theta)
     wanted = config._replace(languages=languages, theta=theta)
     per_language: dict[str, dict[str, PRF]] = {}
-    for language, grams in count_grams(corpus, annotations, alignments, wanted):
+    for language, count in count_grams(corpus, annotations, alignments, wanted):
         gold = set(gold_by_language[language])
-        selected = extract_markers_per_config(grams, [config.with_variant(variant) for variant in variants])
+        selected = extract_markers_per_config(count(), [config.with_variant(variant) for variant in variants])
         per_language[language] = {v: score({m.gram for m in markers}, gold) for v, markers in zip(variants, selected)}
     for language in scorable:
         if language not in per_language:

@@ -14,27 +14,28 @@ threshold, sharing one exact test among the configs of each threshold. A
 gram's statistics depend only on its (inside, outside) pair and the row
 totals, and most grams share a pair, so selection works per pair, not per gram.
 
-Counting above a threshold of one cuts only the grams that can reach it out
-of the words. A gram that theta NP-relevant types contain has each of its
-3-character windows in theta of them, so each window occurs at least theta
-times in those words. One pass counts the windows of all the words joined;
-then each word gives its grams shorter than a window, and the longer grams
-made only of windows that reached theta. Occurrences bound containment from
-above, so no gram that reaches theta is missed, and each kept gram's
-containment counts are then taken exactly, inside and outside.
+Counting cuts only the grams that can reach the threshold out of the words.
+A gram that theta NP-relevant types contain has each of its 3-character
+windows in theta of them, so each window occurs at least theta times in
+those words. One pass counts the windows of all the words joined; then each
+word gives its grams shorter than a window, and the longer grams made only
+of windows that reached theta (at theta=1, all of them, with no window
+built). Occurrences bound containment from above, so no gram that reaches
+theta is missed, and each kept gram's containment counts are then taken
+exactly, inside and outside, as the two sides of a `GramCounts`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, repeat
 from operator import add, itemgetter
 from pathlib import Path
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .corpus import BOUNDARY, Alignment, ParallelCorpus, read_lines, write_output
-from .errors import ConfigurationError, ParseError, UndefinedOddsError
+from .errors import ConfigurationError, CorpusError, ParseError, UndefinedOddsError
 from .projection import NpAnnotation, alignments_by_pair, build_inside_outside, partition_word_types
 from .stats import ExactTest
 
@@ -166,25 +167,12 @@ def _cutter(slices: tuple[slice, ...]) -> Callable[[str], tuple[str, ...]]:
     return lambda wrapped: tuple(wrapped[s] for s in slices)
 
 
-# Keyed by length, not by slices: a slice is unhashable before Python 3.12.
-@lru_cache(maxsize=None)  # one immutable entry per word length seen
-def _gram_cutter(length: int) -> Callable[[str], tuple[str, ...]]:
-    """`_cutter` of the `_gram_slices` of a wrapped word of `length` characters."""
-    return _cutter(_gram_slices(length))
-
-
-def candidates_of_word(word: str) -> set[str]:
-    """All substrings of `$word$` containing at least one non-boundary
-    character; duplicates within the word collapse. The word itself holds no
-    boundary character (the corpus loader rejects it), so only `$` and, for
-    the empty word, `$$` consist of boundaries alone."""
-    wrapped = BOUNDARY + word + BOUNDARY
-    return set(_gram_cutter(len(wrapped))(wrapped))
-
-
 # Window length of the frequency bound (see the module docstring); windows
-# of 2 or 4 characters made counting slower. `_joined` hard-codes it.
+# of 2 or 4 characters made counting slower. `_windows` hard-codes it.
 _WINDOW = 3
+# The longest word type cut into grams: a word of n characters has about n*n/2
+# grams, all cut before a set collapses them (255 give 32,873, in about 10 MB).
+LONGEST_WORD = 255
 
 
 @lru_cache(maxsize=4096)  # one immutable entry per pattern; corpora show a few hundred
@@ -193,27 +181,35 @@ def _frequent_cutter(frequent_at: bytes) -> Callable[[str], tuple[str, ...]]:
     windows are all frequent, where the window starting at i is frequent iff
     `frequent_at[i]`: every slice shorter than a window, and the longer ones
     inside a run of consecutive frequent windows."""
+    if len(frequent_at) > LONGEST_WORD:
+        raise CorpusError(
+            f"a word type of {len(frequent_at)} characters is longer than the {LONGEST_WORD} that gram counting takes"
+        )
     slices = _gram_slices(len(frequent_at) + 2)
     return _cutter(tuple(s for s in slices if all(frequent_at[s.start : s.stop - _WINDOW + 1])))
 
 
-def _joined(words: list[str]) -> tuple[str, list[str]]:
-    """`$w1$w2$...$`, the wrapped words sharing their boundaries, and its
-    windows in order. Each window of a wrapped word is one of these; windows
-    across two words only add occurrences, so counts stay upper bounds."""
-    text = BOUNDARY + BOUNDARY.join(words) + BOUNDARY
-    return text, list(map(add, map(add, text, text[1:]), text[2:]))
+def candidates_of_word(word: str) -> set[str]:
+    """All substrings of `$word$` containing at least one non-boundary
+    character; duplicates within the word collapse. The word itself holds no
+    boundary character (the corpus loader rejects it), so only `$` and, for
+    the empty word, `$$` consist of boundaries alone."""
+    return set(_frequent_cutter(b"\1" * len(word))(BOUNDARY + word + BOUNDARY))
 
 
-def _grams_within(words: list[str], joined: tuple[str, list[str]], frequent: set[str]) -> Iterator[set[str]]:
+def _windows(text: str) -> list[str]:
+    """The windows of `text` in order."""
+    return list(map(add, map(add, text, text[1:]), text[2:]))
+
+
+def _grams_within(words: list[str], text: str, frequent_at: bytes) -> Iterator[set[str]]:
     """Per word, the grams of `candidates_of_word(word)` whose windows are
-    all in `frequent`; `joined` is `_joined(words)`."""
-    text, windows = joined
-    is_frequent = bytes(map(frequent.__contains__, windows))
+    all frequent; `text` is `$w1$w2$...$`, the wrapped words sharing their
+    boundaries, and its window starting at i is frequent iff `frequent_at[i]`."""
     start = 0  # where the word's leading boundary sits in `text`
     for word in words:
         end = start + len(word)  # a word of n characters has n windows
-        yield set(_frequent_cutter(is_frequent[start:end])(text[start : end + 2]))
+        yield set(_frequent_cutter(frequent_at[start:end])(text[start : end + 2]))
         start = end + 1
 
 
@@ -243,13 +239,6 @@ class GramCounts(Mapping):
         return len(self.inside)
 
 
-def _sides(counts: Mapping[str, tuple[int, int]]) -> GramCounts:
-    """`counts` as `GramCounts`; a plain mapping of pairs is split once."""
-    if isinstance(counts, GramCounts):
-        return counts
-    return GramCounts({gram: a for gram, (a, _c) in counts.items()}, {gram: c for gram, (_a, c) in counts.items()})
-
-
 def build_candidate_counts(
     np_relevant: Iterable[str],
     np_irrelevant: Iterable[str],
@@ -261,30 +250,33 @@ def build_candidate_counts(
 
     A word type contributes at most one to each count per gram; grams seen
     only in NP-irrelevant words are not in the domain, and the outside side
-    is counted for the kept grams only. Above theta=1, only grams whose
-    windows all occur theta times among the NP-relevant words are cut out of
-    the words (see `_WINDOW`); the others cannot reach theta.
+    is counted for the kept grams only. Only grams whose windows all occur
+    theta times among the NP-relevant words are cut out of the words (see
+    `_WINDOW`); the others cannot reach theta.
     """
+    sides = list(np_relevant), list(np_irrelevant)
+    # `$w1$w2$...$`, each side's wrapped words sharing their boundaries. Each
+    # window of a wrapped word is one of its windows; windows across two
+    # words only add occurrences, so counts stay upper bounds.
+    texts = [BOUNDARY + BOUNDARY.join(words) + BOUNDARY for words in sides]
     if theta > 1:
-        np_relevant, np_irrelevant = list(np_relevant), list(np_irrelevant)
-        relevant = _joined(np_relevant)
-        frequent = {window for window, count in Counter(relevant[1]).items() if count >= theta}
-        inside_grams = _grams_within(np_relevant, relevant, frequent)
-        outside_grams = _grams_within(np_irrelevant, _joined(np_irrelevant), frequent)
-    else:  # every window is frequent at theta=1, and the plain cut is cheaper
-        inside_grams = map(candidates_of_word, np_relevant)
-        outside_grams = map(candidates_of_word, np_irrelevant)
+        windows = list(map(_windows, texts))
+        frequent = {window for window, count in Counter(windows[0]).items() if count >= theta}
+        masks = [bytes(map(frequent.__contains__, side)) for side in windows]
+    else:  # every window is frequent at theta=1, and none is built
+        masks = [b"\1" * (len(text) - 2) for text in texts]
+    inside_grams, outside_grams = map(_grams_within, sides, texts, masks)
     inside = Counter(chain.from_iterable(inside_grams))
     if theta > 1:  # at theta=1 every gram stays, and a copy would only cost memory
         inside = {gram: count for gram, count in inside.items() if count >= theta}
     return GramCounts(inside, Counter(filter(inside.__contains__, chain.from_iterable(outside_grams))))
 
 
-def frequency_filter(counts: Mapping[str, tuple[int, int]], theta: int) -> set[str]:
+def frequency_filter(counts: GramCounts, theta: int) -> set[str]:
     """Grams whose NP-relevant containment count reaches the threshold."""
     if theta < 1:
         raise ConfigurationError(f"theta must be >= 1, got {theta}")
-    return {gram for gram, inside in _sides(counts).inside.items() if inside >= theta}
+    return {gram for gram, inside in counts.inside.items() if inside >= theta}
 
 
 def _table(counts: GramCounts, by_position: Mapping[str, AbstractSet[str]], test: ExactTest) -> dict:
@@ -322,7 +314,7 @@ def _filter(test: ExactTest, table: dict, phi, chi, positions: AbstractSet[str])
 
 def inside_outside_filter(
     candidates: Iterable[str],
-    counts: Mapping[str, tuple[int, int]],
+    counts: GramCounts,
     phi: Optional[float],
     chi: Optional[float],
 ) -> dict[str, CandidateMarker]:
@@ -330,7 +322,7 @@ def inside_outside_filter(
     threshold keeps every candidate at that test), each mapped to its marker,
     in gram order. An undefined (0/0) odds ratio fails any chi that is set. A
     candidate that `counts` lacks is a KeyError."""
-    grams, counts = set(candidates), _sides(counts)
+    grams = set(candidates)
     missing = grams - counts.inside.keys()  # a Counter side would read it as 0
     if missing:
         raise KeyError(min(missing))
@@ -355,14 +347,13 @@ def _by_position(grams: AbstractSet[str], positions: frozenset[str]) -> dict[str
 
 
 def extract_markers_per_config(
-    counts: Mapping[str, tuple[int, int]],
+    counts: GramCounts,
     configs: Sequence[PipelineConfig],
 ) -> list[list[CandidateMarker]]:
     """`extract_markers_for_language` for each config. Per distinct theta,
     one exact test on the totals of the theta survivors serves every config,
     and one `_table` of the survivors in the positions some config keeps:
     each config filters its distinct pairs, not its grams."""
-    counts = _sides(counts)
     inside, outside = counts.inside, counts.outside
     lowest = min(inside.values(), default=1)
     tables = {}
@@ -379,7 +370,7 @@ def extract_markers_per_config(
 
 
 def extract_markers_for_language(
-    counts: Mapping[str, tuple[int, int]],
+    counts: GramCounts,
     config: PipelineConfig,
 ) -> list[CandidateMarker]:
     """Select one language's markers from its gram counts: the frequency
@@ -392,24 +383,21 @@ def count_grams(
     annotations: Sequence[NpAnnotation],
     alignments: Sequence[Alignment],
     config: PipelineConfig,
-) -> Iterator[tuple[str, GramCounts]]:
-    """Steps 1-3 of the pipeline: `(language, grams)` for every language the
-    config wants, in sorted order, where `grams` maps each gram reaching
-    `config.theta` to its (inside, outside) type-containment counts; no grams
-    below it are kept, so the counts serve any config with at least that
-    threshold. The inputs are checked at once; each language is projected
-    and counted only when the returned iterator reaches it, so a caller that
-    finishes one language before the next holds one language's counts.
+) -> list[tuple[str, Callable[[], GramCounts]]]:
+    """Steps 1-3 of the pipeline: `(language, count)` for every language the
+    config wants, in sorted order, where `count()` projects the language and
+    maps each gram reaching `config.theta` to its (inside, outside)
+    type-containment counts; no grams below it are kept, so the counts serve
+    any config with at least that threshold. The inputs are checked at once;
+    a caller that counts one language at a time holds one language's counts.
     """
     by_pair = alignments_by_pair(corpus, annotations, alignments)
-    languages = [lang for lang in corpus.languages() if config.wants_language(lang)]
 
-    def per_language() -> Iterator[tuple[str, GramCounts]]:
-        for language in languages:
-            partition = partition_word_types(build_inside_outside(corpus, annotations, by_pair, language))
-            yield language, build_candidate_counts(partition.np_relevant, partition.np_irrelevant, config.theta)
+    def count(language: str) -> GramCounts:
+        partition = partition_word_types(build_inside_outside(corpus, annotations, by_pair, language))
+        return build_candidate_counts(partition.np_relevant, partition.np_irrelevant, config.theta)
 
-    return per_language()
+    return [(language, partial(count, language)) for language in corpus.languages() if config.wants_language(language)]
 
 
 def extract_marker_sets(
@@ -417,14 +405,17 @@ def extract_marker_sets(
     annotations: Sequence[NpAnnotation],
     alignments: Sequence[Alignment],
     config: PipelineConfig,
-) -> Iterator[tuple[str, MarkerSet]]:
-    """Full extraction as `(language, MarkerSet)` pairs in sorted order; as
-    in `count_grams`, the inputs are checked at once, and each language is
-    counted and selected only when the returned iterator reaches it."""
-    return (
-        (language, MarkerSet(language, frozenset(extract_markers_for_language(grams, config))))
-        for language, grams in count_grams(corpus, annotations, alignments, config)
-    )
+) -> list[tuple[str, Callable[[], MarkerSet]]]:
+    """Full extraction as `(language, select)` pairs in sorted order, where
+    `select()` counts the language and gives its `MarkerSet`; as in
+    `count_grams`, the inputs are checked at once, and a language that fails
+    leaves the others to run."""
+
+    def select(language: str, count: Callable[[], GramCounts]) -> MarkerSet:
+        return MarkerSet(language, frozenset(extract_markers_for_language(count(), config)))
+
+    counted = count_grams(corpus, annotations, alignments, config)
+    return [(language, partial(select, language, count)) for language, count in counted]
 
 
 def run_pipeline(
@@ -434,7 +425,7 @@ def run_pipeline(
     config: PipelineConfig,
 ) -> dict[str, MarkerSet]:
     """`extract_marker_sets` as one dict of every language's markers."""
-    return dict(extract_marker_sets(corpus, annotations, alignments, config))
+    return {language: select() for language, select in extract_marker_sets(corpus, annotations, alignments, config)}
 
 
 def _format_stat(value: Optional[float]) -> str:

@@ -3,6 +3,7 @@
 from pathlib import Path
 
 from casemark.errors import ConfigurationError
+from casemark.extraction import GramCounts
 from casemark.projection import linked_targets
 
 
@@ -26,6 +27,12 @@ def position_of(gram):
     if gram.endswith("$"):
         return "final"
     return "initial" if gram.startswith("$") else "internal"
+
+
+def gram_counts(pairs):
+    """The plain dict `pairs` of each gram's (inside, outside) counts as the
+    `GramCounts` that selection takes."""
+    return GramCounts({gram: a for gram, (a, _c) in pairs.items()}, {gram: c for gram, (_a, c) in pairs.items()})
 
 
 def project_span(verse_id, span, alignment, target_verse):

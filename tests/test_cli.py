@@ -1631,6 +1631,37 @@ class TestMarkerFileWithUndefinedOdds:
         assert (out / "markers" / "lingua.tsv").read_text(encoding="utf-8").count("\t1.0\tNA\n") == 3
 
 
+class TestOverlongToken:
+    """A token longer than gram counting takes (`extraction.LONGEST_WORD`)
+    fails the language it is in: `extract` writes the other languages'
+    marker files as a clean run does and exits 1, `ablate`, which has no
+    language to leave out, exits 2, and `project` and `analyze`, which cut
+    no grams, run."""
+
+    def test_only_the_commands_that_cut_grams_fail(self, synth, workdir, tmp_path, monkeypatch, capsys):
+        clean = run_every_command("run.yaml", relative_workdir(synth, tmp_path / "clean"), monkeypatch, ["extract"])
+        root = relative_workdir(synth, tmp_path / "long")
+        verses = root / "verses" / "lingua-l1.txt"
+        lines = verses.read_text(encoding="utf-8").splitlines()
+        write_lines(verses, [lines[0] + " " + "a" * 5000, *lines[1:]])
+        monkeypatch.chdir(root)
+        capsys.readouterr()
+        assert main(["extract", "--config", "run.yaml"]) == 1
+        bound = "a word type of 5000 characters is longer than the 255 that gram counting takes"
+        assert capsys.readouterr() == ("", f"extract: lingua: {bound}\n")
+        written = snapshot(root / "out")
+        assert json.loads(written.pop(Path("manifest.json")))["languages"] == ["english", "tercia"]
+        assert set(written) == {Path("markers/english.tsv"), Path("markers/tercia.tsv")}
+        del clean[Path("manifest.json")], clean[Path("markers/lingua.tsv")]
+        assert written == clean
+        assert main(["silver", "--config", "run.yaml"]) == 0
+        assert main(["ablate", "--config", "run.yaml"]) == 2
+        assert capsys.readouterr() == ("", f"casemark ablate: {bound}\n")
+        assert not (root / "out" / "ablation").exists()
+        for command in ("project", "analyze"):
+            assert main([command, "--config", "run.yaml"]) == 0, command
+
+
 class TestErrorBranches:
     """Error branches that the other tests do not reach: each exits with its
     code and its message on stderr, never a traceback."""
@@ -1744,9 +1775,9 @@ config_values = st.recursive(
 )
 
 
-def mutate_line(path, data, longest_run):
+def mutate_line(path, data):
     """One line of the file `path` replaced, given one character or a run of
-    `longest_run` of one, cut by one character, dropped or repeated."""
+    5,000 of one, cut by one character, dropped or repeated."""
     lines = path.read_text(encoding="utf-8").split("\n")
     i = data.draw(st.integers(0, len(lines) - 1), label="line")
     line = lines[i]
@@ -1755,7 +1786,7 @@ def mutate_line(path, data, longest_run):
         lines[i] = data.draw(st.text(FUZZ_CHARS, max_size=12), label="text")
     elif edit == "insert":
         at = data.draw(st.integers(0, len(line)), label="at")
-        run = data.draw(st.sampled_from(FUZZ_CHARS), label="char") * data.draw(st.sampled_from([1, longest_run]))
+        run = data.draw(st.sampled_from(FUZZ_CHARS), label="char") * data.draw(st.sampled_from([1, 5000]))
         lines[i] = line[:at] + run + line[at:]
     elif edit == "delete":
         at = data.draw(st.integers(0, max(len(line) - 1, 0)), label="at")
@@ -1790,11 +1821,10 @@ class TestErrorContract:
             files = [path for paths in inputs.values() for path in paths]
             mutation = data.draw(st.sampled_from([*inputs, "name", "bom", "config"]), label="mutation")
             if mutation in inputs:
-                # A run of 5,000 characters makes an index or a form longer than
-                # any of the fixture's. In a verse it would make a word of over
-                # ten million grams, too many for a test to count.
-                longest_run = 1 if mutation == "verse" else 5000
-                mutate_line(data.draw(st.sampled_from(inputs[mutation]), label="file"), data, longest_run)
+                # A run of 5,000 characters makes a token, an index or a form
+                # longer than any of the fixture's; a token that long is longer
+                # than gram counting takes.
+                mutate_line(data.draw(st.sampled_from(inputs[mutation]), label="file"), data)
             elif mutation == "bom":
                 path = data.draw(st.sampled_from([*files, config_path]), label="file")
                 path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")

@@ -177,7 +177,8 @@ class TestRunAblation:
         assert counted_at == [1 if with_no_theta else config.theta] * len(gold)
 
         full = config._replace(theta=1, languages=tuple(sorted(gold)))
-        counts = list(extraction.count_grams(synth.corpus, synth.annotations, synth.alignments, full))
+        counted = extraction.count_grams(synth.corpus, synth.annotations, synth.alignments, full)
+        counts = [(language, count()) for language, count in counted]
         expected = []
         for variant in variants:
             per_language = []
@@ -212,7 +213,8 @@ class TestRunAblation:
         variants = [config.with_variant(variant) for variant in ABLATION_VARIANTS]
         full = config._replace(theta=1, languages=tuple(sorted(gold)))
         allowed = {}
-        for _language, grams in extraction.count_grams(synth.corpus, synth.annotations, synth.alignments, full):
+        for _language, count in extraction.count_grams(synth.corpus, synth.annotations, synth.alignments, full):
+            grams = count()
             for theta in {variant.theta for variant in variants}:
                 survivors = extraction.frequency_filter(grams, theta)
                 rows = (sum(grams[g][0] for g in survivors), sum(grams[g][1] for g in survivors))

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import position_of
+from helpers import gram_counts, position_of
 
 from casemark import extraction
-from casemark.errors import ConfigurationError, UndefinedOddsError
+from casemark.errors import ConfigurationError, CorpusError, UndefinedOddsError
 from casemark.extraction import (
     ABLATION_VARIANTS,
+    LONGEST_WORD,
     POSITIONS,
     CandidateMarker,
     MarkerSet,
@@ -119,6 +120,23 @@ class TestCandidatesOfWord:
         word = "".join(map(chr, range(0x100, 0x100 + n)))
         assert candidates_of_word(word) == brute_force_candidates(word)
 
+    # A word of n characters has about n*n/2 grams, all cut before the set
+    # collapses them, so the cut takes words of at most 255 characters; a
+    # longer one, on either side and at any theta, raises before any is cut.
+    def test_the_longest_word_is_cut_and_a_longer_one_raises(self):
+        assert LONGEST_WORD == 255
+        word = "".join(map(chr, range(0x100, 0x100 + LONGEST_WORD)))
+        assert candidates_of_word(word) == brute_force_candidates(word)
+        message = "a word type of 256 characters is longer than the 255 that gram counting takes"
+        with pytest.raises(CorpusError, match=message):
+            candidates_of_word(word + "a")
+        for longer in (word + "a", "a" * 5000):
+            for theta in (1, 2, 5):
+                with pytest.raises(CorpusError, match=f"of {len(longer)} characters"):
+                    build_candidate_counts({"ab", longer}, {"ab"}, theta)
+                with pytest.raises(CorpusError, match=f"of {len(longer)} characters"):
+                    build_candidate_counts({"ab", "ab" * 3}, {longer}, theta)
+
 
 class TestCandidateCounts:
     def test_type_level_counting(self):
@@ -144,9 +162,9 @@ class TestCandidateCounts:
     def test_matches_per_gram_loop(self, relevant, irrelevant):
         expected = {}
         for word in relevant:
-            for gram in candidates_of_word(word):
-                inside = sum(gram in candidates_of_word(w) for w in relevant)
-                outside = sum(gram in candidates_of_word(w) for w in irrelevant)
+            for gram in brute_force_candidates(word):
+                inside = sum(gram in brute_force_candidates(w) for w in relevant)
+                outside = sum(gram in brute_force_candidates(w) for w in irrelevant)
                 expected[gram] = (inside, outside)
         assert build_candidate_counts(relevant, irrelevant) == expected
 
@@ -182,8 +200,9 @@ class TestCandidateCounts:
     # character, a combining mark and regex metacharacters, built from
     # shared pieces so that long runs of frequent windows recur and the
     # frequent-window cutters see many patterns; the empty word has no grams.
+    # Theta 1 gives every word its all-frequent pattern.
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(st.sets(long_words, max_size=12), st.sets(long_words, max_size=12), st.integers(2, 6))
+    @given(st.sets(long_words, max_size=12), st.sets(long_words, max_size=12), st.integers(1, 6))
     @example({"", "a(b", "a(b.", "\\a(b"}, {"", "a(b"}, 2)
     def test_window_bound_matches_plain_counts_on_long_words(self, relevant, irrelevant, theta):
         expected = plain_gram_counts(relevant, irrelevant, theta)
@@ -222,36 +241,28 @@ class TestGramCounts:
         assert list(counts.items()) == list(pairs.items())
         assert any(pair[1] == 0 for pair in pairs.values())  # a gram the outside side lacks
 
-    def test_a_plain_dict_of_the_pairs_selects_the_same_markers(self, synth):
-        counts = TestThetaFloor.lingua_counts(synth, 1)
-        configs = [PipelineConfig(theta=synth.fixture.theta).with_variant(v) for v in ABLATION_VARIANTS]
-        selected = extract_markers_per_config(counts, configs)
-        assert extract_markers_per_config(dict(counts), configs) == selected
-        assert all(selected)
-
 
 class TestJoinedWindows:
     # An astral character, a combining mark, Cyrillic letters and empty words.
     @settings(max_examples=200)
     @given(st.lists(st.text(alphabet="a\U00010330\u0301жя", max_size=5), max_size=8))
     def test_windows_are_the_three_character_slices(self, words):
-        text, windows = extraction._joined(words)
-        assert text == "$" + "$".join(words) + "$"
-        assert windows == [text[i : i + 3] for i in range(len(text) - 2)]
+        text = "$" + "$".join(words) + "$"
+        assert extraction._windows(text) == [text[i : i + 3] for i in range(len(text) - 2)]
 
 
 class TestFrequencyFilter:
     def test_boundary_inclusive(self):
-        assert frequency_filter({"x": (97, 0)}, 97) == {"x"}
-        assert frequency_filter({"x": (96, 0)}, 97) == set()
+        assert frequency_filter(gram_counts({"x": (97, 0)}), 97) == {"x"}
+        assert frequency_filter(gram_counts({"x": (96, 0)}), 97) == set()
 
     def test_theta_one_keeps_everything(self):
-        counts = {"x": (1, 5), "y": (3, 0)}
+        counts = gram_counts({"x": (1, 5), "y": (3, 0)})
         assert frequency_filter(counts, 1) == {"x", "y"}
 
     def test_rejects_nonpositive_theta(self):
         with pytest.raises(ConfigurationError):
-            frequency_filter({}, 0)
+            frequency_filter(gram_counts({}), 0)
 
 
 class TestInsideOutsideFilter:
@@ -260,13 +271,13 @@ class TestInsideOutsideFilter:
         assert odds_ratio(ContingencyTable(a=10, b=10, c=10, d=10)) == 1.0
 
     def test_keeps_np_exclusive_candidate(self):
-        counts = {"good": (50, 0), "noise": (50, 40)}
+        counts = gram_counts({"good": (50, 0), "noise": (50, 40)})
         kept = inside_outside_filter({"good", "noise"}, counts, 0.08, 0.34)
         assert "good" in kept
         assert kept["good"].odds_ratio == math.inf
 
     def test_p_threshold_is_strict(self):
-        counts = {"good": (50, 0), "noise": (50, 40)}
+        counts = gram_counts({"good": (50, 0), "noise": (50, 40)})
         kept = inside_outside_filter({"good", "noise"}, counts, 0.08, 0.34)
         p = kept["good"].p_value
         at_boundary = inside_outside_filter({"good", "noise"}, counts, p, 0.34)
@@ -275,18 +286,18 @@ class TestInsideOutsideFilter:
         assert "good" in above
 
     def test_a_candidate_without_counts_is_a_key_error(self):
-        for counts in (build_candidate_counts({"ab"}, {"xy"}), {"a": (1, 0)}):
+        for counts in (build_candidate_counts({"ab"}, {"xy"}), gram_counts({"a": (1, 0)})):
             with pytest.raises(KeyError):
                 inside_outside_filter({"a", "x"}, counts, None, None)
 
     def test_undefined_odds_dropped_when_ratio_test_on(self):
-        counts = {"only": (5, 0)}
+        counts = gram_counts({"only": (5, 0)})
         assert inside_outside_filter({"only"}, counts, 0.5, 0.0) == {}
 
     def test_disabled_tests(self):
         # p-values: good 7.4e-11, noise 5.9e-3, meh 5.9e-2
         # odds ratios: good inf, noise 0.4375, meh 0.5714
-        counts = {"good": (50, 0), "noise": (50, 40), "meh": (50, 35)}
+        counts = gram_counts({"good": (50, 0), "noise": (50, 40), "meh": (50, 35)})
         grams = set(counts)
         baseline = inside_outside_filter(grams, counts, 0.01, 0.5)
         assert set(baseline) == {"good"}
@@ -328,8 +339,8 @@ class TestInsideOutsideFilterMatchesPlainLoop:
     def lingua(self, synth):
         # Counted at theta=1: the tests below select at theta 1 and at the fixture's.
         config = PipelineConfig(theta=1, languages=("lingua",))
-        ((_language, grams),) = count_grams(synth.corpus, synth.annotations, synth.alignments, config)
-        return grams
+        ((_language, count),) = count_grams(synth.corpus, synth.annotations, synth.alignments, config)
+        return count()
 
     @pytest.mark.parametrize("chi", [0.34, None])
     @pytest.mark.parametrize("phi", [0.08, None])
@@ -382,8 +393,8 @@ class TestSelectionPerConfigMatchesPlainReference:
     @pytest.fixture(scope="class")
     def lingua_with_reference(self, synth):
         config = PipelineConfig(theta=1, languages=("lingua",))
-        ((_language, grams),) = count_grams(synth.corpus, synth.annotations, synth.alignments, config)
-        return grams, {}
+        ((_language, count),) = count_grams(synth.corpus, synth.annotations, synth.alignments, config)
+        return count(), {}
 
     @settings(max_examples=40, deadline=None)
     @given(configs=configs_with_repeated_thetas)
@@ -425,6 +436,7 @@ class TestSelectionPerConfigMatchesPlainReference:
     def test_on_random_counts(self, counts, outside_empty, configs):
         if outside_empty:  # every table is [a, b; 0, 0], so every odds ratio is 0/0
             counts = {gram: (inside, 0) for gram, (inside, _outside) in counts.items()}
+        counts = gram_counts(counts)
         selected = extract_markers_per_config(counts, configs)
         assert selected == [plain_selection(counts, config) for config in configs]
         assert [extract_markers_for_language(counts, config) for config in configs] == selected
@@ -439,7 +451,8 @@ class TestSelectionPerConfigMatchesPlainReference:
 class TestSelectionPerPair:
     def test_one_odds_ratio_per_distinct_pair_and_theta(self, synth, monkeypatch):
         config = PipelineConfig(theta=1, languages=("lingua",))
-        ((_language, counts),) = count_grams(synth.corpus, synth.annotations, synth.alignments, config)
+        ((_language, count),) = count_grams(synth.corpus, synth.annotations, synth.alignments, config)
+        counts = count()
         calls = []
         odds = ExactTest.odds_ratio
 
@@ -469,8 +482,9 @@ class TestThetaCutOnCountsAtTheta:
         [(1, {"b$": (0, 4)}), (3, {"b$": (2, 1)}), (3, {"b$": (2, 1), "$ab": (0, 2)})],
     )
     def test_a_gram_below_theta_is_cut_and_left_out_of_the_totals(self, monkeypatch, theta, below):
-        counts = {"a$": (5, 1), "ba$": (4, 0), "$a": (3, 3), "ab": (6, 2), **below}
-        at_theta = {gram: pair for gram, pair in counts.items() if gram not in below}
+        pairs = {"a$": (5, 1), "ba$": (4, 0), "$a": (3, 3), "ab": (6, 2), **below}
+        counts = gram_counts(pairs)
+        at_theta = gram_counts({gram: pair for gram, pair in pairs.items() if gram not in below})
         configs = [PipelineConfig(theta=theta, phi=None, chi=None, positions=POSITIONS), PipelineConfig(theta=theta)]
         cuts = []
         monkeypatch.setattr(extraction, "frequency_filter", lambda c, t: cuts.append(t) or frequency_filter(c, t))
@@ -485,7 +499,8 @@ class TestThetaCutOnCountsAtTheta:
     def test_counts_at_theta_select_as_the_plain_stages(self, synth, monkeypatch):
         theta = synth.fixture.theta
         config = PipelineConfig(theta=theta, languages=("lingua",))
-        ((_language, counts),) = count_grams(synth.corpus, synth.annotations, synth.alignments, config)
+        ((_language, count),) = count_grams(synth.corpus, synth.annotations, synth.alignments, config)
+        counts = count()
         # Every variant but no_theta, so the middle and beginning position splits too.
         configs = [config.with_variant(v) for v in ABLATION_VARIANTS if v != "no_theta"]
         monkeypatch.setattr(extraction, "frequency_filter", None)  # the keys serve; a call would fail
@@ -603,9 +618,9 @@ class TestThetaFloor:
     @staticmethod
     def lingua_counts(synth, theta):
         config = PipelineConfig(theta=theta, languages=("lingua",))
-        ((language, grams),) = count_grams(synth.corpus, synth.annotations, synth.alignments, config)
+        ((language, count),) = count_grams(synth.corpus, synth.annotations, synth.alignments, config)
         assert language == "lingua"
-        return grams
+        return count()
 
     def test_counts_are_the_theta_reaching_part_of_full_counts(self, synth):
         theta = synth.fixture.theta
